@@ -27,8 +27,8 @@ from .errors import (
     NeedsTorus,
     UnknownVertex,
 )
-from .forest import components, level_set, reverse_jump
-from .lattice import check_cycle_free
+from .forest import component_heights, components, level_set, reverse_jump
+from .lattice import atom_cdf, check_cycle_free
 from .models import canopy_cmt
 from .seeds import derive_seed, rng_for
 
@@ -182,7 +182,7 @@ def component_statistic_survey(forest, statistic, min_size):
         else:
             values = []
             for c in comps:
-                hs = _component_heights(forest, rev, c)
+                hs = component_heights(forest, rev, min(c.members))
                 values.append((max(hs.values()) - min(hs.values())) / c.size)
         details["cv"] = _coefficient_of_variation(values)
 
@@ -196,26 +196,6 @@ def component_statistic_survey(forest, statistic, min_size):
         truncation_fraction=truncated / len(comps),
         details=details,
     )
-
-
-def _component_heights(forest, rev, comp):
-    anchor = min(comp.members)
-    heights = {anchor: 0}
-    frontier = [anchor]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            h = heights[w]
-            tgt = forest.jump.get(w)
-            if tgt is not None and tgt not in heights:
-                heights[tgt] = h - 1
-                nxt.append(tgt)
-            for u in rev.get(w, ()):
-                if u not in heights:
-                    heights[u] = h + 1
-                    nxt.append(u)
-        frontier = nxt
-    return heights
 
 
 def _coefficient_of_variation(values):
@@ -285,7 +265,7 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
         raise NeedsTorus("forest window is not toroidal on every axis")
     comps = components(forest)
     if not 0 <= component_id < len(comps):
-        raise ConfigError(f"no component {component_id}")
+        raise ConfigError(f"component_id {component_id}: no such component")
     box = forest.metadata["box"]
     lows = np.array([lo for lo, hi in box], dtype=np.int64)
     lens = np.array([hi - lo + 1 for lo, hi in box], dtype=np.int64)
@@ -384,9 +364,7 @@ class LatticeChainModel:
         self.jumps = jumps
         self.witness = tuple(u)
         self._atoms = np.array([_vec(a, jumps.dimension) for a in jumps.atoms])
-        cum = np.cumsum([float(w) for w in jumps.weights])
-        cum[-1] = 1.0
-        self._cum = cum
+        self._cum = atom_cdf(jumps.weights)
 
     def default_starts(self, k):
         atoms = sorted(self.jumps.atoms)
@@ -637,8 +615,7 @@ def one_endedness_probe(jumps, n_list, trials, seed):
     after n steps, one estimate per listed n."""
     d = jumps.dimension
     atoms = np.array([_vec(a, d) for a in jumps.atoms])
-    cum = np.cumsum([float(w) for w in jumps.weights])
-    cum[-1] = 1.0
+    cum = atom_cdf(jumps.weights)
     endpoints = {}
     for pos, n in enumerate(n_list):
         rng = rng_for(derive_seed(seed, pos), _ROLE_CHAINS)
@@ -738,8 +715,7 @@ def level_set_bijection(forest, seed):
                         "bijection needs cycle-free components"
                     )
                 continue
-            heights = _component_heights(forest, rev, c)
-            for v, h in heights.items():
+            for v, h in component_heights(forest, rev, min(c.members)).items():
                 level[v] = (c.component_id, h)
     rng = rng_for(seed, _ROLE_ORDER)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CyclicComponent, TooLarge, UnknownVertex
-from .lattice import check_cycle_free, in_lattice
+from .lattice import atom_cdf, check_cycle_free, in_lattice
 from .seeds import derive_seed, rng_for
 
 _ROLE_MEET = 0xC1
@@ -177,21 +177,14 @@ def tv_consecutive(jumps, n, k=1):
 
 
 def _difference_kernel(jumps):
+    """Increments of X - Y for independent steps X, Y, with their atom_cdf."""
     diff = {}
     for a, wa in zip(jumps.atoms, jumps.weights):
         for b, wb in zip(jumps.atoms, jumps.weights):
             v = tuple(x - y for x, y in zip(a, b))
             diff[v] = diff.get(v, Fraction(0)) + wa * wb
     vecs = sorted(diff)
-    return np.array(vecs, dtype=np.int64), np.array(
-        [float(diff[v]) for v in vecs]
-    )
-
-
-def _atom_sampler(jumps):
-    cum = np.cumsum([float(w) for w in jumps.weights])
-    cum[-1] = 1.0
-    return cum
+    return np.array(vecs, dtype=np.int64), atom_cdf([diff[v] for v in vecs])
 
 
 def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
@@ -208,9 +201,7 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
     if x0 == y0:
         return CouplingResult(True, coupling_time=0, shift=0)
 
-    vecs, probs = _difference_kernel(jumps)
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
+    vecs, cum = _difference_kernel(jumps)
     rng = rng_for(seed, _ROLE_MEET)
     pos = np.array(tuple(a - b for a, b in zip(x0, y0)), dtype=np.int64)
     step = 0
@@ -230,7 +221,7 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
 
 def _meet_with_trace(jumps, x0, y0, budget, seed, d):
     rng = rng_for(seed, _ROLE_MEET)
-    cum = _atom_sampler(jumps)
+    cum = atom_cdf(jumps.weights)
     atoms = jumps.atoms
     xs, ys = [_key(x0, d)], [_key(y0, d)]
     px, py = x0, y0
@@ -259,7 +250,7 @@ def _cross_collision_once(jumps, x0, y0, budget, rng, min_index):
     """
     d = jumps.dimension
     atoms = jumps.atoms
-    cum = _atom_sampler(jumps)
+    cum = atom_cdf(jumps.weights)
     seen_a = {x0: 0} if min_index == 0 else {}
     seen_b = {y0: 0} if min_index == 0 else {}
     if min_index == 0 and x0 == y0:

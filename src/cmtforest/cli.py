@@ -5,6 +5,11 @@ Exit codes are a stable contract: 0 success, 1 runtime probe failure,
 2 config or schema error. Every output byte is a function of the config
 plus the seed; there is no entropy default anywhere, so a run without a
 seed (in the config or via --seed) is a config error.
+
+Each model and probe is one row of MODELS or PROBES: its fields, each with a
+kind (type and range) and a default, and how it samples or runs. Rows call the
+library through this module's global names, so rebinding one (as span tracing
+does) reaches every call.
 """
 
 import argparse
@@ -14,282 +19,315 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .analysis import (
-    ProbeReport,
-    canopy_distinguishability_demo,
-    cluster_frequency,
-    component_statistic_survey,
-    connectivity_decay_probe,
-    count_components_probe,
-    in_degree_profile,
-    nested_level_average,
-    one_endedness_probe,
-    probe_csv,
-    probe_json,
+    SURVEY_STATISTICS, ProbeReport, canopy_distinguishability_demo, cluster_frequency,
+    component_statistic_survey, connectivity_decay_probe, count_components_probe,
+    in_degree_profile, nested_level_average, one_endedness_probe, probe_csv, probe_json,
 )
 from .lattice import (
-    JumpDistribution,
-    check_model_conditions,
-    even_sublattice,
-    integer_lattice,
-    sample_lattice_cmt,
-    uniform_jumps,
+    JumpDistribution, check_model_conditions, even_sublattice, in_lattice, integer_lattice,
+    sample_lattice_cmt, uniform_jumps,
 )
 from .models import (
-    canopy_cmt,
-    nguyen_atoms,
-    nguyen_model,
-    nguyen_variant,
-    renewal_model,
-    variant_atoms,
+    canopy_cmt, nguyen_atoms, nguyen_model, nguyen_variant, renewal_model, variant_atoms,
 )
-from .points import StripConfig, discrete_strip, howard_model, level_csv, sample_poisson, strip_point_map
+from .points import (
+    StripConfig, discrete_strip, howard_model, level_csv, sample_poisson, strip_point_map,
+)
 from .seeds import derive_seed
 
 _ROLE_MODEL = 0xC10
 _ROLE_PROBE = 0xC11
 
-_KERNEL_MODELS = {"nguyen", "variant", "renewal", "lattice"}
-_CHAIN_PROBES = {"connectivity-decay", "count-components", "one-endedness"}
-_FOREST_PROBES = {
-    "in-degree-profile",
-    "component-survey",
-    "cluster-frequency",
-    "nested-parity",
-}
-
-
-class SchemaViolation(Exception):
-    pass
-
 
 class ProbeFailure(Exception):
     def __init__(self, probe, cause):
         super().__init__(f"probe '{probe}' failed: {type(cause).__name__}: {cause}")
-        self.probe = probe
 
 
-def _need(block, field, kind, where=""):
-    label = f"{where}{field}"
+# -- field kinds: (test, description) -----------------------------------------------
+
+_REQUIRED = object()
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v):
+    return _is_int(v) or isinstance(v, float) and math.isfinite(v)
+
+
+def _int(lo):
+    return (lambda v: _is_int(v) and v >= lo), f"an integer >= {lo}"
+
+
+def _list_of(test, text, min_len=0):
+    return (lambda v: isinstance(v, list) and len(v) >= min_len and all(map(test, v))), text
+
+
+def _choice(options):
+    return (lambda v: v in options), "one of " + ", ".join(map(repr, options))
+
+
+def _optional(kind):
+    return (lambda v: v is None or kind[0](v)), f"{kind[1]}, or null"
+
+
+def _box(coord, strict=False, axes=(1, None)):
+    """[lo, hi] pairs, lo < hi when strict else lo <= hi, axes (min, max)."""
+    def pair(p):
+        return (isinstance(p, list) and len(p) == 2 and coord(p[0]) and coord(p[1])
+                and (p[0] < p[1] or not strict and p[0] == p[1]))
+
+    lo, hi = axes
+    return (
+        lambda v: _list_of(pair, "", lo)[0](v) and len(v) <= (hi or len(v)),
+        f"a list of {lo if lo == hi else f'at least {lo}'} [lo, hi] pairs of "
+        f"{'integers' if coord is _is_int else 'numbers'} with lo {'<' if strict else '<='} hi",
+    )
+
+
+_OBJECT = (lambda v: isinstance(v, dict)), "an object"
+_STRING = (lambda v: isinstance(v, str)), "a string"
+_INTS = _list_of(_is_int, "a non-empty list of integers", 1)
+_VERTEX = (lambda v: _is_int(v) or _INTS[0](v)), "an integer or a list of integers"
+_BOX = _box(_is_int)
+_PROB = (lambda v: _is_num(v) and 0 < v <= 1), "a number in (0, 1]"
+_KERNEL_FIELDS = {
+    "support": (_list_of(_VERTEX[0], "a non-empty list of integers or lists of integers", 1),
+                _REQUIRED),
+    "weights": (_list_of(lambda w: _is_num(w) or isinstance(w, str),
+                         "a list of numbers or fraction strings"), None),
+    "box": (_BOX, _REQUIRED),
+}
+
+
+# -- models -------------------------------------------------------------------------
+
+
+class Model(NamedTuple):
+    fields: dict  # field -> (kind, default or _REQUIRED)
+    build: Callable  # (checked model, seed) -> ForestWindow
+    jumps: Callable = None  # checked model -> JumpDistribution, for kernel models
+    levels: Callable = None  # (checked model, seed) -> levels.csv text, for point clouds
+
+
+LATTICES = {"integer": lambda d: integer_lattice(d), "even": lambda d: even_sublattice(d)}
+
+
+def _jump_law(m):
+    """The jump law of support and weights, all atoms on the model's lattice."""
+    atoms = tuple(tuple(a) if isinstance(a, list) else (a,) for a in m["support"])
+    if m["weights"] is None:
+        jumps = uniform_jumps(atoms)
+    else:
+        jumps = JumpDistribution(atoms, tuple(str(w) for w in m["weights"]))
+    name = m.get("lattice", "integer")
+    lattice = LATTICES[name](jumps.dimension)
+    for a in jumps.atoms:
+        if not in_lattice(lattice, a):
+            raise ValueError(f"atom {a} is not a point of the {name} lattice")
+    return jumps
+
+
+def _strip_window(m, seed):
+    cloud = sample_poisson(m["intensity"], m["box"], seed)
+    return cloud, strip_point_map(cloud, StripConfig(m["half_width"], m["time_axis"]))
+
+
+MODELS = {
+    "nguyen": Model({"dimension": (_int(2), _REQUIRED), "box": (_BOX, _REQUIRED)},
+                    lambda m, s: nguyen_model(m["dimension"], m["box"], s),
+                    jumps=lambda m: uniform_jumps(nguyen_atoms(m["dimension"]))),
+    "variant": Model({"box": (_BOX, _REQUIRED)}, lambda m, s: nguyen_variant(m["box"], s),
+                     jumps=lambda m: uniform_jumps(variant_atoms())),
+    "renewal": Model(
+        dict(_KERNEL_FIELDS, support=(_list_of(
+            lambda a: _int(1)[0](a[0] if isinstance(a, list) and len(a) == 1 else a),
+            "a non-empty list of positive integers", 1), _REQUIRED)),
+        lambda m, s: renewal_model(m["jumps"], m["box"][0], s),
+        jumps=_jump_law,
+    ),
+    "lattice": Model(
+        dict(_KERNEL_FIELDS,
+             lattice=(_choice(tuple(LATTICES)), "integer"),
+             wrap=(_optional(_list_of(lambda n: n is None or _is_int(n) and n >= 1,
+                                      "a list of positive integers or nulls")), None)),
+        lambda m, s: sample_lattice_cmt(
+            LATTICES[m["lattice"]](m["jumps"].dimension), m["jumps"], m["box"], s, wrap=m["wrap"]
+        ),
+        jumps=_jump_law,
+    ),
+    "strip": Model(
+        {
+            "intensity": (((lambda v: _is_num(v) and v >= 0), "a number >= 0"), _REQUIRED),
+            "half_width": (((lambda v: _is_num(v) and v > 0), "a number > 0"), _REQUIRED),
+            "box": (_box(_is_num, strict=True), _REQUIRED),
+            "time_axis": (_int(0), 0),
+        },
+        lambda m, s: _strip_window(m, s)[1],
+        levels=lambda m, s: level_csv(*_strip_window(m, s)),
+    ),
+    "discrete-strip": Model(
+        {"p": (_PROB, _REQUIRED), "box": (_box(_is_int, axes=(2, 2)), _REQUIRED)},
+        lambda m, s: discrete_strip(m["p"], m["box"], s)),
+    "howard": Model(
+        {"p": (_PROB, _REQUIRED), "box": (_box(_is_int, axes=(2, None)), _REQUIRED)},
+        lambda m, s: howard_model(m["p"], m["box"], s)),
+    "canopy": Model({"depth": (_int(1), _REQUIRED)}, lambda m, s: canopy_cmt(m["depth"], s)[0]),
+}
+
+
+# -- probes -------------------------------------------------------------------------
+
+
+class Probe(NamedTuple):
+    fields: dict  # field -> (kind, default or _REQUIRED)
+    run: Callable  # (checked probe, checked model, window, seed) -> ProbeReport
+    reads: str = None  # checked-model key the probe runs on instead of a sampled window
+
+
+def _in_degree_report(forest):
+    prof = in_degree_profile(forest)
+    units = tuple(sorted(prof.histogram))
+    return ProbeReport(
+        probe="in-degree-profile",
+        units=units,
+        values=tuple(float(prof.histogram[k]) for k in units),
+        half_widths=(0.0,) * len(units),
+        trials=(prof.region_size,) * len(units),
+        truncation_fraction=0.0,
+        details={"mean": str(prof.mean), "region_size": prof.region_size},
+    )
+
+
+def _nested_parity(p, forest):
+    start = p["start"]
+    if start is None:
+        start = min(forest.interior or forest.vertices)
+    elif isinstance(start, list):
+        start = tuple(start) if forest.dimension > 1 else start[0]
+    out = nested_level_average(
+        forest, lambda v: (v[0] if isinstance(v, tuple) else v) % 2, start, p["n_max"])
+    return ProbeReport(
+        probe="nested-parity",
+        units=tuple(a.n for a in out),
+        values=tuple(a.value for a in out),
+        half_widths=tuple(4 * 0.5 / math.sqrt(a.count) for a in out),
+        trials=tuple(a.count for a in out),
+        truncation_fraction=sum(a.truncated for a in out) / len(out) if out else 0.0,
+        details={"start": str(start), "n_max": p["n_max"]},
+    )
+
+
+def _origin(p, m):
+    d = m["jumps"].dimension
+    if p["origin"] is not None and len(p["origin"]) != d:
+        raise ConfigError(f"field 'origin' needs {d} coordinates, one per jump coordinate")
+    return (0,) * d if p["origin"] is None else tuple(p["origin"])
+
+
+PROBES = {
+    "in-degree-profile": Probe({}, lambda p, m, w, s: _in_degree_report(w)),
+    "component-survey": Probe(
+        {"statistic": (_choice(SURVEY_STATISTICS), "leaf-fraction"), "min_size": (_int(1), 1)},
+        lambda p, m, w, s: component_statistic_survey(w, p["statistic"], p["min_size"]),
+    ),
+    "cluster-frequency": Probe(
+        {"component_id": (_int(0), 0), "walk_steps": (_int(100), 10000)},
+        lambda p, m, w, s: cluster_frequency(w, p["component_id"], p["walk_steps"], s),
+    ),
+    "nested-parity": Probe(
+        {"start": (_optional(_VERTEX), None), "n_max": (_int(0), 8)},
+        lambda p, m, w, s: _nested_parity(p, w),
+    ),
+    "connectivity-decay": Probe(
+        {"origin": (_optional(_INTS), None),
+         "distances": (_list_of(_int(0)[0], "a list of integers >= 0"), (1, 2, 3)),
+         "trials": (_int(1), 200), "budget": (_int(0), 2000)},
+        lambda p, m, w, s: connectivity_decay_probe(m["jumps"], _origin(p, m), p["distances"],
+                                                    p["trials"], p["budget"], s),
+        reads="jumps",
+    ),
+    "count-components": Probe(
+        {"k": (_int(1), 2), "budget": (_int(0), 2000), "trials": (_int(1), 200)},
+        lambda p, m, w, s: count_components_probe(m["jumps"], p["k"], p["budget"], p["trials"], s),
+        reads="jumps",
+    ),
+    "one-endedness": Probe(
+        {"n_list": (_list_of(_int(0)[0], "a list of integers >= 0"), (10, 50)),
+         "trials": (_int(1), 400)},
+        lambda p, m, w, s: one_endedness_probe(m["jumps"], p["n_list"], p["trials"], s),
+        reads="jumps",
+    ),
+    "canopy-demo": Probe(
+        {}, lambda p, m, w, s: canopy_distinguishability_demo(m["depth"], s), reads="depth"
+    ),
+}
+
+
+# -- validation ---------------------------------------------------------------------
+
+
+def _get(block, field, kind, label):
     if field not in block:
-        raise SchemaViolation(f"missing field '{label}'")
-    value = block[field]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise SchemaViolation(f"field '{label}' must be an integer")
-    if kind is float and not isinstance(value, (int, float)):
-        raise SchemaViolation(f"field '{label}' must be a number")
-    if kind is str and not isinstance(value, str):
-        raise SchemaViolation(f"field '{label}' must be a string")
-    if kind is list and not isinstance(value, list):
-        raise SchemaViolation(f"field '{label}' must be a list")
-    if kind is dict and not isinstance(value, dict):
-        raise SchemaViolation(f"field '{label}' must be an object")
-    return value
+        raise ConfigError(f"missing field '{label}'")
+    if not kind[0](block[field]):
+        raise ConfigError(f"field '{label}' must be {kind[1]}")
+    return block[field]
 
 
-def _box(block, field, where):
-    raw = _need(block, field, list, where)
-    try:
-        return [(lo, hi) for lo, hi in raw]
-    except (TypeError, ValueError):
-        raise SchemaViolation(f"field '{where}{field}' must be a list of [lo, hi] pairs")
+def _checked(block, fields, where=""):
+    """The values of one block's fields, defaults filled in."""
+    return {f: _get(block, f, kind, where + f) if default is _REQUIRED or f in block else default
+            for f, (kind, default) in fields.items()}
 
 
-def _jumps_from_block(block, where):
-    support = _need(block, "support", list, where)
-    atoms = []
-    for a in support:
-        atoms.append(tuple(a) if isinstance(a, list) else (a,))
-    if "weights" in block:
-        weights = _need(block, "weights", list, where)
-        return JumpDistribution(tuple(atoms), tuple(str(w) for w in weights))
-    return uniform_jumps(atoms)
-
-
-def _validate_config(raw, seed_override):
+def _validate(raw, seed_override, fields):
+    """Checked values of the model block, the seed and the top-level fields."""
     if not isinstance(raw, dict):
-        raise SchemaViolation("config must be a JSON object")
-    model = _need(raw, "model", dict)
-    name = _need(model, "model", str, "model.")
-    known = _KERNEL_MODELS | {"strip", "discrete-strip", "howard", "canopy"}
-    if name not in known:
-        raise SchemaViolation(f"unknown model '{name}'")
-    if name == "nguyen":
-        _need(model, "dimension", int, "model.")
-        _box(model, "box", "model.")
-    elif name == "variant":
-        _box(model, "box", "model.")
-    elif name == "renewal":
-        _need(model, "support", list, "model.")
-        _box(model, "box", "model.")
-    elif name == "lattice":
-        _need(model, "support", list, "model.")
-        _box(model, "box", "model.")
-    elif name == "strip":
-        _need(model, "intensity", float, "model.")
-        _need(model, "half_width", float, "model.")
-        _box(model, "box", "model.")
-    elif name in ("discrete-strip", "howard"):
-        _need(model, "p", float, "model.")
-        _box(model, "box", "model.")
-    elif name == "canopy":
-        _need(model, "depth", int, "model.")
-
-    probes = _need(raw, "probes", list)
-    for i, spec in enumerate(probes):
-        if not isinstance(spec, dict):
-            raise SchemaViolation(f"field 'probes[{i}]' must be an object")
-        pname = _need(spec, "probe", str, f"probes[{i}].")
-        if pname not in _CHAIN_PROBES | _FOREST_PROBES | {"canopy-demo"}:
-            raise SchemaViolation(f"unknown probe '{pname}'")
-        if pname in _CHAIN_PROBES and name not in _KERNEL_MODELS:
-            raise SchemaViolation(
-                f"probe '{pname}' needs a lattice kernel model, not '{name}'"
-            )
-        if pname == "canopy-demo" and name != "canopy":
-            raise SchemaViolation("probe 'canopy-demo' needs the canopy model")
-
-    seed = seed_override if seed_override is not None else raw.get("seed")
-    if seed is None:
-        raise SchemaViolation(
-            "missing field 'seed' (no entropy defaults; set it in the config or pass --seed)"
-        )
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise SchemaViolation("field 'seed' must be an integer")
-
-    replicates = raw.get("replicates", 1)
-    if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
-        raise SchemaViolation("field 'replicates' must be a positive integer")
-
-    out = dict(raw)
-    out["seed"] = seed
-    out["replicates"] = replicates
-    return out
+        raise ConfigError("config must be a JSON object")
+    block = _get(raw, "model", _OBJECT, "model")
+    name = _get(block, "model", _STRING, "model.model")
+    if name not in MODELS:
+        raise ConfigError(f"unknown model '{name}'")
+    entry = MODELS[name]
+    model = _checked(block, entry.fields, "model.")
+    if entry.jumps is not None:
+        try:
+            model["jumps"] = entry.jumps(model)
+        except ValueError as e:
+            raise ConfigError(f"fields 'model.support' and 'model.weights': {e}")
+        if len(model["box"]) != model["jumps"].dimension:
+            raise ConfigError(f"field 'model.box' needs {model['jumps'].dimension} axes, "
+                              "one per jump coordinate")
+    seed = raw.get("seed") if seed_override is None else seed_override
+    if not _is_int(seed):
+        raise ConfigError("field 'seed' must be an integer; there is no entropy default, "
+                          "so set it in the config or pass --seed")
+    return dict(_checked(raw, fields), name=name, model=model, seed=seed)
 
 
-def _build_window(model, seed):
-    """Sample the configured window; returns (forest, cloud-or-None)."""
-    name = model["model"]
-    if name == "nguyen":
-        return nguyen_model(model["dimension"], _box(model, "box", "model."), seed), None
-    if name == "variant":
-        return nguyen_variant(_box(model, "box", "model."), seed), None
-    if name == "renewal":
-        jumps = _jumps_from_block(model, "model.")
-        (interval,) = _box(model, "box", "model.")
-        return renewal_model(jumps, interval, seed), None
-    if name == "lattice":
-        jumps = _jumps_from_block(model, "model.")
-        spec = model.get("lattice", "integer")
-        if spec == "integer":
-            lattice = integer_lattice(jumps.dimension)
-        elif spec == "even":
-            lattice = even_sublattice(jumps.dimension)
-        else:
-            raise SchemaViolation(f"unknown lattice '{spec}'")
-        wrap = model.get("wrap")
-        if wrap is not None:
-            wrap = tuple(wrap)
-        return (
-            sample_lattice_cmt(lattice, jumps, _box(model, "box", "model."), seed, wrap=wrap),
-            None,
-        )
-    if name == "strip":
-        cloud = sample_poisson(model["intensity"], _box(model, "box", "model."), seed)
-        config = StripConfig(model["half_width"], model.get("time_axis", 0))
-        return strip_point_map(cloud, config), cloud
-    if name == "discrete-strip":
-        return discrete_strip(model["p"], _box(model, "box", "model."), seed), None
-    if name == "howard":
-        return howard_model(model["p"], _box(model, "box", "model."), seed), None
-    if name == "canopy":
-        forest, _ = canopy_cmt(model["depth"], seed)
-        return forest, None
-    raise SchemaViolation(f"unknown model '{name}'")
-
-
-def _model_jumps(model):
-    name = model["model"]
-    if name == "nguyen":
-        return uniform_jumps(nguyen_atoms(model["dimension"]))
-    if name == "variant":
-        return uniform_jumps(variant_atoms())
-    return _jumps_from_block(model, "model.")
-
-
-def _parity(v):
-    return (v[0] if isinstance(v, tuple) else v) % 2
-
-
-def _run_probe(spec, model, forest, seed):
-    name = spec["probe"]
-    if name == "in-degree-profile":
-        prof = in_degree_profile(forest)
-        units = tuple(sorted(prof.histogram))
-        return ProbeReport(
-            probe="in-degree-profile",
-            units=units,
-            values=tuple(float(prof.histogram[k]) for k in units),
-            half_widths=(0.0,) * len(units),
-            trials=(prof.region_size,) * len(units),
-            truncation_fraction=0.0,
-            details={"mean": str(prof.mean), "region_size": prof.region_size},
-        )
-    if name == "component-survey":
-        return component_statistic_survey(
-            forest, spec.get("statistic", "leaf-fraction"), spec.get("min_size", 1)
-        )
-    if name == "cluster-frequency":
-        return cluster_frequency(
-            forest, spec.get("component_id", 0), spec.get("walk_steps", 10000), seed
-        )
-    if name == "nested-parity":
-        start = spec.get("start")
-        if start is None:
-            start = min(forest.interior or forest.vertices)
-        elif isinstance(start, list):
-            start = tuple(start) if forest.dimension > 1 else start[0]
-        out = nested_level_average(forest, _parity, start, spec.get("n_max", 8))
-        return ProbeReport(
-            probe="nested-parity",
-            units=tuple(a.n for a in out),
-            values=tuple(a.value for a in out),
-            half_widths=tuple(4 * 0.5 / math.sqrt(a.count) for a in out),
-            trials=tuple(a.count for a in out),
-            truncation_fraction=sum(a.truncated for a in out) / len(out) if out else 0.0,
-            details={"start": str(start), "n_max": spec.get("n_max", 8)},
-        )
-    if name == "connectivity-decay":
-        jumps = _model_jumps(model)
-        origin = tuple(spec.get("origin", (0,) * jumps.dimension))
-        return connectivity_decay_probe(
-            jumps,
-            origin,
-            spec.get("distances", [1, 2, 3]),
-            spec.get("trials", 200),
-            spec.get("budget", 2000),
-            seed,
-        )
-    if name == "count-components":
-        return count_components_probe(
-            _model_jumps(model),
-            spec.get("k", 2),
-            spec.get("budget", 2000),
-            spec.get("trials", 200),
-            seed,
-        )
-    if name == "one-endedness":
-        return one_endedness_probe(
-            _model_jumps(model),
-            spec.get("n_list", [10, 50]),
-            spec.get("trials", 400),
-            seed,
-        )
-    if name == "canopy-demo":
-        return canopy_distinguishability_demo(model["depth"], seed)
-    raise SchemaViolation(f"unknown probe '{name}'")
+def _validate_run(raw, seed_override):
+    """_validate plus each probe's checked values. The config digest is
+    taken over the raw config, never over these."""
+    run = _validate(raw, seed_override, {"replicates": (_int(1), 1), "out_dir": (_STRING, ".")})
+    run["probes"] = []
+    specs = _get(raw, "probes", _list_of(_OBJECT[0], "a list of objects"), "probes")
+    for i, spec in enumerate(specs):
+        pname = _get(spec, "probe", _STRING, f"probes[{i}].probe")
+        if pname not in PROBES:
+            raise ConfigError(f"unknown probe '{pname}'")
+        entry = PROBES[pname]
+        if entry.reads is not None and entry.reads not in run["model"]:
+            raise ConfigError(f"probe '{pname}' needs the {entry.reads} of its model, "
+                              f"which '{run['name']}' does not have")
+        run["probes"].append((pname, _checked(spec, entry.fields, f"probes[{i}].")))
+    return run
 
 
 def _config_digest(config):
@@ -304,45 +342,48 @@ def _load_json(path):
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise SchemaViolation(f"invalid JSON: {e}")
+        raise ConfigError(f"invalid JSON: {e}")
 
 
-def _replicate_artifacts(config, rep):
+# -- commands -----------------------------------------------------------------------
+
+
+def _replicate_artifacts(run, rep):
     """All (filename, text) artifacts of one replicate."""
-    model = config["model"]
-    seed = config["seed"]
+    seed, model = run["seed"], run["model"]
     model_seed = derive_seed(seed, _ROLE_MODEL, rep)
-    needs_forest = any(s["probe"] in _FOREST_PROBES for s in config["probes"])
-    forest = _build_window(model, model_seed)[0] if needs_forest else None
+    needs_window = any(PROBES[p].reads is None for p, _ in run["probes"])
+    forest = MODELS[run["name"]].build(model, model_seed) if needs_window else None
     files = []
-    for i, spec in enumerate(config["probes"]):
+    for i, (pname, params) in enumerate(run["probes"]):
         probe_seed = derive_seed(seed, _ROLE_PROBE, rep, i)
         try:
-            report = _run_probe(spec, model, forest, probe_seed)
-        except (SchemaViolation, ConfigError):
+            report = PROBES[pname].run(params, model, forest, probe_seed)
+        except ConfigError:
             raise
         except Exception as e:
-            raise ProbeFailure(spec["probe"], e)
-        stem = f"{i:02d}-{spec['probe']}-r{rep:03d}"
+            raise ProbeFailure(pname, e)
+        stem = f"{i:02d}-{pname}-r{rep:03d}"
         files.append((f"{stem}.csv", probe_csv(report)))
         files.append((f"{stem}.json", probe_json(report) + "\n"))
     return files
 
 
 def _cmd_run(args):
-    config = _validate_config(_load_json(args.config), args.seed)
-    out_dir = Path(args.out_dir or config.get("out_dir", "."))
+    raw = _load_json(args.config)
+    run = _validate_run(raw, args.seed)
+    out_dir = Path(args.out_dir or run["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = max(1, args.threads)
 
-    reps = range(config["replicates"])
+    reps = range(run["replicates"])
     try:
         if workers == 1:
-            batches = [_replicate_artifacts(config, r) for r in reps]
+            batches = [_replicate_artifacts(run, r) for r in reps]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = list(pool.map(lambda r: _replicate_artifacts(config, r), reps))
-    except (SchemaViolation, ConfigError):
+                batches = list(pool.map(lambda r: _replicate_artifacts(run, r), reps))
+    except ConfigError:
         raise
     except ProbeFailure as e:
         print(e, file=sys.stderr)
@@ -352,7 +393,7 @@ def _cmd_run(args):
         return 1
 
     files = [f for batch in batches for f in batch]
-    digest = _config_digest(config)
+    digest = _config_digest(dict(raw, seed=run["seed"], replicates=run["replicates"]))
     manifest = [f"config-hash: {digest}"]
     for fname, text in sorted(files):
         (out_dir / fname).write_text(text)
@@ -363,38 +404,22 @@ def _cmd_run(args):
     return 0
 
 
-def _parse_support(text):
-    atoms = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            atoms.append(tuple(int(c) for c in part.split(",")))
-        except ValueError:
-            raise SchemaViolation(f"bad atom '{part}' in --support")
-    if not atoms:
-        raise SchemaViolation("--support lists no atoms")
-    return atoms
-
-
 def _cmd_check_kernel(args):
-    atoms = _parse_support(args.support)
-    if args.weights:
-        try:
-            weights = tuple(w.strip() for w in args.weights.split(","))
-            jumps = JumpDistribution(tuple(atoms), weights)
-        except ValueError as e:
-            raise SchemaViolation(f"bad --weights: {e}")
-    else:
-        jumps = uniform_jumps(atoms)
-    if args.lattice == "integer":
-        lattice = integer_lattice(jumps.dimension)
-    elif args.lattice == "even":
-        lattice = even_sublattice(jumps.dimension)
-    else:
-        raise SchemaViolation(f"unknown lattice '{args.lattice}'")
-    report = check_model_conditions(jumps, lattice)
+    support = []
+    for part in args.support.split(";"):
+        if part.strip():
+            try:
+                support.append([int(c) for c in part.split(",")])
+            except ValueError:
+                raise ConfigError(f"bad atom '{part.strip()}' in --support")
+    if not support:
+        raise ConfigError("--support lists no atoms")
+    weights = [w.strip() for w in args.weights.split(",")] if args.weights else None
+    try:
+        jumps = _jump_law({"support": support, "weights": weights, "lattice": args.lattice})
+    except ValueError as e:
+        raise ConfigError(f"bad --support or --weights: {e}")
+    report = check_model_conditions(jumps, LATTICES[args.lattice](jumps.dimension))
     for cond in ("cycle_free", "weakly_irreducible", "weakly_aperiodic"):
         print(f"{cond}: {str(getattr(report, cond)).lower()}")
     for cond, witness in sorted(report.witnesses.items()):
@@ -405,32 +430,19 @@ def _cmd_check_kernel(args):
 
 def _cmd_export_levels(args):
     raw = _load_json(args.config)
-    if not isinstance(raw, dict):
-        raise SchemaViolation("config must be a JSON object")
-    model = _need(raw, "model", dict)
-    if _need(model, "model", str, "model.") != "strip":
-        raise SchemaViolation("export-levels needs the strip model (point-id forest)")
-    seed = args.seed if args.seed is not None else raw.get("seed")
-    if seed is None:
-        raise SchemaViolation(
-            "missing field 'seed' (no entropy defaults; set it in the config or pass --seed)"
-        )
-    _need(model, "intensity", float, "model.")
-    _need(model, "half_width", float, "model.")
-    _box(model, "box", "model.")
-    forest, cloud = _build_window(model, seed)
-    text = level_csv(cloud, forest)
-    levels = raw.get("levels")
-    if levels is not None:
-        if not isinstance(levels, int) or isinstance(levels, bool) or levels < 1:
-            raise SchemaViolation("field 'levels' must be a positive integer")
-        lines = text.strip().split("\n")
-        kept = [lines[0]]
-        kept.extend(
-            line for line in lines[1:] if int(line.split(",")[3]) < levels
-        )
-        text = "\n".join(kept) + "\n"
-    out_dir = Path(args.out_dir or raw.get("out_dir", "."))
+    run = _validate(raw, args.seed, {"levels": (_optional(_int(1)), None),
+                                     "out_dir": (_STRING, ".")})
+    export = MODELS[run["name"]].levels
+    if export is None:
+        clouds = ", ".join(n for n, e in MODELS.items() if e.levels is not None)
+        raise ConfigError(f"export-levels needs a point-cloud model ({clouds}), "
+                          f"not '{run['name']}'")
+    text = export(run["model"], run["seed"])
+    if run["levels"] is not None:
+        head, *rows = text.strip().split("\n")
+        kept = [row for row in rows if int(row.split(",")[3]) < run["levels"]]
+        text = "\n".join([head, *kept]) + "\n"
+    out_dir = Path(args.out_dir or run["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "levels.csv"
     path.write_text(text)
@@ -455,7 +467,7 @@ def _build_parser():
     ck = sub.add_parser("check-kernel", help="print kernel condition verdicts")
     ck.add_argument("--support", required=True, help="atoms, e.g. '1,-1;-1,-1'")
     ck.add_argument("--weights", default=None, help="comma-separated weights")
-    ck.add_argument("--lattice", default="integer", choices=("integer", "even"))
+    ck.add_argument("--lattice", default="integer", choices=tuple(LATTICES))
     ck.set_defaults(func=_cmd_check_kernel)
 
     ex = sub.add_parser("export-levels", help="CSV of point, level index, component")
@@ -470,7 +482,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaViolation, ConfigError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

@@ -304,7 +304,13 @@ def height(forest, component_id):
     if comp.cycle_count:
         raise CyclicComponent(f"component {component_id} contains a cycle")
     anchor = min(comp.members)
-    rev = reverse_jump(forest)
+    heights = component_heights(forest, reverse_jump(forest), anchor)
+    return HeightAssignment(component_id=component_id, anchor=anchor, heights=heights)
+
+
+def component_heights(forest, rev, anchor):
+    """Heights over the component of anchor, which gets height 0, by a BFS
+    along jumps (height - 1) and preimages under rev (height + 1)."""
     heights = {anchor: 0}
     frontier = [anchor]
     while frontier:
@@ -320,7 +326,7 @@ def height(forest, component_id):
                     heights[u] = h + 1
                     nxt.append(u)
         frontier = nxt
-    return HeightAssignment(component_id=component_id, anchor=anchor, heights=heights)
+    return heights
 
 
 def _fmt_vertex(v):

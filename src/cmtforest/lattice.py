@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadDimension, EmptyWindow, MalformedJump
+from .errors import BadDimension, ConfigError, EmptyWindow, MalformedJump
 from .forest import build_forest
 from .seeds import rng_for
 
@@ -93,6 +93,14 @@ class JumpDistribution:
     @property
     def dimension(self):
         return len(self.atoms[0])
+
+
+def atom_cdf(weights):
+    """Cumulative float weights with the last entry pinned to 1.0; draw an
+    atom index as np.searchsorted(cdf, u, side="right") for uniform u."""
+    cum = np.cumsum([float(w) for w in weights])
+    cum[-1] = 1.0
+    return cum
 
 
 def uniform_jumps(atoms):
@@ -364,8 +372,9 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
     """Sample one jump per lattice point of a box, independently.
 
     box is a sequence of inclusive (lo, hi) pairs, one per axis. wrap, if
-    given, is a per-axis tuple of moduli or None; a wrapped axis identifies
-    coordinates mod its modulus (so its box should be [0, L-1]). Jumps
+    given, is a per-axis tuple of moduli or None; a wrapped axis a with
+    modulus L identifies coordinates mod L, so it needs box [0, L-1] and
+    L*e_a in the lattice (ConfigError otherwise). Jumps
     landing outside an unwrapped axis range become boundary exits. Interior
     vertices are those whose every potential jump stays in the box.
 
@@ -376,10 +385,17 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
         raise BadDimension("box/jump dimension mismatch")
     _atom_coordinates(jumps, lattice)  # validates atoms against the lattice
 
+    det, adj = _det_and_adjugate(lattice.basis)
+    wrap = tuple(wrap) if wrap is not None else (None,) * d
+    if len(wrap) != d:
+        raise ConfigError(f"wrap has {len(wrap)} entries for {d} axes")
+    for a, m in enumerate(wrap):  # m*e_a is in the lattice iff adj @ (m*e_a) = 0 mod det
+        if m is not None and (tuple(box[a]) != (0, m - 1) or any(m * r[a] % det for r in adj)):
+            raise ConfigError(f"wrap[{a}] = {m} needs box[{a}] = (0, {m - 1}) "
+                              f"and {m}*e_{a} in the lattice")
+
     axes = [np.arange(lo, hi + 1) for lo, hi in box]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-
-    det, adj = _det_and_adjugate(lattice.basis)
     num = grid @ np.array(adj, dtype=np.int64).T
     mask = (num % det == 0).all(axis=1)
     pts = grid[mask]
@@ -387,13 +403,10 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
         raise EmptyWindow("box contains no lattice points")
 
     rng = rng_for(seed, _ROLE_LATTICE)
-    cum = np.cumsum([float(w) for w in jumps.weights])
-    cum[-1] = 1.0
-    idx = np.searchsorted(cum, rng.random(len(pts)), side="right")
+    idx = np.searchsorted(atom_cdf(jumps.weights), rng.random(len(pts)), side="right")
     atoms_arr = np.array(jumps.atoms, dtype=np.int64)
     targets = pts + atoms_arr[idx]
 
-    wrap = tuple(wrap) if wrap is not None else (None,) * d
     in_box = np.ones(len(pts), dtype=bool)
     for a in range(d):
         if wrap[a] is not None:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension, ConfigError, EmptyWindow
-from .forest import EXIT, build_forest, components, height
+from .errors import BadDimension, ConfigError, CyclicComponent, EmptyWindow
+from .forest import EXIT, build_forest, component_heights, components, reverse_jump
 from .seeds import derive_seed, rng_for, vertex_stream
 
 _ROLE_BERNOULLI = 0xD1
@@ -121,7 +121,7 @@ class StripConfig:
 
 def _axis_order(d, time_axis):
     if not 0 <= time_axis < d:
-        raise ConfigError("time axis out of range")
+        raise ConfigError(f"time_axis {time_axis} out of range for {d} axes")
     return (time_axis,) + tuple(a for a in range(d) if a != time_axis)
 
 
@@ -251,7 +251,7 @@ def discrete_strip(p, box, seed):
     (t_lo, t_hi), (x_lo, x_hi) = box
     length = x_hi - x_lo + 1
     if x_lo != 0 or length < 3:
-        raise ConfigError("space axis must be (0, L-1) with L >= 3")
+        raise ConfigError("box space axis must be (0, L-1) with L >= 3")
     if t_hi < t_lo:
         raise EmptyWindow("empty time range")
     rows = t_hi - t_lo + 1
@@ -308,19 +308,18 @@ def level_csv(cloud, forest):
     """CSV rows point_id,t,x,level_index,component_id for a point-id
     forest; level indices are heights shifted to start at 0 within each
     component."""
-    comp_of = {}
+    rev = reverse_jump(forest)
+    level_and_comp = {}
     for c in components(forest):
-        for v in c.members:
-            comp_of[v] = c.component_id
-    levels = {}
-    for c in components(forest):
-        ha = height(forest, c.component_id)
-        base = min(ha.heights.values())
-        for v, h in ha.heights.items():
-            levels[v] = h - base
+        if c.cycle_count:
+            raise CyclicComponent(f"component {c.component_id} contains a cycle")
+        heights = component_heights(forest, rev, min(c.members))
+        base = min(heights.values())
+        for v, h in heights.items():
+            level_and_comp[v] = f"{h - base},{c.component_id}"
     lines = ["point_id,t,x,level_index,component_id"]
     for i in sorted(forest.vertices):
         p = cloud.points[i]
         x = " ".join(str(c) for c in p[1:])
-        lines.append(f"{i},{p[0]},{x},{levels[i]},{comp_of[i]}")
+        lines.append(f"{i},{p[0]},{x},{level_and_comp[i]}")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,18 @@
 """End-to-end checks of the batch front end: exit codes, artifact
 determinism, kernel verdicts, and the level-set CSV export."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
-from cmtforest.cli import main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cmtforest.cli import MODELS, PROBES, main
 from cmtforest.points import StripConfig, sample_poisson, strip_point_map
 
 
@@ -285,3 +294,153 @@ def test_export_levels_rejects_non_strip(tmp_path, capsys):
     rc, _ = export(tmp_path, payload, "a")
     assert rc == 2
     assert "strip" in capsys.readouterr().err
+
+
+# -- schema faults: every one exits 2 and names its field -------------------------
+
+
+def nguyen_with(probe):
+    return {
+        "model": {"model": "nguyen", "dimension": 2, "box": [[-3, 3], [-3, 0]]},
+        "probes": [probe],
+        "seed": 1,
+    }
+
+
+def lattice_with(**model):
+    return {
+        "model": {"model": "lattice", "box": [[0, 6], [0, 6]], **model},
+        "probes": [{"probe": "in-degree-profile"}],
+        "seed": 1,
+    }
+
+
+SCHEMA_FAULTS = {
+    "k-string": (nguyen_with({"probe": "count-components", "k": "x"}), "k"),
+    "one-endedness-zero-trials": (nguyen_with({"probe": "one-endedness", "trials": 0}), "trials"),
+    "count-components-zero-trials": (
+        nguyen_with({"probe": "count-components", "trials": 0}), "trials"),
+    "min-size-string": (nguyen_with({"probe": "component-survey", "min_size": "a"}), "min_size"),
+    "distances-string": (
+        nguyen_with({"probe": "connectivity-decay", "distances": "abc"}), "distances"),
+    "nguyen-dimension-one": (
+        {"model": {"model": "nguyen", "dimension": 1, "box": [[0, 4]]},
+         "probes": [{"probe": "in-degree-profile"}], "seed": 1},
+        "dimension",
+    ),
+    "weights-not-a-law": (lattice_with(support=[[1]], weights=[0.5], box=[[0, 6]]), "weights"),
+    "even-wrap-off-lattice": (
+        lattice_with(support=[[1, 1], [1, -1]], lattice="even", wrap=[7, 7]), "wrap"),
+    "box-axes-mismatch": (
+        {"model": {"model": "nguyen", "dimension": 3, "box": [[-3, 3], [-3, 0]]},
+         "probes": [{"probe": "in-degree-profile"}], "seed": 1},
+        "box",
+    ),
+    "atom-off-lattice": (lattice_with(support=[[1, 0], [0, 1]], lattice="even"), "support"),
+    "out-dir-number": (dict(minimal_config(), out_dir=5), "out_dir"),
+}
+
+
+@pytest.mark.parametrize("payload, field", SCHEMA_FAULTS.values(), ids=SCHEMA_FAULTS.keys())
+def test_schema_fault_exit_2_names_field(tmp_path, capsys, payload, field):
+    config = write_config(tmp_path, payload)
+    rc = main(["run", str(config), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert field in err
+    assert not (tmp_path / "out" / "manifest.txt").exists()
+
+
+def test_export_levels_string_seed_exit_2(tmp_path, capsys):
+    rc, _ = export(tmp_path, dict(STRIP, seed="abc"), "a")
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_check_kernel_atom_off_lattice_exit_2(capsys):
+    rc = main(["check-kernel", "--support", "1,0;0,1", "--lattice", "even"])
+    assert rc == 2
+    assert "support" in capsys.readouterr().err
+
+
+# -- fuzz: one model or probe field broken at a time -------------------------------
+
+# Small valid configs that together use every model and every probe.
+FUZZ_BASES = [
+    {"model": {"model": "nguyen", "dimension": 2, "box": [[-3, 3], [-3, 0]]},
+     "probes": [{"probe": "count-components", "k": 2, "budget": 50, "trials": 10},
+                {"probe": "component-survey"}]},
+    {"model": {"model": "variant", "box": [[-3, 3], [-6, 0]]},
+     "probes": [{"probe": "one-endedness", "n_list": [2, 4], "trials": 10},
+                {"probe": "in-degree-profile"}]},
+    {"model": {"model": "renewal", "support": [2], "box": [[0, 20]]},
+     "probes": [{"probe": "connectivity-decay", "distances": [0, 1], "trials": 10, "budget": 50},
+                {"probe": "nested-parity", "start": 0, "n_max": 2}]},
+    {"model": {"model": "lattice", "support": [[1, 1], [1, -1]], "lattice": "even",
+               "box": [[0, 5], [0, 5]], "wrap": [6, 6]},
+     "probes": [{"probe": "cluster-frequency", "walk_steps": 200},
+                {"probe": "in-degree-profile"}]},
+    {"model": {"model": "strip", "intensity": 1.0, "half_width": 1.0, "box": [[0, 8], [0, 4]],
+               "time_axis": 0},
+     "probes": [{"probe": "component-survey", "statistic": "height-range-per-size",
+                 "min_size": 1},
+                {"probe": "nested-parity"}]},
+    {"model": {"model": "discrete-strip", "p": 0.5, "box": [[0, 8], [0, 4]]},
+     "probes": [{"probe": "in-degree-profile"}]},
+    {"model": {"model": "howard", "p": 0.5, "box": [[0, 6], [0, 4]]},
+     "probes": [{"probe": "component-survey"}]},
+    {"model": {"model": "canopy", "depth": 3},
+     "probes": [{"probe": "canopy-demo"}, {"probe": "in-degree-profile"}]},
+]
+
+# A value of the right type but outside the allowed range, per field.
+OUT_OF_RANGE = {
+    "dimension": 1, "box": [[3, 1]], "support": [], "weights": [2], "lattice": "odd",
+    "wrap": [0], "intensity": -0.5, "half_width": 0, "time_axis": -1, "p": 0, "depth": 0,
+    "statistic": "median", "min_size": 0, "component_id": -1, "walk_steps": 99, "start": [],
+    "n_max": -1, "origin": [], "distances": [-1], "trials": 0, "budget": -1, "k": 0,
+    "n_list": [-2],
+}
+WRONG_TYPES = ["x", {"a": 1}, True, [["x"]]]
+REQUIRED = {
+    "nguyen": {"dimension", "box"}, "variant": {"box"}, "renewal": {"support", "box"},
+    "lattice": {"support", "box"}, "strip": {"intensity", "half_width", "box"},
+    "discrete-strip": {"p", "box"}, "howard": {"p", "box"}, "canopy": {"depth"},
+}
+
+
+def test_fuzz_bases_cover_every_model_and_probe():
+    assert {b["model"]["model"] for b in FUZZ_BASES} == set(MODELS) == set(REQUIRED)
+    assert {p["probe"] for b in FUZZ_BASES for p in b["probes"]} == set(PROBES)
+    fields = {f for table in (MODELS, PROBES) for entry in table.values() for f in entry.fields}
+    assert fields == set(OUT_OF_RANGE)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_fuzz_one_field_exit_contract(data):
+    payload = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
+    payload["seed"] = 3
+    blocks = [("model.", payload["model"], MODELS[payload["model"]["model"]])]
+    blocks += [(f"probes[{i}].", p, PROBES[p["probe"]]) for i, p in enumerate(payload["probes"])]
+    where, block, entry = data.draw(st.sampled_from([b for b in blocks if b[2].fields]))
+    field = data.draw(st.sampled_from(sorted(entry.fields)))
+    how = data.draw(st.sampled_from(["wrong-type", "out-of-range", "missing"]))
+    if how == "missing":
+        block.pop(field, None)
+        breaks = where == "model." and field in REQUIRED[payload["model"]["model"]]
+    else:
+        block[field] = (data.draw(st.sampled_from(WRONG_TYPES)) if how == "wrong-type"
+                        else OUT_OF_RANGE[field])
+        breaks = True
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["run", str(config), "--out-dir", str(Path(tmp) / "out")])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if breaks:
+        assert rc == 2, (where + field, how, err.getvalue())
+        assert field in err.getvalue()

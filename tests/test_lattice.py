@@ -7,7 +7,7 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from cmtforest.errors import BadDimension, EmptyWindow, MalformedJump
+from cmtforest.errors import BadDimension, ConfigError, EmptyWindow, MalformedJump
 from cmtforest.lattice import (
     JumpDistribution,
     check_cycle_free,
@@ -284,6 +284,24 @@ def test_sample_window_space_wrap():
     # exits only through the unwrapped time axis
     for v in fw.exits:
         assert any(v[1] + a[1] < 0 for a in jd.atoms)
+
+
+@pytest.mark.parametrize(
+    "lattice, box, wrap",
+    [
+        # 7*e_a is not on the even sublattice: 7 of 49 points would lose their jumps
+        (even_sublattice(2), [(0, 6), (0, 6)], (7, 7)),
+        # the box of a wrapped axis must be [0, L-1]
+        (integer_lattice(2), [(1, 8), (0, 7)], (8, 8)),
+        (integer_lattice(2), [(0, 6), (0, 7)], (8, None)),
+        # one modulus or None per axis
+        (integer_lattice(2), [(0, 7), (0, 7)], (8,)),
+    ],
+)
+def test_sample_window_rejects_bad_wrap(lattice, box, wrap):
+    jd = uniform_jumps([(1, 1), (1, -1)])
+    with pytest.raises(ConfigError, match="wrap"):
+        sample_lattice_cmt(lattice, jd, box, seed=1, wrap=wrap)
 
 
 def test_sample_window_dimension_one_uses_ints():

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from cmtforest.errors import BadDimension, ConfigError
+from cmtforest.errors import BadDimension, ConfigError, CyclicComponent
+from cmtforest.forest import build_forest
 from cmtforest.points import (
     PointCloud,
     StripConfig,
@@ -276,6 +277,13 @@ def test_level_csv_small_example():
     levels = {int(r[0]): int(r[3]) for r in rows}
     assert levels == {0: 2, 1: 1, 2: 0}
     assert len({r[4] for r in rows}) == 1
+
+
+def test_level_csv_refuses_cyclic_component():
+    cloud = PointCloud(((0.0, 0.0), (1.0, 0.5)), ((0.0, 3.0), (-2.0, 2.0)), "poisson", 1.0, 0)
+    two_cycle = build_forest(range(2), {0: 1, 1: 0}, dimension=2)
+    with pytest.raises(CyclicComponent):
+        level_csv(cloud, two_cycle)
 
 
 def test_dump_cloud_shape():
