@@ -27,7 +27,7 @@ from .errors import (
     NeedsTorus,
     UnknownVertex,
 )
-from .forest import component_heights, components, level_set, reverse_jump
+from .forest import component_heights, components, level_set
 from .lattice import atom_cdf, check_cycle_free
 from .models import canopy_cmt
 from .seeds import derive_seed, rng_for
@@ -121,16 +121,6 @@ def _plain(v):
 # -- component statistics ------------------------------------------------------------
 
 
-def _leaf_fraction(forest, rev, comp):
-    leaves = sum(1 for v in comp.members if not rev.get(v))
-    return leaves / comp.size
-
-
-def _mean_in_degree(forest, rev, comp):
-    arcs = sum(len(rev.get(v, ())) for v in comp.members)
-    return arcs / comp.size
-
-
 def _jump_counts(forest, comp):
     counts = {}
     for v in comp.members:
@@ -152,7 +142,6 @@ def component_statistic_survey(forest, statistic, min_size):
         raise ConfigError(f"unknown statistic {statistic!r}")
     if min_size < 1:
         raise ConfigError("min_size must be at least one")
-    rev = reverse_jump(forest)
     comps = [c for c in components(forest) if c.size >= min_size]
     if statistic == "height-range-per-size":
         comps = [c for c in comps if c.cycle_count == 0]
@@ -175,15 +164,18 @@ def component_statistic_survey(forest, statistic, min_size):
         details["cv_vector"] = list(cvs)
         details["cv"] = max(cvs) if cvs else 0.0
     else:
-        if statistic == "leaf-fraction":
-            values = [_leaf_fraction(forest, rev, c) for c in comps]
-        elif statistic == "mean-in-degree":
-            values = [_mean_in_degree(forest, rev, c) for c in comps]
+        if statistic == "mean-in-degree":  # a component's arcs all start at its members
+            counts = [c.size - c.boundary_arc_count for c in comps]
         else:
-            values = []
-            for c in comps:
-                hs = component_heights(forest, rev, min(c.members))
-                values.append((max(hs.values()) - min(hs.values())) / c.size)
+            core = forest._core
+            if statistic == "leaf-fraction":  # members with no preimage
+                leaves = core.comp[np.diff(core.ptr) == 0]
+                per_comp = np.bincount(leaves, minlength=len(core.members))
+            else:  # a height range is the largest depth, as the end has depth 0
+                per_comp = np.zeros(len(core.members), dtype=np.int64)
+                np.maximum.at(per_comp, core.comp, core.depth)
+            counts = per_comp[[c.component_id for c in comps]].tolist()
+        values = [k / c.size for k, c in zip(counts, comps)]
         details["cv"] = _coefficient_of_variation(values)
 
     truncated = sum(1 for c in comps if c.boundary_arc_count > 0)
@@ -219,10 +211,9 @@ def nested_level_average(forest, f, v, n_max):
     part of the averaging set."""
     if v not in forest.vertices:
         raise UnknownVertex(repr(v))
-    comp = next(c for c in components(forest) if v in c.members)
-    if comp.cycle_count:
+    core = forest._core
+    if core.depth[core.row[v]] < 0:
         raise CyclicComponent("nested averages need a cycle-free component")
-    rev = reverse_jump(forest)
     line = [v]
     for _ in range(n_max):
         nxt = forest.jump.get(line[-1])
@@ -231,11 +222,12 @@ def nested_level_average(forest, f, v, n_max):
         line.append(nxt)
     out = []
     for n, top in enumerate(line):
-        level = {top}
+        rows = np.array([core.row[top]])
         clean = top in forest.interior
         for _ in range(n):
-            clean = clean and all(w in forest.interior for w in level)
-            level = {u for w in level for u in rev.get(w, ())}
+            clean = clean and all(w in forest.interior for w in core.vertices_of(rows))
+            rows = core.preimages(rows)
+        level = core.vertices_of(rows)
         if not level:
             break
         value = math.fsum(float(f(w)) for w in level) / len(level)
@@ -263,8 +255,8 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
     wrap = forest.metadata.get("wrap")
     if not wrap or any(w is None for w in wrap):
         raise NeedsTorus("forest window is not toroidal on every axis")
-    comps = components(forest)
-    if not 0 <= component_id < len(comps):
+    core = forest._core
+    if not 0 <= component_id < len(core.members):
         raise ConfigError(f"component_id {component_id}: no such component")
     box = forest.metadata["box"]
     lows = np.array([lo for lo, hi in box], dtype=np.int64)
@@ -281,11 +273,6 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
     moves = sorted(incs | {tuple(-c for c in inc) for inc in incs})
     moves_arr = np.array(moves, dtype=np.int64)
 
-    comp_of = {}
-    for c in comps:
-        for v in c.members:
-            comp_of[v] = c.component_id
-
     rng = rng_for(seed, _ROLE_WALK)
     hold = rng.random(walk_steps) < 0.5
     idx = rng.integers(0, len(moves), size=walk_steps)
@@ -294,12 +281,8 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
     pos = (start + np.cumsum(disp, axis=0) - lows) % lens + lows
     pos = np.vstack([start[None, :], pos])
 
-    d = forest.dimension
-    visited = np.empty(len(pos), dtype=np.int64)
-    for i, p in enumerate(pos):
-        key = int(p[0]) if d == 1 else tuple(int(c) for c in p)
-        visited[i] = comp_of[key]
-    hits = visited == component_id
+    keys = pos[:, 0].tolist() if forest.dimension == 1 else list(map(tuple, pos.tolist()))
+    hits = core.comp[[core.row[k] for k in keys]] == component_id
     freq = float(hits.mean())
 
     blocks = 100
@@ -322,23 +305,19 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
 
 def in_degree_profile(forest, region=None):
     """Exact mean and histogram of in-window preimage counts."""
-    rev = reverse_jump(forest)
-    if region is None:
-        region = forest.vertices
-    region = list(region)
-    for v in region:
-        if v not in forest.vertices:
-            raise UnknownVertex(repr(v))
-    histogram = {}
-    total = 0
-    for v in region:
-        k = len(rev.get(v, ()))
-        histogram[k] = histogram.get(k, 0) + 1
-        total += k
+    core = forest._core
+    indeg = np.diff(core.ptr)
+    if region is not None:
+        region = list(region)
+        for v in region:
+            if v not in core.row:
+                raise UnknownVertex(repr(v))
+        indeg = indeg[[core.row[v] for v in region]]
+    counts = np.bincount(indeg).tolist()
     return InDegreeProfile(
-        mean=Fraction(total, len(region)),
-        histogram=histogram,
-        region_size=len(region),
+        mean=Fraction(int(indeg.sum()), len(indeg)),
+        histogram={k: c for k, c in enumerate(counts) if c},
+        region_size=len(indeg),
     )
 
 
@@ -705,7 +684,6 @@ def level_set_bijection(forest, seed):
                 raise CyclicComponent(f"jump of {x!r} stays on its own level")
         level = {v: _level_of(v) for v in forest.vertices}
     else:
-        rev = reverse_jump(forest)
         domain_set = set(domain)
         level = {}
         for c in components(forest):
@@ -715,7 +693,7 @@ def level_set_bijection(forest, seed):
                         "bijection needs cycle-free components"
                     )
                 continue
-            for v, h in component_heights(forest, rev, min(c.members)).items():
+            for v, h in component_heights(forest, min(c.members)).items():
                 level[v] = (c.component_id, h)
     rng = rng_for(seed, _ROLE_ORDER)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CyclicComponent, TooLarge, UnknownVertex
+from .errors import BadDimension, CyclicComponent, TooLarge, UnknownVertex
 from .lattice import atom_cdf, check_cycle_free, in_lattice
 from .seeds import derive_seed, rng_for
 
@@ -57,9 +57,11 @@ class CollisionEstimate:
 
 
 def _vec(v, d):
-    if d == 1 and not isinstance(v, tuple):
-        return (int(v),)
-    return tuple(int(c) for c in v)
+    """v as a tuple of d ints; a bare int is a point of Z^1."""
+    vec = tuple(int(c) for c in v) if isinstance(v, (tuple, list, np.ndarray)) else (int(v),)
+    if len(vec) != d:
+        raise BadDimension(f"{v!r} has {len(vec)} coordinates, not {d}")
+    return vec
 
 
 def _key(vec, d):

@@ -21,11 +21,12 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, CyclicComponent
 from .analysis import (
-    SURVEY_STATISTICS, ProbeReport, canopy_distinguishability_demo, cluster_frequency,
-    component_statistic_survey, connectivity_decay_probe, count_components_probe,
-    in_degree_profile, nested_level_average, one_endedness_probe, probe_csv, probe_json,
+    SURVEY_STATISTICS, LatticeChainModel, ProbeReport, canopy_distinguishability_demo,
+    cluster_frequency, component_statistic_survey, connectivity_decay_probe,
+    count_components_probe, in_degree_profile, nested_level_average, one_endedness_probe,
+    probe_csv, probe_json,
 )
 from .lattice import (
     JumpDistribution, check_model_conditions, even_sublattice, in_lattice, integer_lattice,
@@ -189,6 +190,8 @@ class Probe(NamedTuple):
     fields: dict  # field -> (kind, default or _REQUIRED)
     run: Callable  # (checked probe, checked model, window, seed) -> ProbeReport
     reads: str = None  # checked-model key the probe runs on instead of a sampled window
+    chains: Callable = None  # checked probe -> whether it runs lockstep chains, which
+                             # need a cycle-free, level-graded kernel
 
 
 def _in_degree_report(forest):
@@ -251,12 +254,12 @@ PROBES = {
          "trials": (_int(1), 200), "budget": (_int(0), 2000)},
         lambda p, m, w, s: connectivity_decay_probe(m["jumps"], _origin(p, m), p["distances"],
                                                     p["trials"], p["budget"], s),
-        reads="jumps",
+        reads="jumps", chains=lambda p: True,
     ),
     "count-components": Probe(
         {"k": (_int(1), 2), "budget": (_int(0), 2000), "trials": (_int(1), 200)},
         lambda p, m, w, s: count_components_probe(m["jumps"], p["k"], p["budget"], p["trials"], s),
-        reads="jumps",
+        reads="jumps", chains=lambda p: p["k"] > 1,  # one chain is one component
     ),
     "one-endedness": Probe(
         {"n_list": (_list_of(_int(0)[0], "a list of integers >= 0"), (10, 50)),
@@ -326,7 +329,14 @@ def _validate_run(raw, seed_override):
         if entry.reads is not None and entry.reads not in run["model"]:
             raise ConfigError(f"probe '{pname}' needs the {entry.reads} of its model, "
                               f"which '{run['name']}' does not have")
-        run["probes"].append((pname, _checked(spec, entry.fields, f"probes[{i}].")))
+        params = _checked(spec, entry.fields, f"probes[{i}].")
+        run["probes"].append((pname, params))
+        if entry.chains is not None and entry.chains(params):
+            try:
+                LatticeChainModel(run["model"]["jumps"])
+            except (ConfigError, CyclicComponent) as e:
+                raise ConfigError(f"field 'probes[{i}].probe': '{pname}' cannot run on "
+                                  f"the kernel of '{run['name']}': {e}")
     return run
 
 

@@ -5,7 +5,10 @@ window records which vertices had their sampled jump land outside the window
 (boundary exits) and which vertices are interior, i.e. their jump is
 guaranteed unaffected by truncation. All operations here are pure reads;
 a ForestWindow is never mutated after construction and is safe to share
-across workers.
+across workers. Components, heights, level sets and preimages are read
+from an array form of the window (sorted rows, successor array, CSR
+preimages, pointer-doubling component labels and depths), built on first
+use and kept on the window.
 
 Vertex representation is uniform within a window: integer tuples (lattice
 coordinates), plain ints (abstract vertices or point-ids), never mixed.
@@ -22,6 +25,10 @@ without it, vertices that legitimately carry no jump could not round-trip.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 from .errors import CyclicComponent, MalformedJump, UnknownVertex
 
@@ -50,6 +57,105 @@ class ForestWindow:
 
     def __len__(self):
         return len(self.vertices)
+
+    @cached_property
+    def _core(self):
+        return _Core(self)
+
+
+class _Core:
+    """Array form of a window, built on first use and kept on the window.
+
+    Rows number the vertices in sorted order. succ[r] is the row of r's
+    in-window jump, or -1. The preimages of row r are
+    pre[ptr[r]:ptr[r + 1]], in the window's jump order. label[r] names r's
+    component: the row of its line's end, or the smallest row on the cycle
+    its line wraps. depth[r] is r's distance to its line's end, and -1 on
+    a component with a cycle.
+    """
+
+    def __init__(self, forest):
+        # samplers add jumps in vertex order, which sorted() takes as one run
+        self.verts = sorted(chain(forest.jump, forest.vertices.difference(forest.jump)))
+        self.row = dict(zip(self.verts, range(len(self.verts))))
+        n, m = len(self.verts), len(forest.jump)
+        src = np.fromiter(map(self.row.__getitem__, forest.jump), np.int64, m)
+        dst = np.fromiter(map(self.row.__getitem__, forest.jump.values()), np.int64, m)
+        self.succ = np.full(n, -1, dtype=np.int64)
+        self.succ[src] = dst
+        self._dst = dst
+        self.pre = src[np.argsort(dst, kind="stable")]
+        self.ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=n), out=self.ptr[1:])
+        self.label, self.depth = _line_labels(self.succ)
+
+    @cached_property
+    def rev(self):
+        """reverse_jump's map, keyed in order of first appearance as a target."""
+        verts, ptr = self.verts, self.ptr.tolist()
+        pre = self.vertices_of(self.pre)
+        rows, first = np.unique(self._dst, return_index=True)
+        return {verts[t]: tuple(pre[ptr[t]:ptr[t + 1]])
+                for t in rows[np.argsort(first)].tolist()}
+
+    def preimages(self, rows):
+        """The rows whose jump lands in rows, grouped by target in jump order."""
+        lo, counts = self.ptr[rows], self.ptr[rows + 1] - self.ptr[rows]
+        shift = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        return self.pre[np.arange(len(shift)) + shift]
+
+    def descend(self, v, n):
+        """Rows of D_n(v), the vertices whose n-th iterate is v. Preimages of
+        distinct rows are distinct, so no row repeats."""
+        rows = np.array([self.row[v]])
+        for _ in range(n):
+            if not len(rows):
+                break
+            rows = self.preimages(rows)
+        return rows
+
+    def vertices_of(self, rows):
+        return list(map(self.verts.__getitem__, rows.tolist()))
+
+    @cached_property
+    def comp(self):
+        """Each row's component id; ids follow the components' smallest rows."""
+        labels, first, inverse = np.unique(self.label, return_index=True, return_inverse=True)
+        rank = np.empty(len(labels), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(labels))
+        return rank[inverse]
+
+    @cached_property
+    def members(self):
+        """(rows, vertices) of each component, both in row order."""
+        order = np.argsort(self.comp, kind="stable")
+        bounds = np.cumsum(np.bincount(self.comp)).tolist()
+        verts = self.vertices_of(order)
+        return [(order[a:b], frozenset(verts[a:b])) for a, b in zip([0] + bounds, bounds)]
+
+
+def _line_labels(succ):
+    """(label, depth) of the partial functional graph succ by pointer
+    doubling (Shiloach and Vishkin's hook-and-jump, on a functional graph).
+
+    An end (succ -1) is made a fixed point. After k rounds, nxt is the
+    2**k-th iterate, low the smallest row among the first 2**k iterates and
+    dist the number of real jumps among them. Once 2**k >= n every line has
+    reached its end or its cycle, so low[nxt] is the end or the cycle's
+    smallest row, and dist is the depth on components without a cycle.
+    """
+    n = len(succ)
+    rows = np.arange(n, dtype=np.int64)
+    ends = succ < 0
+    nxt = np.where(ends, rows, succ)
+    low = rows
+    dist = (~ends).astype(np.int64)
+    for _ in range(n.bit_length()):
+        low = np.minimum(low, low[nxt])
+        dist = dist + dist[nxt]
+        nxt = nxt[nxt]
+    label = low[nxt]
+    return label, np.where(ends[label], dist, -1)
 
 
 @dataclass
@@ -146,31 +252,7 @@ def ancestral_line(forest, v, max_steps):
 
 def reverse_jump(forest):
     """Map each vertex to the tuple of its in-window preimages."""
-    rev = {}
-    for src, dst in forest.jump.items():
-        rev.setdefault(dst, []).append(src)
-    return {v: tuple(ps) for v, ps in rev.items()}
-
-
-def _union_find_components(forest):
-    parent = {v: v for v in forest.vertices}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for src, dst in forest.jump.items():
-        a, b = find(src), find(dst)
-        if a != b:
-            parent[a] = b
-    groups = {}
-    for v in forest.vertices:
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
+    return dict(forest._core.rev)
 
 
 def components(forest):
@@ -182,21 +264,19 @@ def components(forest):
     member has an in-window jump, which is also the condition for the
     FiniteCycle label (no arc of the component crosses the boundary).
     """
-    groups = _union_find_components(forest)
-    groups.sort(key=lambda g: min(g))
+    core = forest._core
+    dangling = np.bincount(core.comp[core.succ < 0], minlength=len(core.members)).tolist()
     out = []
-    for cid, members in enumerate(groups):
-        dangling = sum(1 for v in members if v not in forest.jump)
-        cycle_count = 1 if dangling == 0 else 0
-        label = FINITE_CYCLE if (cycle_count == 1 and dangling == 0) else TRUNCATED
+    for cid, (_, members) in enumerate(core.members):
+        cycle_count = 1 if dangling[cid] == 0 else 0
         out.append(
             ComponentSummary(
                 component_id=cid,
                 size=len(members),
                 cycle_count=cycle_count,
-                boundary_arc_count=dangling,
-                label=label,
-                members=frozenset(members),
+                boundary_arc_count=dangling[cid],
+                label=FINITE_CYCLE if cycle_count else TRUNCATED,
+                members=members,
             )
         )
     return out
@@ -214,16 +294,8 @@ def descendants(forest, v, n):
     """D_n(v): vertices u with n-th iterate equal to v, all steps in-window."""
     if v not in forest.vertices:
         raise UnknownVertex(repr(v))
-    rev = reverse_jump(forest)
-    level = {v}
-    for _ in range(n):
-        nxt = set()
-        for w in level:
-            nxt.update(rev.get(w, ()))
-        level = nxt
-        if not level:
-            break
-    return frozenset(level)
+    core = forest._core
+    return frozenset(core.vertices_of(core.descend(v, n)))
 
 
 def level_set(forest, v, horizon):
@@ -245,53 +317,13 @@ def level_set(forest, v, horizon):
             break
         cur = forest.jump[cur]
         anc.append(cur)
-    k = len(anc) - 1
-    rev = reverse_jump(forest)
+    core = forest._core
+    members = frozenset(core.vertices_of(core.descend(anc[-1], len(anc) - 1)))
 
-    level = {anc[-1]}
-    for _ in range(k):
-        level = {u for w in level for u in rev.get(w, ())}
-    members = frozenset(level)
-
-    comp = _component_of(forest, v)
-    term_dist = _distance_to_termination(forest, rev, horizon)
-    truncated = any(term_dist.get(w, horizon) < horizon for w in comp)
-    return members, truncated
-
-
-def _component_of(forest, v):
-    rev = reverse_jump(forest)
-    comp = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            nb = list(rev.get(w, ()))
-            if w in forest.jump:
-                nb.append(forest.jump[w])
-            for u in nb:
-                if u not in comp:
-                    comp.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return comp
-
-
-def _distance_to_termination(forest, rev, cap):
-    """Forward distance from each vertex to its line's in-window end."""
-    dist = {v: 0 for v in forest.vertices if v not in forest.jump}
-    frontier = list(dist)
-    d = 0
-    while frontier and d < cap:
-        d += 1
-        nxt = []
-        for w in frontier:
-            for u in rev.get(w, ()):
-                if u not in dist:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return dist
+    # the end of v's line, if it has one, is a member of v's component at
+    # depth 0, so the component is flagged for every positive horizon
+    truncated = core.depth[core.row[v]] >= 0 and horizon > 0
+    return members, bool(truncated)
 
 
 def height(forest, component_id):
@@ -304,29 +336,21 @@ def height(forest, component_id):
     if comp.cycle_count:
         raise CyclicComponent(f"component {component_id} contains a cycle")
     anchor = min(comp.members)
-    heights = component_heights(forest, reverse_jump(forest), anchor)
+    heights = component_heights(forest, anchor)
     return HeightAssignment(component_id=component_id, anchor=anchor, heights=heights)
 
 
-def component_heights(forest, rev, anchor):
-    """Heights over the component of anchor, which gets height 0, by a BFS
-    along jumps (height - 1) and preimages under rev (height + 1)."""
-    heights = {anchor: 0}
-    frontier = [anchor]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            h = heights[w]
-            tgt = forest.jump.get(w)
-            if tgt is not None and tgt not in heights:
-                heights[tgt] = h - 1
-                nxt.append(tgt)
-            for u in rev.get(w, ()):
-                if u not in heights:
-                    heights[u] = h + 1
-                    nxt.append(u)
-        frontier = nxt
-    return heights
+def component_heights(forest, anchor):
+    """Heights over the cycle-free component of anchor, which gets height
+    0: h(v) = depth(v) - depth(anchor), so h(F(v)) = h(v) - 1."""
+    core = forest._core
+    r = core.row.get(anchor)
+    if r is None:
+        raise UnknownVertex(repr(anchor))
+    if core.depth[r] < 0:
+        raise CyclicComponent(f"the component of {anchor!r} contains a cycle")
+    rows, _ = core.members[core.comp[r]]
+    return dict(zip(core.vertices_of(rows), (core.depth[rows] - core.depth[r]).tolist()))
 
 
 def _fmt_vertex(v):

@@ -15,6 +15,7 @@ before returning.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -423,22 +424,14 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
             lo, hi = box[a]
             interior_mask &= (pts[:, a] >= lo - amin[a]) & (pts[:, a] <= hi - amax[a])
 
-    def mk(row):
-        return int(row[0]) if d == 1 else tuple(int(c) for c in row)
-
-    vertices = [mk(r) for r in pts]
-    jump = {}
-    exits = []
-    for v, t, ok in zip(vertices, targets, in_box):
-        if ok:
-            jump[v] = mk(t)
-        else:
-            exits.append(v)
-    interior = [v for v, ok in zip(vertices, interior_mask) if ok]
+    if d == 1:
+        vertices, tgts = pts[:, 0].tolist(), targets[:, 0].tolist()
+    else:
+        vertices, tgts = list(map(tuple, pts.tolist())), list(map(tuple, targets.tolist()))
     fw = build_forest(
         vertices,
-        list(jump.items()) + [(v, "EXIT") for v in exits],
-        interior=interior,
+        [(v, t if ok else "EXIT") for v, t, ok in zip(vertices, tgts, in_box.tolist())],
+        interior=list(compress(vertices, interior_mask.tolist())),
         dimension=d,
         metadata={
             "model": name,

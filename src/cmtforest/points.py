@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, ConfigError, CyclicComponent, EmptyWindow
-from .forest import EXIT, build_forest, component_heights, components, reverse_jump
+from .forest import EXIT, build_forest
 from .seeds import derive_seed, rng_for, vertex_stream
 
 _ROLE_BERNOULLI = 0xD1
@@ -307,19 +307,14 @@ def discrete_strip(p, box, seed):
 def level_csv(cloud, forest):
     """CSV rows point_id,t,x,level_index,component_id for a point-id
     forest; level indices are heights shifted to start at 0 within each
-    component."""
-    rev = reverse_jump(forest)
-    level_and_comp = {}
-    for c in components(forest):
-        if c.cycle_count:
-            raise CyclicComponent(f"component {c.component_id} contains a cycle")
-        heights = component_heights(forest, rev, min(c.members))
-        base = min(heights.values())
-        for v, h in heights.items():
-            level_and_comp[v] = f"{h - base},{c.component_id}"
+    component, which are the distances to the component's end."""
+    core = forest._core
+    cyclic = core.comp[core.depth < 0]
+    if len(cyclic):
+        raise CyclicComponent(f"component {cyclic.min()} contains a cycle")
     lines = ["point_id,t,x,level_index,component_id"]
-    for i in sorted(forest.vertices):
+    for i, level, cid in zip(core.verts, core.depth.tolist(), core.comp.tolist()):
         p = cloud.points[i]
         x = " ".join(str(c) for c in p[1:])
-        lines.append(f"{i},{p[0]},{x},{level_and_comp[i]}")
+        lines.append(f"{i},{p[0]},{x},{level},{cid}")
     return "\n".join(lines) + "\n"

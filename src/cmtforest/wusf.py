@@ -10,8 +10,6 @@ spanning tree.
 from dataclasses import dataclass
 from itertools import combinations, product
 
-import networkx as nx
-
 from .errors import (
     BadGraph,
     BadPath,
@@ -285,6 +283,8 @@ def covering_coupling_check(graph, s_edges, i1, i2):
     if not t1 or not t2:
         raise Unconditionable("a conditioning has zero probability")
     bound = 2 * len(a1 ^ a2)
+
+    import networkx as nx  # only here, so that importing the package does not load it
 
     net = nx.DiGraph()
     for ia, ta in enumerate(t1):

@@ -36,6 +36,7 @@ from cmtforest.analysis import (
 )
 from cmtforest.chains import green_function
 from cmtforest.errors import (
+    BadDimension,
     ConfigError,
     CyclicComponent,
     Empty,
@@ -287,6 +288,16 @@ def test_lattice_chain_model_start_geometry():
     assert model.at_distance((0, 0), 3) == (6, 0)
     with pytest.raises(ConfigError):
         model.run([(0, 0), (1, -1)], 10, 10, 1)
+
+
+def test_lattice_chain_model_rejects_wrong_dimension_starts():
+    model = LatticeChainModel(uniform_jumps(nguyen_atoms(2)))
+    with pytest.raises(BadDimension):
+        model.at_distance((0,), 1)
+    with pytest.raises(BadDimension):
+        model.run([(0, 0, 0), (2, 0, 0)], 10, 10, 1)
+    with pytest.raises(BadDimension):
+        model.at_distance(0, 1)
 
 
 def test_count_components_k1_exact():

@@ -5,6 +5,8 @@ import contextlib
 import copy
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmtforest import cli
 from cmtforest.cli import MODELS, PROBES, main
 from cmtforest.points import StripConfig, sample_poisson, strip_point_map
 
@@ -84,6 +87,44 @@ def test_chain_probe_needs_kernel_model(tmp_path, capsys):
     rc, _ = run_into(tmp_path, payload, "a")
     assert rc == 2
     assert "one-endedness" in capsys.readouterr().err
+
+
+NOT_LEVEL_GRADED = {
+    "variant": {"model": "variant", "box": [[-2, 2], [-2, 0]]},
+    "renewal-1-2": {"model": "renewal", "support": [1, 2], "box": [[0, 9]]},
+    "cyclic-lattice": {"model": "lattice", "support": [[1], [-1]], "box": [[0, 9]]},
+}
+
+
+@pytest.mark.parametrize("probe", ["count-components", "connectivity-decay"])
+@pytest.mark.parametrize("model", NOT_LEVEL_GRADED.values(), ids=NOT_LEVEL_GRADED.keys())
+def test_chain_probe_kernel_checked_before_sampling(tmp_path, capsys, monkeypatch, model, probe):
+    # the window the in-degree probe needs is never sampled: the kernel is refused first
+    def no_sampling(*args):
+        raise AssertionError("window sampled before the kernel check")
+
+    for name in ("nguyen_variant", "renewal_model", "sample_lattice_cmt"):
+        monkeypatch.setattr(cli, name, no_sampling)
+    payload = {"model": model, "probes": [{"probe": "in-degree-profile"}, {"probe": probe}],
+               "seed": 1}
+    rc, out = run_into(tmp_path, payload, "a")
+    assert rc == 2
+    assert "probes[1].probe" in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
+
+
+def test_single_chain_count_needs_no_level_grading(tmp_path):
+    payload = {"model": NOT_LEVEL_GRADED["variant"],
+               "probes": [{"probe": "count-components", "k": 1}], "seed": 1}
+    rc, _ = run_into(tmp_path, payload, "a")
+    assert rc == 0
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    code = "import sys, cmtforest.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_probe_runtime_error_exit_1_names_probe(tmp_path, capsys):
