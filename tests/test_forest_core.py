@@ -8,6 +8,8 @@ examples. Graphs mix cycles, boundary exits and vertices with no jump, on
 int vertices and on 2-tuple vertices.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -278,3 +280,28 @@ def test_mean_in_degree_is_one_on_every_valid_torus(data):
                             data.draw(st.integers(0, 2**32)), wrap=sides)
     assert in_degree_profile(fw).mean == 1
     assert all(c.cycle_count == 1 and c.boundary_arc_count == 0 for c in components(fw))
+
+
+def test_core_built_lazily_by_racing_threads_reads_the_same():
+    # the array form is cached on first use; threads that race to build it
+    # on one shared window must all read what a serial reader reads
+    def read(fw):
+        return ([(c.members, c.label) for c in components(fw)], reverse_jump(fw),
+                [level_set(fw, v, 5) for v in sorted(fw.vertices)[:40]])
+
+    def window():
+        return sample_lattice_cmt(integer_lattice(2), uniform_jumps([(1, 1), (1, -1), (1, 0)]),
+                                  [(0, 29), (-10, 10)], 5)
+
+    expect = read(window())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fw = window()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(read, fw) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+            assert all(r == expect for r in results)
+    finally:
+        sys.setswitchinterval(interval)
