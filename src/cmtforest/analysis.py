@@ -323,6 +323,10 @@ def in_degree_profile(forest, region=None):
 
 # -- lockstep chain models ------------------------------------------------------------
 
+# Walker-steps per block: a block of b steps for k chains in `trials` trials
+# has b * trials * k <= this many (at least one step).
+_BLOCK_WALKER_STEPS = 1 << 15
+
 
 class LatticeChainModel:
     """k coalescing jump chains on Z^d advanced in lockstep slices.
@@ -368,20 +372,13 @@ class LatticeChainModel:
         d = self.jumps.dimension
         starts = [_vec(s, d) for s in starts]
         self._check_levels(starts)
-        k = len(starts)
-        rng = rng_for(seed, _ROLE_CHAINS)
-        pos = np.tile(np.array(starts, dtype=np.int64), (trials, 1, 1))
-        leader = np.tile(np.arange(k), (trials, 1))
-        _merge_meetings(pos, leader)
-        for _ in range(budget):
-            if np.all(leader == leader[:, :1]):
-                break
-            u = rng.random((trials, k))
-            idx = np.searchsorted(self._cum, u, side="right")
-            pos += self._atoms[idx]
-            pos = np.take_along_axis(pos, leader[..., None], axis=1)
-            _merge_meetings(pos, leader)
-        return leader
+        atoms, cum = self._atoms, self._cum
+
+        def advance(cur, u):
+            return _lattice_block(atoms, np.searchsorted(cum, u, side="right"), cur)
+
+        cur = np.array(starts, dtype=np.int64).reshape(1, len(starts), d)
+        return _coalesce(starts, cur.repeat(trials, axis=0), advance, budget, trials, seed)
 
 
 class GraphChainModel:
@@ -394,10 +391,10 @@ class GraphChainModel:
         self.starts = tuple(starts)
         verts = list(graph.vertices)
         self._index = {v: i for i, v in enumerate(verts)}
-        self._verts = verts
         degs = [graph.degree(v) for v in verts]
-        width = max(degs)
-        nbr = np.zeros((len(verts), width), dtype=np.int64)
+        if 0 in degs:
+            raise BadGraph(f"vertex {verts[degs.index(0)]!r} is isolated; a walker cannot step")
+        nbr = np.zeros((len(verts), max(degs)), dtype=np.int64)
         for i, v in enumerate(verts):
             for j, u in enumerate(graph.neighbors(v)):
                 nbr[i, j] = self._index[u]
@@ -431,36 +428,100 @@ class GraphChainModel:
         for s in starts:
             if s not in self._index:
                 raise UnknownVertex(repr(s))
-        k = len(starts)
-        rng = rng_for(seed, _ROLE_CHAINS)
-        pos = np.tile(
-            np.array([self._index[s] for s in starts], dtype=np.int64), (trials, 1)
-        )
-        leader = np.tile(np.arange(k), (trials, 1))
-        _merge_meetings(pos[..., None], leader)
-        for _ in range(budget):
-            if np.all(leader == leader[:, :1]):
-                break
-            u = rng.random((trials, k))
-            step = np.floor(u * self._deg[pos]).astype(np.int64)
-            pos = self._nbr[pos, step]
-            pos = np.take_along_axis(pos, leader, axis=1)
-            _merge_meetings(pos[..., None], leader)
-        return leader
+        nbr, deg = self._nbr, self._deg
+
+        def advance(cur, u):
+            path = np.empty(u.shape, dtype=np.int64)
+            for t, row in enumerate(u):
+                cur = path[t] = nbr[cur, (row * deg[cur]).astype(np.int64)]
+            return path, cur
+
+        cur = np.array([[self._index[s] for s in starts]], dtype=np.int64)
+        return _coalesce(starts, cur.repeat(trials, axis=0), advance, budget, trials, seed)
 
 
-def _merge_meetings(pos, leader):
-    """Union the groups of walkers standing on equal positions."""
-    k = leader.shape[1]
-    for i in range(k):
-        for j in range(i + 1, k):
-            eq = (pos[:, i] == pos[:, j]).all(axis=-1)
-            if not eq.any():
-                continue
-            a, b = leader[:, i], leader[:, j]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            mask = eq[:, None] & (leader == hi[:, None])
-            leader[mask] = np.broadcast_to(lo[:, None], leader.shape)[mask]
+def _coalesce(starts, cur, advance, budget, trials, seed):
+    """Labels, shape (trials, k), of k coalescing chains from `starts`,
+    stepped in lockstep for at most `budget` steps; `cur` holds every
+    walker's start state, one (k, ...) row per trial.
+
+    A group's label is its smallest member. That member has never been
+    absorbed, so the group follows the member's own path, and the chains
+    can be advanced in blocks as independent walkers: `advance(cur, u)`
+    maps uniforms u, shape (b, n, k), to exact integer site ids of every
+    walker's next b positions, and to its end state. Merges are read off
+    those ids once per block. One rng.random((b, trials, k)) call draws
+    the same stream as b calls of rng.random((trials, k)), one per step;
+    trials whose chains have all merged still draw but are not advanced.
+    """
+    k = len(starts)
+    rng = rng_for(seed, _ROLE_CHAINS)
+    leader = np.tile(np.arange(k), (trials, 1))
+    ids = {}
+    at_start = np.array([ids.setdefault(s, len(ids)) for s in starts], dtype=np.int64)
+    _merge_block(np.broadcast_to(at_start, (1, trials, k)), leader)
+    block = max(1, _BLOCK_WALKER_STEPS // max(1, trials * k))
+    live = np.flatnonzero(leader.any(axis=1))
+    done = 0
+    while done < budget and len(live):
+        b = min(block, budget - done)
+        u = rng.random((b, trials, k))
+        keys, cur[live] = advance(cur[live], u[:, live])
+        sub = leader[live]
+        _merge_block(keys, sub)
+        leader[live] = sub
+        live = live[sub.any(axis=1)]
+        done += b
+    return leader
+
+
+def _lattice_block(atoms, idx, cur):
+    """Site ids of the walks cur + cumsum(atoms[idx]) and their end points.
+
+    An id is the mixed-radix offset of a point in the block's bounding box,
+    which running sums of the atoms' ids track without building the points;
+    a box of 2^63 or more sites falls back to ranks of the points.
+    """
+    b = len(idx)
+    lo = cur.min(axis=(0, 1)) + b * np.minimum(atoms.min(axis=0), 0)
+    hi = cur.max(axis=(0, 1)) + b * np.maximum(atoms.max(axis=0), 0)
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) >= 1 << 63:
+        path = cur + np.cumsum(atoms[idx], axis=0)
+        _, ids = np.unique(path.reshape(-1, path.shape[-1]), axis=0, return_inverse=True)
+        return ids.reshape(path.shape[:-1]), path[-1]
+    radix = np.cumprod([1] + spans[:-1]).astype(np.int64)
+    keys = (cur - lo) @ radix + np.cumsum((atoms @ radix)[idx], axis=0)
+    return keys, lo + keys[-1][..., None] // radix % np.array(spans)
+
+
+def _merge_block(keys, leader):
+    """Relabel `leader` in place with the meetings in one block.
+
+    keys, shape (b, trials, k), holds each walker's own site at each step.
+    Per trial, take the earliest step t at which two current leaders share a
+    site, give every walker led from that site the smallest leader index
+    there, and search again from t: another site may meet at t as well.
+    """
+    b, trials, k = keys.shape
+    i, j = np.triu_indices(k, 1)
+    meet = keys[:, :, i] == keys[:, :, j]
+    rows = np.flatnonzero(meet.any(axis=(0, 2)))
+    since = np.zeros(len(rows), dtype=np.int64)
+    steps = np.arange(b)[:, None, None]
+    while len(rows):
+        lead = leader[rows] == np.arange(k)
+        due = meet[:, rows] & (lead[:, i] & lead[:, j]) & (steps >= since[:, None])
+        due = due.transpose(1, 0, 2).reshape(len(rows), -1)
+        hit = due.any(axis=1)
+        rows, lead = rows[hit], lead[hit]
+        first = due[hit].argmax(axis=1)
+        since = first // len(i)
+        at = keys[since, rows]
+        here = (at == at[np.arange(len(rows)), i[first % len(i)]][:, None]) & lead
+        sub = leader[rows]
+        moved = np.take_along_axis(here, sub, axis=1)
+        leader[rows] = np.where(moved, here.argmax(axis=1)[:, None], sub)
 
 
 def _as_chain_model(model):

@@ -206,8 +206,10 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
     vecs, cum = _difference_kernel(jumps)
     rng = rng_for(seed, _ROLE_MEET)
     pos = np.array(tuple(a - b for a, b in zip(x0, y0)), dtype=np.int64)
+    # most pairs meet within a few steps: draw 64 steps first, then double
+    # up to 4096 per chunk (the same stream as one draw per step)
     step = 0
-    chunk = 4096
+    chunk = 64
     while step < budget:
         b = min(chunk, budget - step)
         idx = np.searchsorted(cum, rng.random(b), side="right")
@@ -218,6 +220,7 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
             return CouplingResult(True, coupling_time=step + first + 1, shift=0)
         pos = traj[-1]
         step += b
+        chunk = min(2 * chunk, 4096)
     return CouplingResult(False)
 
 

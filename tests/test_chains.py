@@ -8,8 +8,10 @@ library's convolution code.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from cmtforest import chains
 from cmtforest.chains import (
     green_function,
     kernel_power,
@@ -22,7 +24,7 @@ from cmtforest.chains import (
 )
 from cmtforest.errors import CyclicComponent
 from cmtforest.lattice import JumpDistribution, integer_lattice, uniform_jumps
-from cmtforest.seeds import derive_seed
+from cmtforest.seeds import derive_seed, rng_for
 
 
 def renewal_jumps():
@@ -221,6 +223,18 @@ def test_meet_and_stick_renewal_frequency():
     first = meet_and_stick_coupling(renewal_jumps(), 0, 1, budget=2000,
                                     seed=derive_seed(21, 0))
     assert rerun == first
+
+
+def test_meet_and_stick_chunks_read_one_stream():
+    # growing chunks must give the coupling time of one draw for the whole budget
+    vecs, cum = chains._difference_kernel(renewal_jumps())
+    for t in range(60):
+        gap, budget, seed = 1 + t % 20, 300 + 97 * t, derive_seed(31, t)
+        u = rng_for(seed, chains._ROLE_MEET).random(budget)
+        zero = np.flatnonzero(-gap + np.cumsum(vecs[np.searchsorted(cum, u, side="right")]) == 0)
+        want = (chains.CouplingResult(True, coupling_time=int(zero[0]) + 1, shift=0)
+                if len(zero) else chains.CouplingResult(False))
+        assert meet_and_stick_coupling(renewal_jumps(), 0, gap, budget, seed) == want
 
 
 def test_meet_and_stick_equal_sources():
