@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chains import _convolve_numerators, _denominator, _vec
+from .chains import _as_tuple, _vec, green_table
 from .errors import (
     BadGraph,
     ConfigError,
@@ -238,10 +238,6 @@ def nested_level_average(forest, f, v, n_max):
 # -- torus occupation ---------------------------------------------------------------
 
 
-def _as_coords(v):
-    return v if isinstance(v, tuple) else (v,)
-
-
 def _minimal_residue(diff, length):
     r = diff % length
     return r - length if 2 * r > length else r
@@ -264,7 +260,7 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
 
     incs = set()
     for src, dst in forest.jump.items():
-        a, b = _as_coords(src), _as_coords(dst)
+        a, b = _as_tuple(src), _as_tuple(dst)
         incs.add(
             tuple(
                 _minimal_residue(int(y - x), int(n)) for x, y, n in zip(a, b, lens)
@@ -277,7 +273,7 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
     hold = rng.random(walk_steps) < 0.5
     idx = rng.integers(0, len(moves), size=walk_steps)
     disp = moves_arr[idx] * (~hold)[:, None]
-    start = np.array(_as_coords(min(forest.vertices)), dtype=np.int64)
+    start = np.array(_as_tuple(min(forest.vertices)), dtype=np.int64)
     pos = (start + np.cumsum(disp, axis=0) - lows) % lens + lows
     pos = np.vstack([start[None, :], pos])
 
@@ -614,40 +610,6 @@ def count_components_probe(model, k, budget, trials, seed, starts=None):
 
 
 # -- Green decay --------------------------------------------------------------------
-
-
-def green_table(jumps, targets):
-    """Full Green series for many targets in one kernel-power sweep.
-
-    Matches green_function(jumps, y) exactly for cycle-free kernels; the
-    shared sweep makes Monte-Carlo averaging over sampled endpoints
-    affordable."""
-    rep = check_cycle_free(jumps)
-    if not rep.holds:
-        raise CyclicComponent("green table needs a cycle-free kernel")
-    d = jumps.dimension
-    u = rep.witness
-    delta = min(sum(Fraction(c) * x for c, x in zip(a, u)) for a in jumps.atoms)
-    keyed = {}
-    horizon = 0
-    for y in targets:
-        vec = _vec(y, d)
-        t = sum(Fraction(c) * x for c, x in zip(vec, u))
-        keyed[vec] = y
-        horizon = max(horizon, math.floor(t / delta) if t >= 0 else 0)
-    zero = (0,) * d
-    acc = {vec: Fraction(int(vec == zero)) for vec in keyed}
-    den = _denominator(jumps)
-    moves = [(a, int(w * den)) for a, w in zip(jumps.atoms, jumps.weights)]
-    dist = {zero: 1}
-    for m in range(1, horizon + 1):
-        dist = _convolve_numerators(dist, moves)
-        scale = den**m
-        for vec in keyed:
-            c = dist.get(vec)
-            if c:
-                acc[vec] += Fraction(c, scale)
-    return {orig: acc[vec] for vec, orig in keyed.items()}
 
 
 def one_endedness_probe(jumps, n_list, trials, seed):

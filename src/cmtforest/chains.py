@@ -8,13 +8,15 @@ the collision probe aggregates trials and reports a frequency with a
 four-sigma binomial half-width.
 """
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadDimension, CyclicComponent, TooLarge, UnknownVertex
+from .errors import BadDimension, ConfigError, CyclicComponent, TooLarge, UnknownVertex
 from .lattice import atom_cdf, check_cycle_free, in_lattice
 from .seeds import derive_seed, rng_for
 
@@ -34,7 +36,7 @@ class KernelPower:
 @dataclass
 class GreenValue:
     value: Fraction
-    probability: bool  # True when the kernel is cycle-free, so value = P[hit]
+    probability: bool  # True when value is the full series, P[hit]
     terms: int
 
 
@@ -72,30 +74,35 @@ def _as_tuple(v):
     return v if isinstance(v, tuple) else (v,)
 
 
-def _denominator(jumps):
-    return math.lcm(*(w.denominator for w in jumps.weights))
+def _check_steps(name, value, least=0):
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _convolve_numerators(dist, moves):
-    out = {}
-    for p, c in dist.items():
-        for a, na in moves:
-            q = tuple(x + y for x, y in zip(p, a))
-            out[q] = out.get(q, 0) + c * na
-    if len(out) > _SUPPORT_CAP:
-        raise TooLarge(f"kernel support exceeded {_SUPPORT_CAP} points")
-    return out
+def _power_numerators(jumps):
+    """Yield (m, numerators, den**m) for m = 0, 1, 2, ...: the m-step law as
+    integer numerators over den**m, den the lcm of the weight denominators.
+    Each power is stepped from the last only when the next item is asked for."""
+    den = math.lcm(*(w.denominator for w in jumps.weights))
+    moves = [(a, int(w * den)) for a, w in zip(jumps.atoms, jumps.weights)]
+    dist = {(0,) * jumps.dimension: 1}
+    for m in itertools.count():
+        yield m, dist, den**m
+        out = {}
+        for p, c in dist.items():
+            for a, na in moves:
+                q = tuple(x + y for x, y in zip(p, a))
+                out[q] = out.get(q, 0) + c * na
+        if len(out) > _SUPPORT_CAP:
+            raise TooLarge(f"kernel support exceeded {_SUPPORT_CAP} points")
+        dist = out
 
 
 def kernel_power(jumps, n):
     """Exact law of the n-step increment X_n - X_0."""
+    _check_steps("n", n)
     d = jumps.dimension
-    den = _denominator(jumps)
-    moves = [(a, int(w * den)) for a, w in zip(jumps.atoms, jumps.weights)]
-    dist = {(0,) * d: 1}
-    for _ in range(n):
-        dist = _convolve_numerators(dist, moves)
-    total = den**n
+    _, dist, total = next(itertools.islice(_power_numerators(jumps), n, None))
     probs = {_key(p, d): Fraction(c, total) for p, c in dist.items()}
     return KernelPower(n=n, distribution=probs)
 
@@ -112,39 +119,65 @@ def kernel_power_csv(kp):
     return "\n".join(lines) + "\n"
 
 
+def _last_visit(jumps, witness, vecs):
+    """Largest m with K^m(0, y) > 0 possible for some y in vecs: each step
+    raises u.x by at least delta = min u.a > 0 for the cycle-free witness u."""
+    delta = min(sum(Fraction(c) * x for c, x in zip(a, witness)) for a in jumps.atoms)
+    horizon = 0
+    for vec in vecs:
+        t = sum(Fraction(c) * x for c, x in zip(vec, witness))
+        if t >= 0:
+            horizon = max(horizon, math.floor(t / delta))
+    return horizon
+
+
+def _green_sums(jumps, vecs, horizon):
+    """Sum of K^m(0, y) over 0 <= m <= horizon for each vector y, in one sweep."""
+    acc = dict.fromkeys(vecs, Fraction(0))
+    for _, dist, scale in itertools.islice(_power_numerators(jumps), horizon + 1):
+        for vec in acc:
+            c = dist.get(vec)
+            if c:
+                acc[vec] += Fraction(c, scale)
+    return acc
+
+
 def green_function(jumps, target, horizon=None):
     """Sum of K^m(0, target) over 0 <= m <= horizon, exactly.
 
     For a cycle-free kernel the half-space witness bounds the largest m that
     can contribute, so the horizon may be omitted and the result is the full
     series: the probability that the chain from 0 ever visits the target.
-    Otherwise the series may diverge, an explicit horizon is required, and
-    the partial sum is returned with the probability flag off.
+    Otherwise the series may diverge and an explicit horizon is required.
+    The probability flag is on only for the full series: the kernel is
+    cycle-free and the horizon reaches the witness bound.
     """
-    d = jumps.dimension
-    diff = _vec(target, d)
+    diff = _vec(target, jumps.dimension)
+    if horizon is not None:
+        _check_steps("horizon", horizon)
     rep = check_cycle_free(jumps)
+    if horizon is None and not rep.holds:
+        raise CyclicComponent("kernel admits zero convex combinations; pass a horizon")
+    bound = _last_visit(jumps, rep.witness, [diff]) if rep.holds else None
     if horizon is None:
-        if not rep.holds:
-            raise CyclicComponent(
-                "kernel admits zero convex combinations; pass a horizon"
-            )
-        u = rep.witness
-        delta = min(sum(Fraction(c) * x for c, x in zip(a, u)) for a in jumps.atoms)
-        t = sum(Fraction(c) * x for c, x in zip(diff, u))
-        horizon = max(0, math.floor(t / delta)) if t >= 0 else 0
+        horizon = bound
+    value = _green_sums(jumps, [diff], horizon)[diff]
+    return GreenValue(value=value, probability=rep.holds and horizon >= bound,
+                      terms=horizon + 1)
 
-    den = _denominator(jumps)
-    moves = [(a, int(w * den)) for a, w in zip(jumps.atoms, jumps.weights)]
-    zero = (0,) * d
-    dist = {zero: 1}
-    acc = Fraction(int(diff == zero))
-    for m in range(1, horizon + 1):
-        dist = _convolve_numerators(dist, moves)
-        c = dist.get(diff)
-        if c:
-            acc += Fraction(c, den**m)
-    return GreenValue(value=acc, probability=rep.holds, terms=horizon + 1)
+
+def green_table(jumps, targets):
+    """Full Green series for many targets in one kernel-power sweep.
+
+    Matches green_function(jumps, y) exactly for cycle-free kernels; the
+    shared sweep makes Monte-Carlo averaging over sampled endpoints
+    affordable. Every spelling of a target passed is a key (5 and (5,))."""
+    rep = check_cycle_free(jumps)
+    if not rep.holds:
+        raise CyclicComponent("green table needs a cycle-free kernel")
+    vecs = {y: _vec(y, jumps.dimension) for y in targets}
+    sums = _green_sums(jumps, vecs.values(), _last_visit(jumps, rep.witness, vecs.values()))
+    return {y: sums[vec] for y, vec in vecs.items()}
 
 
 def tv_profile(jumps, n_max, k=1):
@@ -152,26 +185,25 @@ def tv_profile(jumps, n_max, k=1):
 
     Entry n-1 is TV(K^n(0,.), K^{n+k}(0,.)) for n = 1..n_max, on the
     half-sum-of-absolute-differences normalization, so values lie in [0,1].
+    Only the latest k + 1 powers are held.
     """
-    d = jumps.dimension
-    den = _denominator(jumps)
-    moves = [(a, int(w * den)) for a, w in zip(jumps.atoms, jumps.weights)]
-    powers = [{(0,) * d: 1}]
-    for _ in range(n_max + k):
-        powers.append(_convolve_numerators(powers[-1], moves))
-    out = []
-    for n in range(1, n_max + 1):
-        a, b = powers[n], powers[n + k]
-        scale = den**k
-        num = 0
-        for p in set(a) | set(b):
-            num += abs(a.get(p, 0) * scale - b.get(p, 0))
-        out.append(Fraction(num, 2 * den ** (n + k)))
+    _check_steps("n_max", n_max)
+    _check_steps("k", k)
+    out, window = [], []
+    for _, b, scale_b in itertools.islice(_power_numerators(jumps), 1, n_max + k + 1):
+        window.append((b, scale_b))
+        if len(window) > k:
+            a, scale_a = window.pop(0)
+            ratio = scale_b // scale_a
+            num = sum(abs(a.get(p, 0) * ratio - b.get(p, 0)) for p in set(a) | set(b))
+            out.append(Fraction(num, 2 * scale_b))
+            del a  # power n is not needed while the next power is stepped
     return out
 
 
 def tv_consecutive(jumps, n, k=1):
     """TV distance between the n-th and (n+k)-th kernel powers from 0."""
+    _check_steps("n (tv_profile's n_max)", n, least=1)
     return tv_profile(jumps, n, k)[-1]
 
 
@@ -276,13 +308,14 @@ def _cross_collision_once(jumps, x0, y0, budget, rng, min_index):
     return None
 
 
-def shift_coupling(jumps, lattice, x, y, budget, seed, record_trace=False):
+def shift_coupling(jumps, lattice, x, y, budget, seed):
     """Couple two chains up to an index shift, one seeded experiment.
 
     Success means the paths shared a vertex at indices (m, n), any pair
     including the sources; gluing from there gives X_t = Y_{t-k} for
     t >= coupling time, with shift k = m - n. The lattice argument states
-    where the sources live; sources are validated against it.
+    where the sources live; sources are validated against it. No path is
+    recorded: the result's trace is always None.
     """
     d = jumps.dimension
     x0, y0 = _vec(x, d), _vec(y, d)

@@ -20,6 +20,7 @@ from .errors import (
     Unconditionable,
     UnknownVertex,
 )
+from .forest import _fmt_vertex
 from .graphs import FiniteGraph
 from .seeds import rng_for
 
@@ -66,13 +67,10 @@ class OrientedTreeOrForest:
 
 def dump_tree(tree):
     """CSV dump, one `vertex,parent` row per vertex; roots say ROOT."""
-
-    def fmt(v):
-        return " ".join(str(c) for c in v) if isinstance(v, tuple) else str(v)
-
     lines = ["vertex,parent"]
     for v in sorted(tree.vertices(), key=repr):
-        lines.append(f"{fmt(v)},{'ROOT' if v in tree.roots else fmt(tree.parent[v])}")
+        parent = "ROOT" if v in tree.roots else _fmt_vertex(tree.parent[v])
+        lines.append(f"{_fmt_vertex(v)},{parent}")
     return "\n".join(lines) + "\n"
 
 

@@ -368,7 +368,7 @@ def test_connectivity_rejects_negative_distance():
 
 def test_green_table_matches_green_function():
     mu = renewal_jumps()
-    targets = [(0,), (3,), (7,), (12,)]
+    targets = [(0,), (3,), (7,), (12,), 5, (5,)]
     table = green_table(mu, targets)
     for y in targets:
         assert table[y] == green_function(mu, y).value

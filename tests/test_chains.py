@@ -22,7 +22,7 @@ from cmtforest.chains import (
     tv_consecutive,
     tv_profile,
 )
-from cmtforest.errors import CyclicComponent
+from cmtforest.errors import ConfigError, CyclicComponent
 from cmtforest.lattice import JumpDistribution, integer_lattice, uniform_jumps
 from cmtforest.seeds import derive_seed, rng_for
 
@@ -159,6 +159,21 @@ def test_green_monotone_in_horizon_and_bounded():
     assert vals[-1] <= 1
 
 
+def test_green_partial_sum_is_not_a_probability():
+    jd = renewal_jumps()
+    short = green_function(jd, 10, horizon=2)
+    assert short.value == 0
+    assert not short.probability
+    full = green_function(jd, 10, horizon=10)
+    assert full.value == Fraction(683, 1024)
+    assert full.probability
+
+
+def test_green_rejects_negative_horizon():
+    with pytest.raises(ConfigError, match="horizon"):
+        green_function(renewal_jumps(), 10, horizon=-3)
+
+
 def test_green_needs_horizon_without_half_space():
     jd = uniform_jumps([(-1,), (1,)])
     with pytest.raises(CyclicComponent):
@@ -185,6 +200,20 @@ def test_tv_matches_direct_powers():
             for x in set(a) | set(b)
         ) / 2
         assert tv_consecutive(jd, n, k) == direct
+
+
+def test_step_counts_raise_named_errors():
+    jd = renewal_jumps()
+    with pytest.raises(ConfigError, match="n must"):
+        kernel_power(jd, -1)
+    with pytest.raises(ConfigError, match="k must"):
+        tv_profile(jd, 3, k=-1)
+    with pytest.raises(ConfigError, match="n_max"):
+        tv_profile(jd, -1)
+    with pytest.raises(ConfigError, match="n_max"):
+        tv_consecutive(jd, 0)
+    assert tv_profile(jd, 3, k=0) == [0, 0, 0]
+    assert tv_profile(jd, 0) == []
 
 
 def test_tv_profile_nonincreasing_for_mixing_kernel():
