@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chains import _as_tuple, _vec, green_table
+from .chains import _vec, green_table
 from .errors import (
     BadGraph,
     ConfigError,
@@ -27,7 +27,7 @@ from .errors import (
     NeedsTorus,
     UnknownVertex,
 )
-from .forest import component_heights, components, level_set
+from .forest import array_vertices, component_heights, components, coords, level_set, vertex
 from .lattice import atom_cdf, check_cycle_free
 from .models import canopy_cmt
 from .seeds import derive_seed, rng_for
@@ -121,14 +121,13 @@ def _plain(v):
 # -- component statistics ------------------------------------------------------------
 
 
-def _jump_counts(forest, comp):
+def _jump_counts(forest, cid):
     counts = {}
-    for v in comp.members:
-        w = forest.jump.get(v)
-        if w is None:
-            continue
-        a = tuple(x - y for x, y in zip(w, v)) if isinstance(v, tuple) else w - v
-        counts[a] = counts.get(a, 0) + 1
+    rows, verts = forest.members[cid][0], forest.verts
+    for s, t in zip(rows.tolist(), forest.succ[rows].tolist()):
+        if t >= 0:
+            a = vertex(tuple(y - x for x, y in zip(coords(verts[s]), coords(verts[t]))))
+            counts[a] = counts.get(a, 0) + 1
     return counts
 
 
@@ -150,7 +149,7 @@ def component_statistic_survey(forest, statistic, min_size):
 
     details = {"statistic": statistic, "min_size": min_size, "component_count": len(comps)}
     if statistic == "jump-frequency-vector":
-        per_comp = [_jump_counts(forest, c) for c in comps]
+        per_comp = [_jump_counts(forest, c.component_id) for c in comps]
         alphabet = sorted({a for counts in per_comp for a in counts}, key=repr)
         values = []
         for counts in per_comp:
@@ -167,13 +166,12 @@ def component_statistic_survey(forest, statistic, min_size):
         if statistic == "mean-in-degree":  # a component's arcs all start at its members
             counts = [c.size - c.boundary_arc_count for c in comps]
         else:
-            core = forest._core
             if statistic == "leaf-fraction":  # members with no preimage
-                leaves = core.comp[np.diff(core.ptr) == 0]
-                per_comp = np.bincount(leaves, minlength=len(core.members))
+                leaves = forest.comp[np.diff(forest.ptr) == 0]
+                per_comp = np.bincount(leaves, minlength=len(forest.members))
             else:  # a height range is the largest depth, as the end has depth 0
-                per_comp = np.zeros(len(core.members), dtype=np.int64)
-                np.maximum.at(per_comp, core.comp, core.depth)
+                per_comp = np.zeros(len(forest.members), dtype=np.int64)
+                np.maximum.at(per_comp, forest.comp, forest.depth)
             counts = per_comp[[c.component_id for c in comps]].tolist()
         values = [k / c.size for k, c in zip(counts, comps)]
         details["cv"] = _coefficient_of_variation(values)
@@ -209,25 +207,22 @@ def nested_level_average(forest, f, v, n_max):
     v stays inside the window. Flags an average as truncated when the
     backward cone leaves the interior, since the window may then hide
     part of the averaging set."""
-    if v not in forest.vertices:
+    r = forest.row.get(v)
+    if r is None:
         raise UnknownVertex(repr(v))
-    core = forest._core
-    if core.depth[core.row[v]] < 0:
+    if forest.depth[r] < 0:
         raise CyclicComponent("nested averages need a cycle-free component")
-    line = [v]
-    for _ in range(n_max):
-        nxt = forest.jump.get(line[-1])
-        if nxt is None:
-            break
-        line.append(nxt)
+    line = [r]
+    while len(line) <= n_max and forest.succ[line[-1]] >= 0:
+        line.append(int(forest.succ[line[-1]]))
     out = []
     for n, top in enumerate(line):
-        rows = np.array([core.row[top]])
-        clean = top in forest.interior
+        rows = np.array([top])
+        clean = forest.is_interior[top]
         for _ in range(n):
-            clean = clean and all(w in forest.interior for w in core.vertices_of(rows))
-            rows = core.preimages(rows)
-        level = core.vertices_of(rows)
+            clean = clean and forest.is_interior[rows].all()
+            rows = forest.preimages(rows)
+        level = forest.vertices_of(rows)
         if not level:
             break
         value = math.fsum(float(f(w)) for w in level) / len(level)
@@ -251,8 +246,7 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
     wrap = forest.metadata.get("wrap")
     if not wrap or any(w is None for w in wrap):
         raise NeedsTorus("forest window is not toroidal on every axis")
-    core = forest._core
-    if not 0 <= component_id < len(core.members):
+    if not 0 <= component_id < len(forest.members):
         raise ConfigError(f"component_id {component_id}: no such component")
     box = forest.metadata["box"]
     lows = np.array([lo for lo, hi in box], dtype=np.int64)
@@ -260,7 +254,7 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
 
     incs = set()
     for src, dst in forest.jump.items():
-        a, b = _as_tuple(src), _as_tuple(dst)
+        a, b = coords(src), coords(dst)
         incs.add(
             tuple(
                 _minimal_residue(int(y - x), int(n)) for x, y, n in zip(a, b, lens)
@@ -273,12 +267,11 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
     hold = rng.random(walk_steps) < 0.5
     idx = rng.integers(0, len(moves), size=walk_steps)
     disp = moves_arr[idx] * (~hold)[:, None]
-    start = np.array(_as_tuple(min(forest.vertices)), dtype=np.int64)
+    start = np.array(coords(forest.verts[0]), dtype=np.int64)
     pos = (start + np.cumsum(disp, axis=0) - lows) % lens + lows
     pos = np.vstack([start[None, :], pos])
 
-    keys = pos[:, 0].tolist() if forest.dimension == 1 else list(map(tuple, pos.tolist()))
-    hits = core.comp[[core.row[k] for k in keys]] == component_id
+    hits = forest.comp[[forest.row[k] for k in array_vertices(pos)]] == component_id
     freq = float(hits.mean())
 
     blocks = 100
@@ -301,14 +294,13 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
 
 def in_degree_profile(forest, region=None):
     """Exact mean and histogram of in-window preimage counts."""
-    core = forest._core
-    indeg = np.diff(core.ptr)
+    indeg = np.diff(forest.ptr)
     if region is not None:
         region = list(region)
         for v in region:
-            if v not in core.row:
+            if v not in forest.row:
                 raise UnknownVertex(repr(v))
-        indeg = indeg[[core.row[v] for v in region]]
+        indeg = indeg[[forest.row[v] for v in region]]
     counts = np.bincount(indeg).tolist()
     return InDegreeProfile(
         mean=Fraction(int(indeg.sum()), len(indeg)),
@@ -648,10 +640,6 @@ def one_endedness_probe(jumps, n_list, trials, seed):
 # -- level-set bijection ----------------------------------------------------------------
 
 
-def _level_of(v):
-    return v[-1] if isinstance(v, tuple) else v
-
-
 def right_stable_allocation(children, parents, parent_of):
     """Right-stable matching from an ordered child cycle into an ordered
     parent cycle. children must be listed in nondecreasing parent
@@ -698,14 +686,14 @@ def level_set_bijection(forest, seed):
     a cycle; elsewhere rows are the per-component height classes, and
     vertices squeezed out at the window edge are surfaced as unmatched.
     """
-    domain = sorted(v for v in forest.interior if v in forest.jump)
+    domain = forest.vertices_of(np.flatnonzero(forest.is_interior))
     wrap = forest.metadata.get("wrap")
     toroidal = bool(wrap) and all(w is not None for w in wrap)
     if toroidal:
         for x in domain:
-            if _level_of(forest.jump[x]) == _level_of(x):
+            if coords(forest.jump[x])[-1] == coords(x)[-1]:
                 raise CyclicComponent(f"jump of {x!r} stays on its own level")
-        level = {v: _level_of(v) for v in forest.vertices}
+        level = {v: coords(v)[-1] for v in forest.verts}
     else:
         domain_set = set(domain)
         level = {}
@@ -763,7 +751,7 @@ def canopy_distinguishability_demo(depth, seed):
     forest, invariant = canopy_cmt(depth, seed)
     constant = True
     per_set = {}
-    for v in sorted(forest.vertices):
+    for v in forest.verts:
         for n in range(1, depth + 2):
             members, _ = level_set(forest, v, n)
             vals = {invariant[w] for w in members}

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadDimension, ConfigError, CyclicComponent, TooLarge, UnknownVertex
+from .forest import coords, vertex
 from .lattice import atom_cdf, check_cycle_free, in_lattice
 from .seeds import derive_seed, rng_for
 
@@ -66,14 +67,6 @@ def _vec(v, d):
     return vec
 
 
-def _key(vec, d):
-    return vec[0] if d == 1 else vec
-
-
-def _as_tuple(v):
-    return v if isinstance(v, tuple) else (v,)
-
-
 def _check_steps(name, value, least=0):
     if not isinstance(value, numbers.Integral) or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -101,21 +94,19 @@ def _power_numerators(jumps):
 def kernel_power(jumps, n):
     """Exact law of the n-step increment X_n - X_0."""
     _check_steps("n", n)
-    d = jumps.dimension
     _, dist, total = next(itertools.islice(_power_numerators(jumps), n, None))
-    probs = {_key(p, d): Fraction(c, total) for p, c in dist.items()}
+    probs = {vertex(p): Fraction(c, total) for p, c in dist.items()}
     return KernelPower(n=n, distribution=probs)
 
 
 def kernel_power_csv(kp):
     """Lexicographically sorted CSV with exact fraction probabilities."""
-    items = sorted(kp.distribution.items(), key=lambda kv: _as_tuple(kv[0]))
-    d = len(_as_tuple(items[0][0]))
+    items = sorted(kp.distribution.items(), key=lambda kv: coords(kv[0]))
+    d = len(coords(items[0][0]))
     header = ",".join(f"x{i}" for i in range(d)) + ",probability"
     lines = [header]
     for v, p in items:
-        coords = ",".join(str(c) for c in _as_tuple(v))
-        lines.append(f"{coords},{p}")
+        lines.append(",".join(map(str, coords(v))) + f",{p}")
     return "\n".join(lines) + "\n"
 
 
@@ -161,7 +152,8 @@ def green_function(jumps, target, horizon=None):
     bound = _last_visit(jumps, rep.witness, [diff]) if rep.holds else None
     if horizon is None:
         horizon = bound
-    value = _green_sums(jumps, [diff], horizon)[diff]
+    # every term past the witness bound is zero, so the sweep stops there
+    value = _green_sums(jumps, [diff], horizon if bound is None else min(horizon, bound))[diff]
     return GreenValue(value=value, probability=rep.holds and horizon >= bound,
                       terms=horizon + 1)
 
@@ -231,7 +223,7 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
     d = jumps.dimension
     x0, y0 = _vec(x, d), _vec(y, d)
     if record_trace:
-        return _meet_with_trace(jumps, x0, y0, budget, seed, d)
+        return _meet_with_trace(jumps, x0, y0, budget, seed)
     if x0 == y0:
         return CouplingResult(True, coupling_time=0, shift=0)
 
@@ -256,11 +248,11 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
     return CouplingResult(False)
 
 
-def _meet_with_trace(jumps, x0, y0, budget, seed, d):
+def _meet_with_trace(jumps, x0, y0, budget, seed):
     rng = rng_for(seed, _ROLE_MEET)
     cum = atom_cdf(jumps.weights)
     atoms = jumps.atoms
-    xs, ys = [_key(x0, d)], [_key(y0, d)]
+    xs, ys = [vertex(x0)], [vertex(y0)]
     px, py = x0, y0
     met = 0 if x0 == y0 else None
     for s in range(1, budget + 1):
@@ -271,8 +263,8 @@ def _meet_with_trace(jumps, x0, y0, budget, seed, d):
             py = tuple(p + q for p, q in zip(py, ay))
         else:
             py = px
-        xs.append(_key(px, d))
-        ys.append(_key(py, d))
+        xs.append(vertex(px))
+        ys.append(vertex(py))
         if met is None and px == py:
             met = s
     return CouplingResult(met is not None, coupling_time=met, shift=0,

@@ -28,6 +28,7 @@ from .analysis import (
     count_components_probe, in_degree_profile, nested_level_average, one_endedness_probe,
     probe_csv, probe_json,
 )
+from .forest import coords, vertex
 from .lattice import (
     JumpDistribution, check_model_conditions, even_sublattice, in_lattice, integer_lattice,
     sample_lattice_cmt, uniform_jumps,
@@ -213,9 +214,12 @@ def _nested_parity(p, forest):
     if start is None:
         start = min(forest.interior or forest.vertices)
     elif isinstance(start, list):
-        start = tuple(start) if forest.dimension > 1 else start[0]
-    out = nested_level_average(
-        forest, lambda v: (v[0] if isinstance(v, tuple) else v) % 2, start, p["n_max"])
+        k = len(coords(forest.verts[0])) if forest.verts else len(start)
+        if len(start) != k:
+            raise ConfigError(f"field 'start' has {len(start)} coordinates; "
+                              f"the window's vertices have {k}")
+        start = vertex(start)
+    out = nested_level_average(forest, lambda v: coords(v)[0] % 2, start, p["n_max"])
     return ProbeReport(
         probe="nested-parity",
         units=tuple(a.n for a in out),

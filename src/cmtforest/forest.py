@@ -1,17 +1,24 @@
 """Finite windows of oriented forests (graphs of point-maps).
 
-A point-map assigns to each vertex at most one out-neighbor, its jump. The
-window records which vertices had their sampled jump land outside the window
-(boundary exits) and which vertices are interior, i.e. their jump is
-guaranteed unaffected by truncation. All operations here are pure reads;
-a ForestWindow is never mutated after construction and is safe to share
-across workers. Components, heights, level sets and preimages are read
-from an array form of the window (sorted rows, successor array, CSR
-preimages, pointer-doubling component labels and depths), built on first
-use and kept on the window.
+A point-map assigns to each vertex at most one out-neighbor, its jump. A
+ForestWindow is stored as rows, which number its vertices in sorted order:
+`verts` and its vertex-to-row map `row`, the successor array `succ` (the row
+of each in-window jump, or -1), the row masks `is_exit` (the sampled jump
+left the window) and `is_interior` (the jump is guaranteed unaffected by
+truncation), and `src`, the rows with an in-window jump in the order their
+pairs were given, which fixes the preimage order. build_forest is the one
+constructor. Components, heights, level sets and preimages are read from
+arrays kept on the window: CSR preimages (`pre`, `ptr`), pointer-doubling
+component labels and depths (`label`, `depth`), and, built on first read,
+component ids (`comp`), per-component members (`members`) and the reverse
+map (`rev`). `vertices`, `jump`, `exits` and `interior` are read-only set and
+dict views, built on first read. A window is never mutated after
+construction and is safe to share across workers.
 
 Vertex representation is uniform within a window: integer tuples (lattice
 coordinates), plain ints (abstract vertices or point-ids), never mixed.
+`coords`, `vertex` and `array_vertices` convert between vertices and
+coordinates; an int vertex is a point with one coordinate.
 
 The text dump format is one record per vertex after a single header line
 ``dim=<d> model=<name> seed=<u64>``:
@@ -26,11 +33,12 @@ without it, vertices that legitimately carry no jump could not round-trip.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import repeat
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CyclicComponent, MalformedJump, UnknownVertex
+from .errors import BadDimension, CyclicComponent, MalformedJump, UnknownVertex
 
 EXIT = "EXIT"
 
@@ -43,79 +51,66 @@ CYCLE_DETECTED = "CycleDetected"
 FIXED_POINT = "FixedPoint"
 
 
-@dataclass
+def coords(v):
+    """The coordinates of a vertex: a tuple is its own, an int is one."""
+    return v if isinstance(v, tuple) else (v,)
+
+
+def vertex(c):
+    """The vertex with coordinates c: a single coordinate is a plain int."""
+    return c[0] if len(c) == 1 else tuple(c)
+
+
+def array_vertices(a):
+    """The vertices of the rows of an N x d int array."""
+    return a[:, 0].tolist() if a.shape[1] == 1 else list(map(tuple, a.tolist()))
+
+
 class ForestWindow:
-    vertices: frozenset
-    jump: dict
-    exits: frozenset
-    interior: frozenset
-    dimension: int
-    metadata: dict = field(default_factory=dict)
+    """A window as rows (see the module docstring); made by build_forest."""
+
+    def __init__(self, verts, row, succ, is_exit, is_interior, src, dimension, metadata):
+        self.verts, self.row, self.succ = verts, row, succ
+        self.is_exit, self.is_interior, self.src = is_exit, is_interior, src
+        self.dimension, self.metadata = dimension, metadata
+        # the preimages of row r are pre[ptr[r]:ptr[r + 1]], in src order
+        dst = succ[src]
+        self.pre = src[np.argsort(dst, kind="stable")]
+        self.ptr = np.zeros(len(verts) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=len(verts)), out=self.ptr[1:])
+        self.label, self.depth = _line_labels(succ)
 
     def __contains__(self, v):
-        return v in self.vertices
+        return v in self.row
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self.verts)
 
     @cached_property
-    def _core(self):
-        return _Core(self)
+    def vertices(self):
+        return frozenset(self.verts)
 
+    @cached_property
+    def jump(self):
+        """The in-window jumps, keyed in the order their pairs were given."""
+        pairs = zip(self.vertices_of(self.src), self.vertices_of(self.succ[self.src]))
+        return MappingProxyType(dict(pairs))
 
-class _Core:
-    """Array form of a window, built on first use and kept on the window.
+    @cached_property
+    def exits(self):
+        return frozenset(self.vertices_of(np.flatnonzero(self.is_exit)))
 
-    Rows number the vertices in sorted order. succ[r] is the row of r's
-    in-window jump, or -1. The preimages of row r are
-    pre[ptr[r]:ptr[r + 1]], in the window's jump order. label[r] names r's
-    component: the row of its line's end, or the smallest row on the cycle
-    its line wraps. depth[r] is r's distance to its line's end, and -1 on
-    a component with a cycle.
-    """
-
-    def __init__(self, forest):
-        # samplers add jumps in vertex order, which sorted() takes as one run
-        self.verts = sorted(chain(forest.jump, forest.vertices.difference(forest.jump)))
-        self.row = dict(zip(self.verts, range(len(self.verts))))
-        n, m = len(self.verts), len(forest.jump)
-        src = np.fromiter(map(self.row.__getitem__, forest.jump), np.int64, m)
-        dst = np.fromiter(map(self.row.__getitem__, forest.jump.values()), np.int64, m)
-        self.succ = np.full(n, -1, dtype=np.int64)
-        self.succ[src] = dst
-        self._dst = dst
-        self.pre = src[np.argsort(dst, kind="stable")]
-        self.ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=n), out=self.ptr[1:])
-        self.label, self.depth = _line_labels(self.succ)
+    @cached_property
+    def interior(self):
+        return frozenset(self.vertices_of(np.flatnonzero(self.is_interior)))
 
     @cached_property
     def rev(self):
         """reverse_jump's map, keyed in order of first appearance as a target."""
-        verts, ptr = self.verts, self.ptr.tolist()
-        pre = self.vertices_of(self.pre)
-        rows, first = np.unique(self._dst, return_index=True)
-        return {verts[t]: tuple(pre[ptr[t]:ptr[t + 1]])
+        pre, ptr = self.vertices_of(self.pre), self.ptr.tolist()
+        rows, first = np.unique(self.succ[self.src], return_index=True)
+        return {self.verts[t]: tuple(pre[ptr[t]:ptr[t + 1]])
                 for t in rows[np.argsort(first)].tolist()}
-
-    def preimages(self, rows):
-        """The rows whose jump lands in rows, grouped by target in jump order."""
-        lo, counts = self.ptr[rows], self.ptr[rows + 1] - self.ptr[rows]
-        shift = np.repeat(lo - np.cumsum(counts) + counts, counts)
-        return self.pre[np.arange(len(shift)) + shift]
-
-    def descend(self, v, n):
-        """Rows of D_n(v), the vertices whose n-th iterate is v. Preimages of
-        distinct rows are distinct, so no row repeats."""
-        rows = np.array([self.row[v]])
-        for _ in range(n):
-            if not len(rows):
-                break
-            rows = self.preimages(rows)
-        return rows
-
-    def vertices_of(self, rows):
-        return list(map(self.verts.__getitem__, rows.tolist()))
 
     @cached_property
     def comp(self):
@@ -133,16 +128,38 @@ class _Core:
         verts = self.vertices_of(order)
         return [(order[a:b], frozenset(verts[a:b])) for a, b in zip([0] + bounds, bounds)]
 
+    def preimages(self, rows):
+        """The rows whose jump lands in rows, grouped by target in src order."""
+        lo, counts = self.ptr[rows], self.ptr[rows + 1] - self.ptr[rows]
+        shift = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        return self.pre[np.arange(len(shift)) + shift]
+
+    def descend(self, r, n):
+        """Rows of D_n(v) for v in row r, the vertices whose n-th iterate is
+        v. Preimages of distinct rows are distinct, so no row repeats."""
+        rows = np.array([r])
+        for _ in range(n):
+            if not len(rows):
+                break
+            rows = self.preimages(rows)
+        return rows
+
+    def vertices_of(self, rows):
+        return list(map(self.verts.__getitem__, rows.tolist()))
+
 
 def _line_labels(succ):
     """(label, depth) of the partial functional graph succ by pointer
     doubling (Shiloach and Vishkin's hook-and-jump, on a functional graph).
 
-    An end (succ -1) is made a fixed point. After k rounds, nxt is the
-    2**k-th iterate, low the smallest row among the first 2**k iterates and
-    dist the number of real jumps among them. Once 2**k >= n every line has
-    reached its end or its cycle, so low[nxt] is the end or the cycle's
-    smallest row, and dist is the depth on components without a cycle.
+    label[r] is the row of r's line's end, or the smallest row on the cycle
+    its line wraps; depth[r] is r's distance to its line's end, and -1 on a
+    component with a cycle. An end (succ -1) is made a fixed point. After k
+    rounds, nxt is the 2**k-th iterate, low the smallest row among the
+    first 2**k iterates and dist the number of real jumps among them. Once
+    2**k >= n every line has reached its end or its cycle, so low[nxt] is
+    the end or the cycle's smallest row, and dist is the depth on
+    components without a cycle.
     """
     n = len(succ)
     rows = np.arange(n, dtype=np.int64)
@@ -186,73 +203,79 @@ class HeightAssignment:
 
 
 def build_forest(vertices, jump_pairs, interior=None, dimension=1, metadata=None):
-    """Assemble a ForestWindow from explicit jump pairs.
+    """Assemble a ForestWindow from explicit jump pairs, in one pass over them.
 
     jump_pairs may be a dict or an iterable of (source, target) pairs. A
     target equal to the EXIT sentinel, or any target outside `vertices`,
-    flags the source as a boundary exit. `interior` is a predicate or an
-    iterable of vertices; it is intersected with the set of vertices whose
-    jump stayed in-window, which keeps the type invariant even for sloppy
-    callers.
+    flags the source as a boundary exit. `interior` is an iterable of
+    vertices; it is intersected with the set of vertices whose jump stayed
+    in-window, which keeps the type invariant even for sloppy callers.
+    Raises UnknownVertex for a source outside the window, MalformedJump for
+    a repeated source and BadDimension for vertices that cannot be ordered
+    (ints mixed with tuples).
     """
-    vset = frozenset(vertices)
-    pairs = jump_pairs.items() if isinstance(jump_pairs, dict) else jump_pairs
-    jump = {}
-    exits = set()
-    seen = set()
-    for src, dst in pairs:
-        if src in seen:
-            raise MalformedJump(f"duplicate jump source {src!r}")
-        seen.add(src)
-        if src not in vset:
-            raise UnknownVertex(f"jump source {src!r} not in window")
-        if dst is EXIT or dst == EXIT or dst not in vset:
-            exits.add(src)
+    try:
+        verts = sorted(vertices)
+    except TypeError as e:
+        raise BadDimension(f"window vertices cannot be ordered: {e}") from None
+    row = dict(zip(verts, range(len(verts))))
+    if len(row) < len(verts):  # a repeated vertex; the keys are sorted and distinct
+        verts = list(row)
+        row = dict(zip(verts, range(len(verts))))
+    n, get = len(verts), row.get
+    succ = [-1] * n  # -2 marks an exit until the mask is split off
+    src = []
+    for s, t in jump_pairs.items() if isinstance(jump_pairs, dict) else jump_pairs:
+        r = get(s)
+        if r is None:
+            raise UnknownVertex(f"jump source {s!r} not in window")
+        if succ[r] != -1:
+            raise MalformedJump(f"duplicate jump source {s!r}")
+        t = get(t)
+        if t is None:
+            succ[r] = -2
         else:
-            jump[src] = dst
-    if interior is None:
-        interior_set = frozenset(jump)
-    elif callable(interior):
-        interior_set = frozenset(v for v in jump if interior(v))
-    else:
-        interior_set = frozenset(interior) & frozenset(jump)
-    return ForestWindow(
-        vertices=vset,
-        jump=jump,
-        exits=frozenset(exits),
-        interior=interior_set,
-        dimension=dimension,
-        metadata=dict(metadata or {}),
-    )
+            succ[r] = t
+            src.append(r)
+    succ = np.array(succ, dtype=np.int64)
+    is_exit = succ == -2
+    succ[is_exit] = -1
+    is_interior = succ >= 0
+    if interior is not None:
+        listed = np.zeros(n + 1, dtype=bool)
+        listed[np.fromiter(map(get, interior, repeat(n)), np.int64)] = True
+        is_interior &= listed[:n]
+    return ForestWindow(verts, row, succ, is_exit, is_interior, np.array(src, dtype=np.int64),
+                        dimension, dict(metadata or {}))
 
 
 def ancestral_line(forest, v, max_steps):
     """Follow the jump map from v for at most max_steps jumps."""
-    if v not in forest.vertices:
+    r = forest.row.get(v)
+    if r is None:
         raise UnknownVertex(repr(v))
-    path = [v]
-    seen = {v: 0}
-    cur = v
-    steps = 0
-    while True:
-        if cur not in forest.jump:
-            return Trajectory(path, BOUNDARY_EXIT)
-        if steps == max_steps:
-            return Trajectory(path, BUDGET_EXHAUSTED)
-        nxt = forest.jump[cur]
-        if nxt == cur:
-            return Trajectory(path, FIXED_POINT)
-        if nxt in seen:
-            return Trajectory(path, CYCLE_DETECTED, cycle_entry=seen[nxt])
-        path.append(nxt)
-        seen[nxt] = len(path) - 1
-        cur = nxt
-        steps += 1
+    path, seen = [r], {r: 0}
+    termination = entry = None
+    while termination is None:
+        nxt = int(forest.succ[r])
+        if nxt < 0:
+            termination = BOUNDARY_EXIT
+        elif len(path) > max_steps:
+            termination = BUDGET_EXHAUSTED
+        elif nxt == r:
+            termination = FIXED_POINT
+        elif nxt in seen:
+            termination, entry = CYCLE_DETECTED, seen[nxt]
+        else:
+            seen[nxt] = len(path)
+            path.append(nxt)
+            r = nxt
+    return Trajectory([forest.verts[p] for p in path], termination, entry)
 
 
 def reverse_jump(forest):
     """Map each vertex to the tuple of its in-window preimages."""
-    return dict(forest._core.rev)
+    return dict(forest.rev)
 
 
 def components(forest):
@@ -264,19 +287,19 @@ def components(forest):
     member has an in-window jump, which is also the condition for the
     FiniteCycle label (no arc of the component crosses the boundary).
     """
-    core = forest._core
-    dangling = np.bincount(core.comp[core.succ < 0], minlength=len(core.members)).tolist()
+    members = forest.members
+    dangling = np.bincount(forest.comp[forest.succ < 0], minlength=len(members)).tolist()
     out = []
-    for cid, (_, members) in enumerate(core.members):
+    for cid, (_, verts) in enumerate(members):
         cycle_count = 1 if dangling[cid] == 0 else 0
         out.append(
             ComponentSummary(
                 component_id=cid,
-                size=len(members),
+                size=len(verts),
                 cycle_count=cycle_count,
                 boundary_arc_count=dangling[cid],
                 label=FINITE_CYCLE if cycle_count else TRUNCATED,
-                members=members,
+                members=verts,
             )
         )
     return out
@@ -292,10 +315,10 @@ def classify_component(forest, component_id):
 
 def descendants(forest, v, n):
     """D_n(v): vertices u with n-th iterate equal to v, all steps in-window."""
-    if v not in forest.vertices:
+    r = forest.row.get(v)
+    if r is None:
         raise UnknownVertex(repr(v))
-    core = forest._core
-    return frozenset(core.vertices_of(core.descend(v, n)))
+    return frozenset(forest.vertices_of(forest.descend(r, n)))
 
 
 def level_set(forest, v, horizon):
@@ -308,21 +331,18 @@ def level_set(forest, v, horizon):
     Lines that wrap a cycle never end, so fully cyclic components are
     never flagged.
     """
-    if v not in forest.vertices:
+    r = forest.row.get(v)
+    if r is None:
         raise UnknownVertex(repr(v))
-    anc = [v]
-    cur = v
-    for _ in range(horizon):
-        if cur not in forest.jump:
-            break
-        cur = forest.jump[cur]
-        anc.append(cur)
-    core = forest._core
-    members = frozenset(core.vertices_of(core.descend(anc[-1], len(anc) - 1)))
+    top, steps = r, 0
+    while steps < horizon and forest.succ[top] >= 0:
+        top = int(forest.succ[top])
+        steps += 1
+    members = frozenset(forest.vertices_of(forest.descend(top, steps)))
 
     # the end of v's line, if it has one, is a member of v's component at
     # depth 0, so the component is flagged for every positive horizon
-    truncated = core.depth[core.row[v]] >= 0 and horizon > 0
+    truncated = forest.depth[r] >= 0 and horizon > 0
     return members, bool(truncated)
 
 
@@ -343,26 +363,17 @@ def height(forest, component_id):
 def component_heights(forest, anchor):
     """Heights over the cycle-free component of anchor, which gets height
     0: h(v) = depth(v) - depth(anchor), so h(F(v)) = h(v) - 1."""
-    core = forest._core
-    r = core.row.get(anchor)
+    r = forest.row.get(anchor)
     if r is None:
         raise UnknownVertex(repr(anchor))
-    if core.depth[r] < 0:
+    if forest.depth[r] < 0:
         raise CyclicComponent(f"the component of {anchor!r} contains a cycle")
-    rows, _ = core.members[core.comp[r]]
-    return dict(zip(core.vertices_of(rows), (core.depth[rows] - core.depth[r]).tolist()))
+    rows, _ = forest.members[forest.comp[r]]
+    return dict(zip(forest.vertices_of(rows), (forest.depth[rows] - forest.depth[r]).tolist()))
 
 
 def _fmt_vertex(v):
-    if isinstance(v, tuple):
-        return " ".join(str(c) for c in v)
-    return str(v)
-
-
-def _parse_vertex(tokens):
-    if len(tokens) == 1:
-        return int(tokens[0])
-    return tuple(int(t) for t in tokens)
+    return " ".join(map(str, coords(v)))
 
 
 def dump_forest(forest):
@@ -372,13 +383,9 @@ def dump_forest(forest):
         "dim=%d model=%s seed=%s"
         % (forest.dimension, meta.get("model", "unknown"), meta.get("seed", 0))
     ]
-    for v in sorted(forest.vertices):
-        if v in forest.jump:
-            lines.append(f"{_fmt_vertex(v)} -> {_fmt_vertex(forest.jump[v])}")
-        elif v in forest.exits:
-            lines.append(f"{_fmt_vertex(v)} -> EXIT")
-        else:
-            lines.append(_fmt_vertex(v))
+    text = list(map(_fmt_vertex, forest.verts))
+    for v, t, out in zip(text, forest.succ.tolist(), forest.is_exit.tolist()):
+        lines.append(f"{v} -> {text[t]}" if t >= 0 else f"{v} -> EXIT" if out else v)
     return "\n".join(lines) + "\n"
 
 
@@ -386,28 +393,31 @@ def load_forest(text):
     """Parse dump_forest output back into a ForestWindow.
 
     Jumps, exits and the header fields round-trip; the interior set is not
-    part of the format and defaults to the in-window-jump vertices.
+    part of the format and defaults to the in-window-jump vertices. An
+    unparsable header or record raises MalformedJump naming the line.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = dict(part.split("=", 1) for part in lines[0].split())
-    dim = int(header["dim"])
+
+    def parse(tokens):
+        if not tokens:
+            raise ValueError("no coordinates")
+        return vertex(tuple(map(int, tokens)))
+
+    try:
+        header = dict(part.split("=", 1) for part in lines[0].split())
+        dim, meta = int(header["dim"]), {"model": header["model"], "seed": int(header["seed"])}
+    except (IndexError, KeyError, ValueError) as e:
+        raise MalformedJump(f"bad header {lines[0] if lines else ''!r}: {e!r}") from None
     vertices = []
     pairs = []
     for ln in lines[1:]:
-        if "->" in ln:
-            left, right = ln.split("->")
-            src = _parse_vertex(left.split())
-            vertices.append(src)
-            right = right.strip()
-            if right == EXIT:
-                pairs.append((src, EXIT))
-            else:
-                pairs.append((src, _parse_vertex(right.split())))
-        else:
-            vertices.append(_parse_vertex(ln.split()))
-    return build_forest(
-        vertices,
-        pairs,
-        dimension=dim,
-        metadata={"model": header["model"], "seed": int(header["seed"])},
-    )
+        try:
+            left, *right = ln.split("->")
+            src = parse(left.split())
+            if right:
+                (right,) = right
+                pairs.append((src, EXIT if right.strip() == EXIT else parse(right.split())))
+        except ValueError as e:
+            raise MalformedJump(f"bad record {ln!r}: {e}") from None
+        vertices.append(src)
+    return build_forest(vertices, pairs, dimension=dim, metadata=meta)

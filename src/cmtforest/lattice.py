@@ -20,7 +20,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import BadDimension, ConfigError, EmptyWindow, MalformedJump
-from .forest import build_forest
+from .forest import array_vertices, build_forest
 from .seeds import rng_for
 
 _ROLE_LATTICE = 0xA1
@@ -424,10 +424,7 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
             lo, hi = box[a]
             interior_mask &= (pts[:, a] >= lo - amin[a]) & (pts[:, a] <= hi - amax[a])
 
-    if d == 1:
-        vertices, tgts = pts[:, 0].tolist(), targets[:, 0].tolist()
-    else:
-        vertices, tgts = list(map(tuple, pts.tolist())), list(map(tuple, targets.tolist()))
+    vertices, tgts = array_vertices(pts), array_vertices(targets)
     fw = build_forest(
         vertices,
         [(v, t if ok else "EXIT") for v, t, ok in zip(vertices, tgts, in_box.tolist())],

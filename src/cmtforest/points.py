@@ -308,12 +308,11 @@ def level_csv(cloud, forest):
     """CSV rows point_id,t,x,level_index,component_id for a point-id
     forest; level indices are heights shifted to start at 0 within each
     component, which are the distances to the component's end."""
-    core = forest._core
-    cyclic = core.comp[core.depth < 0]
+    cyclic = forest.comp[forest.depth < 0]
     if len(cyclic):
         raise CyclicComponent(f"component {cyclic.min()} contains a cycle")
     lines = ["point_id,t,x,level_index,component_id"]
-    for i, level, cid in zip(core.verts, core.depth.tolist(), core.comp.tolist()):
+    for i, level, cid in zip(forest.verts, forest.depth.tolist(), forest.comp.tolist()):
         p = cloud.points[i]
         x = " ".join(str(c) for c in p[1:])
         lines.append(f"{i},{p[0]},{x},{level},{cid}")

@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmtforest
 from cmtforest import cli
 from cmtforest.cli import MODELS, PROBES, main
 from cmtforest.points import StripConfig, sample_poisson, strip_point_map
@@ -122,8 +124,11 @@ def test_single_chain_count_needs_no_level_grading(tmp_path):
 
 def test_cli_import_leaves_networkx_unloaded():
     code = "import sys, cmtforest.cli; print('networkx' in sys.modules)"
+    # the child imports the same cmtforest as this process, installed or not
+    here = str(Path(cmtforest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         check=True, env=dict(os.environ, PYTHONPATH=path))
     assert out.stdout.strip() == "False"
 
 
@@ -137,6 +142,30 @@ def test_probe_runtime_error_exit_1_names_probe(tmp_path, capsys):
     rc, _ = run_into(tmp_path, payload, "a")
     assert rc == 1
     assert "nested-parity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, start", [
+    ({"model": "renewal", "support": [2], "box": [[0, 20]]}, [4, 999]),
+    ({"model": "nguyen", "dimension": 2, "box": [[-3, 3], [-3, 0]]}, [0]),
+    ({"model": "strip", "intensity": 1.0, "half_width": 1.0, "box": [[0, 8], [0, 4]],
+      "time_axis": 0}, [0, 0]),
+])
+def test_nested_parity_start_of_wrong_length_exit_2(tmp_path, capsys, model, start):
+    # integer vertices, strip point ids included, have one coordinate
+    payload = {"model": model, "probes": [{"probe": "nested-parity", "start": start}], "seed": 2}
+    rc, _ = run_into(tmp_path, payload, "a")
+    assert rc == 2
+    assert "'start'" in capsys.readouterr().err
+
+
+def test_nested_parity_start_on_point_ids_has_one_coordinate(tmp_path):
+    model = {"model": "strip", "intensity": 1.0, "half_width": 1.0, "box": [[0, 8], [0, 4]],
+             "time_axis": 0}
+    payload = {"model": model, "probes": [{"probe": "nested-parity", "start": [0], "n_max": 2}],
+               "seed": 2}
+    rc, out = run_into(tmp_path, payload, "a")
+    assert rc == 0
+    assert (out / "00-nested-parity-r000.csv").exists()
 
 
 # -- run: artifacts ---------------------------------------------------------------

@@ -221,3 +221,24 @@ def test_tv_profile_holds_at_most_k_plus_one_powers(monkeypatch, k):
     jumps = uniform_jumps([(1,), (2,)])
     assert tv_profile(jumps, 20, k) == oracle_tv_profile(jumps, 20, k)
     assert max(most) <= k + 1
+
+
+
+@pytest.mark.parametrize("target, horizon", [(5, 200), (5, 3), (4, 4), (-1, 50)])
+def test_green_sweep_stops_at_the_witness_bound(monkeypatch, target, horizon):
+    # on a cycle-free kernel every term past the witness bound is zero
+    jumps = uniform_jumps([(1,), (2,)])
+    bound = max(target, 0)  # each step raises x by at least 1
+    sweep = chains._power_numerators
+    reached = []
+
+    def counted(jumps):
+        for item in sweep(jumps):
+            reached.append(item[0])
+            yield item
+
+    monkeypatch.setattr(chains, "_power_numerators", counted)
+    got = green_function(jumps, target, horizon=horizon)
+    assert (got.value, got.terms) == oracle_green_function(jumps, target, horizon)
+    assert got.probability == (horizon >= bound)
+    assert max(reached) == min(horizon, bound)

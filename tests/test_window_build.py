@@ -1,0 +1,199 @@
+"""build_forest writes a window's rows in one pass over its pairs. The
+two-step build it replaced is kept here as the oracle: the old build_forest
+loop, which filled a jump dict, an exit set and an interior set, then the
+old array core's constructor, which sorted, hashed and looked those up
+again into the successor array, CSR preimages, labels and depths. Both builds must agree on every row array, on every set
+and dict view, on the reverse map's order, on the dump bytes and on the
+error raised for malformed pairs.
+
+The suite is deterministic (derandomize=True) with a bounded number of
+examples. Random partial functional graphs mix cycles, EXIT targets,
+targets outside the window, repeated vertices, interior lists that reach
+outside the window, and dict and pair input, on int and on tuple vertices.
+"""
+
+import re
+from itertools import chain
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cmtforest.errors import BadDimension, MalformedJump, UnknownVertex
+from cmtforest.forest import (
+    EXIT,
+    _fmt_vertex,
+    _line_labels,
+    build_forest,
+    dump_forest,
+    load_forest,
+    reverse_jump,
+)
+
+SUITE = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+
+# -- the oracle: the dict-and-set build and the array pass that followed it ---------
+
+
+def oracle_build(vertices, jump_pairs, interior=None):
+    vset = frozenset(vertices)
+    pairs = jump_pairs.items() if isinstance(jump_pairs, dict) else jump_pairs
+    jump = {}
+    exits = set()
+    seen = set()
+    for src, dst in pairs:
+        if src in seen:
+            raise MalformedJump(f"duplicate jump source {src!r}")
+        seen.add(src)
+        if src not in vset:
+            raise UnknownVertex(f"jump source {src!r} not in window")
+        if dst is EXIT or dst == EXIT or dst not in vset:
+            exits.add(src)
+        else:
+            jump[src] = dst
+    inner = frozenset(jump) if interior is None else frozenset(interior) & frozenset(jump)
+    return vset, jump, frozenset(exits), inner
+
+
+def oracle_rows(vset, jump):
+    verts = sorted(chain(jump, vset.difference(jump)))
+    row = dict(zip(verts, range(len(verts))))
+    n, m = len(verts), len(jump)
+    src = np.fromiter(map(row.__getitem__, jump), np.int64, m)
+    dst = np.fromiter(map(row.__getitem__, jump.values()), np.int64, m)
+    succ = np.full(n, -1, dtype=np.int64)
+    succ[src] = dst
+    pre = src[np.argsort(dst, kind="stable")]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=ptr[1:])
+    label, depth = _line_labels(succ)
+    return {"verts": verts, "succ": succ, "pre": pre, "ptr": ptr, "label": label, "depth": depth}
+
+
+def oracle_reverse(jump):
+    rev = {}
+    for src, dst in jump.items():
+        rev.setdefault(dst, []).append(src)
+    return {v: tuple(ps) for v, ps in rev.items()}
+
+
+def oracle_dump(vset, jump, exits, dimension, meta):
+    lines = ["dim=%d model=%s seed=%s" % (dimension, meta["model"], meta["seed"])]
+    for v in sorted(vset):
+        if v in jump:
+            lines.append(f"{_fmt_vertex(v)} -> {_fmt_vertex(jump[v])}")
+        elif v in exits:
+            lines.append(f"{_fmt_vertex(v)} -> EXIT")
+        else:
+            lines.append(_fmt_vertex(v))
+    return "\n".join(lines) + "\n"
+
+
+# -- random builds ------------------------------------------------------------------
+
+
+@st.composite
+def builds(draw):
+    """(vertices, pairs, interior): a vertex list with repeats, pairs in a
+    shuffled order as a dict or a list, and an interior list or None."""
+    if draw(st.booleans()):
+        point, outside = st.integers(-30, 30), st.integers(31, 40)
+    else:
+        coord = st.integers(-3, 3)
+        point, outside = st.tuples(coord, coord), st.tuples(st.just(9), coord)
+    verts = draw(st.lists(point, max_size=30))
+    verts += draw(st.lists(st.sampled_from(verts), max_size=5)) if verts else []
+    pool = sorted(set(verts))
+    stop = draw(st.integers(0, 3))
+    pairs = []
+    for v in draw(st.permutations(pool)):
+        kind = draw(st.integers(0, 11))
+        if kind < stop:
+            continue
+        if kind == stop:
+            pairs.append((v, EXIT))
+        elif kind == 10:
+            pairs.append((v, draw(outside)))
+        else:  # a fresh tuple, equal to the vertex but not the same object
+            t = draw(st.sampled_from(pool))
+            pairs.append((v, tuple(list(t)) if isinstance(t, tuple) else t))
+    broken = draw(st.integers(0, 9))
+    if broken == 0 and pairs:  # a repeated source
+        pairs.insert(draw(st.integers(0, len(pairs))), (draw(st.sampled_from(pairs))[0], EXIT))
+    elif broken == 1:  # a source outside the window
+        pairs.insert(draw(st.integers(0, len(pairs))), (draw(outside), EXIT))
+    elif draw(st.booleans()):
+        pairs = dict(pairs)
+    interior = None
+    if draw(st.booleans()):
+        interior = draw(st.lists(st.one_of(st.sampled_from(pool), outside) if pool else outside,
+                                 max_size=20))
+    return verts, pairs, interior
+
+
+def outcome(build):
+    try:
+        return build(), None
+    except (MalformedJump, UnknownVertex) as e:
+        return None, (type(e), str(e))
+
+
+@SUITE
+@given(builds())
+def test_rows_build_equals_dict_build(case):
+    verts, pairs, interior = case
+    meta = {"model": "gate", "seed": 5}
+    fw, err = outcome(lambda: build_forest(verts, pairs, interior=interior, dimension=2,
+                                           metadata=meta))
+    want, want_err = outcome(lambda: oracle_build(verts, pairs, interior))
+    assert err == want_err
+    if err:
+        return
+    vset, jump, exits, inner = want
+    rows = oracle_rows(vset, jump)
+    assert fw.verts == rows["verts"]
+    for name in ("succ", "pre", "ptr", "label", "depth"):
+        assert np.array_equal(getattr(fw, name), rows[name]), name
+    assert (fw.vertices, fw.exits, fw.interior) == (vset, exits, inner)
+    assert list(fw.jump.items()) == list(jump.items())
+    assert list(reverse_jump(fw).items()) == list(oracle_reverse(jump).items())
+    assert dump_forest(fw) == oracle_dump(vset, jump, exits, 2, meta)
+
+
+def test_views_are_read_only():
+    fw = build_forest([0, 1, 2], [(0, 1), (1, EXIT)])
+    with pytest.raises(TypeError):
+        fw.jump[2] = 0
+    assert isinstance(fw.vertices, frozenset) and isinstance(fw.exits, frozenset)
+
+
+# -- named errors --------------------------------------------------------------------
+
+
+def test_unorderable_vertices_raise_bad_dimension():
+    with pytest.raises(BadDimension):
+        build_forest([0, (1, 2)], [])
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "dim=1 model=m\n0 -> 1\n1\n",
+    "dim=x model=m seed=0\n0\n",
+    "dim=1 model=m seed=0 junk\n0\n",
+])
+def test_load_bad_header_raises_malformed_jump(text):
+    with pytest.raises(MalformedJump, match="header"):
+        load_forest(text)
+
+
+@pytest.mark.parametrize("record", ["0 x", "0 -> x", "-> 1", "0 -> ", "0 -> 1 -> 2"])
+def test_load_bad_record_raises_malformed_jump_naming_it(record):
+    with pytest.raises(MalformedJump, match=re.escape(record.strip())):
+        load_forest(f"dim=1 model=m seed=0\n{record}\n1\n")
+
+
+def test_load_mixed_vertex_shapes_raises_bad_dimension():
+    with pytest.raises(BadDimension):
+        load_forest("dim=2 model=m seed=0\n0 0 -> EXIT\n1\n")
