@@ -213,7 +213,8 @@ def _nested_parity(p, forest):
     start = p["start"]
     if start is None:
         start = min(forest.interior or forest.vertices)
-    elif isinstance(start, list):
+    else:  # an int is one coordinate
+        start = start if isinstance(start, list) else [start]
         k = len(coords(forest.verts[0])) if forest.verts else len(start)
         if len(start) != k:
             raise ConfigError(f"field 'start' has {len(start)} coordinates; "
@@ -388,7 +389,7 @@ def _cmd_run(args):
     run = _validate_run(raw, args.seed)
     out_dir = Path(args.out_dir or run["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = max(1, args.threads)
+    workers = args.threads
 
     reps = range(run["replicates"])
     try:
@@ -464,6 +465,16 @@ def _cmd_export_levels(args):
     return 0
 
 
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"needs an integer >= 1, not {text!r}")
+    return n
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cmtforest",
@@ -475,7 +486,7 @@ def _build_parser():
     run.add_argument("config")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out-dir", default=None)
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--threads", type=_positive_int, default=1)
     run.set_defaults(func=_cmd_run)
 
     ck = sub.add_parser("check-kernel", help="print kernel condition verdicts")

@@ -6,12 +6,13 @@ ForestWindow is stored as rows, which number its vertices in sorted order:
 of each in-window jump, or -1), the row masks `is_exit` (the sampled jump
 left the window) and `is_interior` (the jump is guaranteed unaffected by
 truncation), and `src`, the rows with an in-window jump in the order their
-pairs were given, which fixes the preimage order. build_forest is the one
-constructor. Components, heights, level sets and preimages are read from
-arrays kept on the window: CSR preimages (`pre`, `ptr`), pointer-doubling
-component labels and depths (`label`, `depth`), and, built on first read,
-component ids (`comp`), per-component members (`members`) and the reverse
-map (`rev`). `vertices`, `jump`, `exits` and `interior` are read-only set and
+pairs were given (row order when rows were given), which fixes the preimage
+order. build_forest is the one constructor; it takes jump pairs, or the
+successor rows themselves from samplers that hold them as arrays.
+Components, heights, level sets and preimages are read from arrays kept on
+the window: CSR preimages (`pre`, `ptr`), pointer-doubling component labels
+and depths (`label`, `depth`), and, built on first read, component ids
+(`comp`), per-component members (`members`) and the reverse map (`rev`). `vertices`, `jump`, `exits` and `interior` are read-only set and
 dict views, built on first read. A window is never mutated after
 construction and is safe to share across workers.
 
@@ -203,26 +204,50 @@ class HeightAssignment:
 
 
 def build_forest(vertices, jump_pairs, interior=None, dimension=1, metadata=None):
-    """Assemble a ForestWindow from explicit jump pairs, in one pass over them.
+    """Assemble a ForestWindow from jump pairs or from successor rows.
 
-    jump_pairs may be a dict or an iterable of (source, target) pairs. A
-    target equal to the EXIT sentinel, or any target outside `vertices`,
-    flags the source as a boundary exit. `interior` is an iterable of
-    vertices; it is intersected with the set of vertices whose jump stayed
-    in-window, which keeps the type invariant even for sloppy callers.
-    Raises UnknownVertex for a source outside the window, MalformedJump for
-    a repeated source and BadDimension for vertices that cannot be ordered
-    (ints mixed with tuples).
+    Pairs: a dict or an iterable of (source, target) pairs, read in one
+    pass. A target equal to EXIT, or outside `vertices`, flags the source as
+    a boundary exit; `interior` is an iterable of vertices. Raises
+    UnknownVertex for a source outside the window and MalformedJump for a
+    repeated source.
+
+    Rows: an int ndarray, the target row of each of the already sorted and
+    distinct `vertices`, or -1 for a jump that left the window; every vertex
+    has a jump, and the jumps are kept in row order. `interior` is a bool
+    mask over the rows. Raises MalformedJump naming what is wrong.
+
+    The interior is intersected with the vertices whose jump stayed in the
+    window. Vertices that cannot be ordered (ints mixed with tuples) raise
+    BadDimension.
     """
+    rows_form = isinstance(jump_pairs, np.ndarray)
+    vertices = list(vertices) if rows_form else vertices
     try:
         verts = sorted(vertices)
     except TypeError as e:
         raise BadDimension(f"window vertices cannot be ordered: {e}") from None
     row = dict(zip(verts, range(len(verts))))
-    if len(row) < len(verts):  # a repeated vertex; the keys are sorted and distinct
-        verts = list(row)
-        row = dict(zip(verts, range(len(verts))))
-    n, get = len(verts), row.get
+    if rows_form:
+        if len(row) < len(verts) or verts != vertices:
+            raise MalformedJump("rows-form vertices are not sorted and distinct")
+        succ, interior = _checked_rows(jump_pairs, interior, len(verts))
+        is_exit, src = succ < 0, np.flatnonzero(succ >= 0)
+    else:
+        if len(row) < len(verts):  # a repeated vertex; the keys are sorted and distinct
+            verts = list(row)
+            row = dict(zip(verts, range(len(verts))))
+        succ, is_exit, src, interior = _pair_rows(row, jump_pairs, interior)
+    is_interior = succ >= 0
+    if interior is not None:
+        is_interior &= interior
+    return ForestWindow(verts, row, succ, is_exit, is_interior, src, dimension,
+                        dict(metadata or {}))
+
+
+def _pair_rows(row, jump_pairs, interior):
+    """succ, the exit mask, src and the interior mask of a pair list."""
+    n, get = len(row), row.get
     succ = [-1] * n  # -2 marks an exit until the mask is split off
     src = []
     for s, t in jump_pairs.items() if isinstance(jump_pairs, dict) else jump_pairs:
@@ -240,13 +265,24 @@ def build_forest(vertices, jump_pairs, interior=None, dimension=1, metadata=None
     succ = np.array(succ, dtype=np.int64)
     is_exit = succ == -2
     succ[is_exit] = -1
-    is_interior = succ >= 0
     if interior is not None:
         listed = np.zeros(n + 1, dtype=bool)
         listed[np.fromiter(map(get, interior, repeat(n)), np.int64)] = True
-        is_interior &= listed[:n]
-    return ForestWindow(verts, row, succ, is_exit, is_interior, np.array(src, dtype=np.int64),
-                        dimension, dict(metadata or {}))
+        interior = listed[:n]
+    return succ, is_exit, np.array(src, dtype=np.int64), interior
+
+
+def _checked_rows(succ, interior, n):
+    """succ as int64 rows, and interior, or MalformedJump naming the fault."""
+    if succ.dtype.kind not in "iu" or succ.shape != (n,):
+        raise MalformedJump(f"succ must be {n} int rows, one per vertex; "
+                            f"got shape {succ.shape} of {succ.dtype}")
+    if n and (succ.min() < -1 or succ.max() >= n):
+        raise MalformedJump(f"succ has a row outside [-1, {n})")
+    if interior is not None and not (isinstance(interior, np.ndarray)
+                                     and interior.dtype == bool and interior.shape == (n,)):
+        raise MalformedJump(f"interior must be a bool mask over the {n} rows")
+    return succ.astype(np.int64), interior
 
 
 def ancestral_line(forest, v, max_steps):

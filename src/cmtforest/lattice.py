@@ -15,7 +15,6 @@ before returning.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 
 import numpy as np
 
@@ -409,32 +408,25 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
     targets = pts + atoms_arr[idx]
 
     in_box = np.ones(len(pts), dtype=bool)
-    for a in range(d):
+    interior = np.ones(len(pts), dtype=bool)
+    amin, amax = atoms_arr.min(axis=0), atoms_arr.max(axis=0)
+    for a, (lo, hi) in enumerate(box):
         if wrap[a] is not None:
             targets[:, a] %= wrap[a]
         else:
-            lo, hi = box[a]
             in_box &= (targets[:, a] >= lo) & (targets[:, a] <= hi)
+            interior &= (pts[:, a] >= lo - amin[a]) & (pts[:, a] <= hi - amax[a])
 
-    amin = atoms_arr.min(axis=0)
-    amax = atoms_arr.max(axis=0)
-    interior_mask = np.ones(len(pts), dtype=bool)
-    for a in range(d):
-        if wrap[a] is None:
-            lo, hi = box[a]
-            interior_mask &= (pts[:, a] >= lo - amin[a]) & (pts[:, a] <= hi - amax[a])
-
-    vertices, tgts = array_vertices(pts), array_vertices(targets)
-    fw = build_forest(
-        vertices,
-        [(v, t if ok else "EXIT") for v, t, ok in zip(vertices, tgts, in_box.tolist())],
-        interior=list(compress(vertices, interior_mask.tolist())),
+    # the row of each site of the grid, read at the in-box targets
+    rowmap = np.full(len(grid), -1, dtype=np.int64)
+    rowmap[mask] = np.arange(len(pts))
+    at = np.ravel_multi_index(tuple((targets - [lo for lo, _ in box]).T), [len(x) for x in axes],
+                              mode="clip")
+    return build_forest(
+        array_vertices(pts),
+        np.where(in_box, rowmap[at], -1),
+        interior=interior,
         dimension=d,
-        metadata={
-            "model": name,
-            "seed": int(seed),
-            "box": tuple(tuple(b) for b in box),
-            "wrap": wrap,
-        },
+        metadata={"model": name, "seed": int(seed), "box": tuple(tuple(b) for b in box),
+                  "wrap": wrap},
     )
-    return fw

@@ -106,6 +106,24 @@ class SpaceTimeGraph:
         return [(x, t) for t in range(lo, hi + 1) for x in self.base.vertices]
 
 
+def _space_time_window(space_time, seed, name, draw):
+    """One jump per space-time vertex below the top slice, from (x, t) to
+    (draw(rng, x), t + 1), drawn slice by slice in base vertex order; the
+    top slice keeps no jump."""
+    lo, hi = space_time.time_range
+    rng = rng_for(seed, _ROLE_SPACE_TIME)
+    vertices = space_time.vertices()
+    pairs = [((x, t), (draw(rng, x), t + 1))
+             for t in range(lo, hi) for x in space_time.base.vertices]
+    return build_forest(
+        vertices,
+        pairs,
+        interior=[v for v in vertices if v[1] < hi],
+        dimension=2,
+        metadata={"model": name, "seed": int(seed), "time_range": (lo, hi)},
+    )
+
+
 def coalescing_srw(space_time, seed):
     """One uniform-neighbor step per space-time vertex, moving one step
     up in time; the top slice keeps no jump."""
@@ -113,27 +131,12 @@ def coalescing_srw(space_time, seed):
     for v in base.vertices:
         if base.degree(v) == 0:
             raise BadGraph(f"isolated vertex {v!r}")
-    lo, hi = space_time.time_range
-    rng = rng_for(seed, _ROLE_SPACE_TIME)
-    vertices = space_time.vertices()
-    pairs = []
-    for t in range(lo, hi):
-        for x in base.vertices:
-            ns = base.neighbors(x)
-            y = ns[int(rng.integers(len(ns)))]
-            pairs.append(((x, t), (y, t + 1)))
-    interior = [v for v in vertices if v[1] < hi]
-    return build_forest(
-        vertices,
-        pairs,
-        interior=interior,
-        dimension=2,
-        metadata={
-            "model": "coalescing-srw",
-            "seed": int(seed),
-            "time_range": (lo, hi),
-        },
-    )
+
+    def draw(rng, x):
+        ns = base.neighbors(x)
+        return ns[int(rng.integers(len(ns)))]
+
+    return _space_time_window(space_time, seed, "coalescing-srw", draw)
 
 
 def _stochastic_rows(base, kernel):
@@ -162,33 +165,17 @@ def coalescing_mc(space_time, kernel, base_weights, seed):
             back = dict(kernel.get(y, {})).get(x, 0.0)
             if abs(base_weights[x] * q - base_weights[y] * float(back)) > 1e-9:
                 raise DetailedBalanceViolated(f"between {x!r} and {y!r}")
-    lo, hi = space_time.time_range
-    rng = rng_for(seed, _ROLE_SPACE_TIME)
-    vertices = space_time.vertices()
-    pairs = []
-    for t in range(lo, hi):
-        for x in base.vertices:
-            u = rng.random()
-            acc = 0.0
-            y = rows[x][-1][0]
-            for target, q in rows[x]:
-                acc += q
-                if u < acc:
-                    y = target
-                    break
-            pairs.append(((x, t), (y, t + 1)))
-    interior = [v for v in vertices if v[1] < hi]
-    return build_forest(
-        vertices,
-        pairs,
-        interior=interior,
-        dimension=2,
-        metadata={
-            "model": "coalescing-mc",
-            "seed": int(seed),
-            "time_range": (lo, hi),
-        },
-    )
+
+    def draw(rng, x):
+        u = rng.random()
+        acc = 0.0
+        for target, q in rows[x]:
+            acc += q
+            if u < acc:
+                return target
+        return rows[x][-1][0]
+
+    return _space_time_window(space_time, seed, "coalescing-mc", draw)
 
 
 # -- voter model via duality ---------------------------------------------------
@@ -244,7 +231,6 @@ def canopy_cmt(depth, seed):
         (lvl, j) for lvl in range(depth + 1) for j in range(2 ** (depth - lvl))
     ]
     pairs = []
-    doubled = {}
     for lvl, j in vertices:
         if lvl == depth:
             pairs.append(((lvl, j), EXIT))
@@ -252,32 +238,16 @@ def canopy_cmt(depth, seed):
         wants_double = rng.random() < 2.0 ** (-lvl - 1)
         if wants_double and lvl + 2 <= depth:
             pairs.append(((lvl, j), (lvl + 2, j // 4)))
-            doubled[(lvl, j)] = 1
         else:
             pairs.append(((lvl, j), (lvl + 1, j // 2)))
-            doubled[(lvl, j)] = 0
-
-    jump = {src: dst for src, dst in pairs if dst is not EXIT}
-    hops = {}
-    for v in vertices:
-        trail = []
-        cur = v
-        while cur in jump and cur not in hops:
-            trail.append(cur)
-            cur = jump[cur]
-        acc = hops.get(cur, 0)
-        for w in reversed(trail):
-            acc += doubled[w]
-            hops[w] = acc
-        hops.setdefault(v, acc)
-    invariant = {v: v[0] + hops[v] for v in vertices}
-
-    interior = [v for v in vertices if v[0] <= depth - 2]
     fw = build_forest(
         vertices,
         pairs,
-        interior=interior,
+        interior=[v for v in vertices if v[0] <= depth - 2],
         dimension=2,
         metadata={"model": "canopy", "seed": int(seed), "depth": int(depth)},
     )
+    # every line climbs to the root at level `depth`: l + k + n = depth
+    # after k jumps, n of them to a grandparent, and k is the line's depth
+    invariant = dict(zip(fw.verts, (depth - fw.depth).tolist()))
     return fw, invariant

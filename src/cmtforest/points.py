@@ -10,6 +10,7 @@ what the infinite model would have produced.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -142,36 +143,29 @@ def strip_point_map(cloud, config):
     n = len(cloud)
 
     t = pts[:, 0]
-    jump_pairs = []
-    interior = []
+    succ = np.full(n, -1, dtype=np.int64)
+    interior = np.zeros(n, dtype=bool)
     for i in range(n):
         ok = t > t[i]
         for a in range(1, d):
             ok &= np.abs(pts[:, a] - pts[i, a]) <= w
         idx = np.nonzero(ok)[0]
         if len(idx) == 0:
-            jump_pairs.append((i, EXIT))
             continue
         best_t = t[idx].min()
         tied = idx[t[idx] == best_t]
         j = min((int(k) for k in tied), key=lambda k: tuple(pts[k, 1:]))
-        jump_pairs.append((i, j))
+        succ[i] = j
         inside = t[j] < win[0][1]
         for a in range(1, d):
             inside &= (pts[i, a] - w > win[a][0]) and (pts[i, a] + w < win[a][1])
-        if inside:
-            interior.append(i)
+        interior[i] = inside
     return build_forest(
         range(n),
-        jump_pairs,
+        succ,
         interior=interior,
         dimension=d,
-        metadata={
-            "model": "strip",
-            "seed": cloud.seed,
-            "half_width": w,
-            "window": cloud.window,
-        },
+        metadata={"model": "strip", "seed": cloud.seed, "half_width": w, "window": cloud.window},
     )
 
 
@@ -248,6 +242,8 @@ def discrete_strip(p, box, seed):
     boundary truncates."""
     if not 0 < p <= 1:
         raise ConfigError("retention probability out of range")
+    if len(box) != 2:
+        raise BadDimension(f"box has {len(box)} axes; the discrete strip needs (time, space)")
     (t_lo, t_hi), (x_lo, x_hi) = box
     length = x_hi - x_lo + 1
     if x_lo != 0 or length < 3:
@@ -266,38 +262,25 @@ def discrete_strip(p, box, seed):
     for s in range(rows - 1, -1, -1):
         next_hit[s] = np.where(near[s], s, next_hit[s + 1])
 
-    vertices = [(t_lo + r, x) for r in range(rows) for x in range(length)]
-    pairs = []
-    interior = []
-    for r in range(rows):
-        for x in range(length):
-            src = (t_lo + r, x)
-            if r + 1 >= rows:
-                pairs.append((src, EXIT))
-                continue
-            hit = int(next_hit[r + 1, x])
-            if hit >= rows:
-                pairs.append((src, EXIT))
-                continue
-            tied = sorted(
-                (hit, (x + dx) % length) for dx in (-1, 0, 1)
-                if retained[hit, (x + dx) % length]
-            )
-            y = tied[int(marks[r, x] * len(tied))]
-            pairs.append((src, (t_lo + y[0], y[1])))
-            if hit < rows - 1:
-                interior.append(src)
+    # the source in row r, column x scans rows r+1 on; the top row finds none
+    hit = next_hit[1:].ravel()
+    found = hit < rows
+    h = hit[found]
+    x = np.arange(length)  # the columns x-1, x, x+1 mod L, sorted, of each x
+    cand = np.sort(np.stack([(x - 1) % length, x, (x + 1) % length], axis=1), axis=1)
+    cand = cand[np.flatnonzero(found) % length]
+    tied = retained[h[:, None], cand]
+    k = (marks.ravel()[found] * tied.sum(axis=1)).astype(np.int64)
+    pick = (np.cumsum(tied, axis=1) > k[:, None]).argmax(axis=1)
+    succ = np.full(rows * length, -1, dtype=np.int64)
+    succ[found] = h * length + cand[np.arange(len(h)), pick]
     return build_forest(
-        vertices,
-        pairs,
-        interior=interior,
+        product(range(t_lo, t_hi + 1), range(length)),
+        succ,
+        interior=hit < rows - 1,
         dimension=2,
-        metadata={
-            "model": "discrete-strip",
-            "seed": int(seed),
-            "p": float(p),
-            "window": tuple(tuple(b) for b in box),
-        },
+        metadata={"model": "discrete-strip", "seed": int(seed), "p": float(p),
+                  "window": tuple(tuple(b) for b in box)},
     )
 
 

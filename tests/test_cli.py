@@ -149,6 +149,7 @@ def test_probe_runtime_error_exit_1_names_probe(tmp_path, capsys):
     ({"model": "nguyen", "dimension": 2, "box": [[-3, 3], [-3, 0]]}, [0]),
     ({"model": "strip", "intensity": 1.0, "half_width": 1.0, "box": [[0, 8], [0, 4]],
       "time_axis": 0}, [0, 0]),
+    ({"model": "nguyen", "dimension": 2, "box": [[-3, 3], [-3, 0]]}, 0),
 ])
 def test_nested_parity_start_of_wrong_length_exit_2(tmp_path, capsys, model, start):
     # integer vertices, strip point ids included, have one coordinate
@@ -231,6 +232,16 @@ def test_replicates_threaded_matches_serial(tmp_path):
     names = sorted(read_tree(serial))
     assert "00-count-components-r002.csv" in names
     assert "01-component-survey-r001.json" in names
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_threads_below_one_exit_2_naming_flag(tmp_path, capsys, threads):
+    config = write_config(tmp_path, minimal_config())
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(config), "--out-dir", str(tmp_path / "out"), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_replicates_get_distinct_draws(tmp_path):

@@ -262,6 +262,12 @@ def test_discrete_strip_rejects_bad_config():
         discrete_strip(0.0, [(0, 10), (0, 9)], seed=0)
 
 
+@pytest.mark.parametrize("box", [[(0, 9)], [(0, 10), (0, 9), (0, 2)]])
+def test_discrete_strip_box_without_two_axes_raises_bad_dimension(box):
+    with pytest.raises(BadDimension, match="box"):
+        discrete_strip(0.5, box, seed=0)
+
+
 # -- exports -----------------------------------------------------------------------
 
 
