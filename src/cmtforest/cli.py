@@ -13,6 +13,7 @@ does) reaches every call.
 """
 
 import argparse
+import copyreg
 import hashlib
 import json
 import math
@@ -48,6 +49,10 @@ _ROLE_PROBE = 0xC11
 class ProbeFailure(Exception):
     def __init__(self, probe, cause):
         super().__init__(f"probe '{probe}' failed: {type(cause).__name__}: {cause}")
+
+    def __reduce__(self):
+        # rebuilt from its message alone, so a worker process can send it back
+        return copyreg.__newobj__, (type(self), *self.args)
 
 
 # -- field kinds: (test, description) -----------------------------------------------
@@ -351,7 +356,12 @@ def _config_digest(config):
 
 
 def _load_json(path):
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot read config {str(path)!r}: {e.strerror or e}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"config {str(path)!r} is not UTF-8 text")
     if not text.strip():
         return {}
     try:

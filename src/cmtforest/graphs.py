@@ -3,11 +3,13 @@
 Adjacency rows are neighbor multisets: a parallel edge repeats the
 neighbor, a self-loop lists the vertex once in its own row. Multiset
 symmetry is validated on construction, so a FiniteGraph is always a
-legitimate undirected multigraph.
+legitimate undirected multigraph. A graph never changes, so the facts the
+samplers check on every call (components, self-loops) are computed once.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import BadGraph
@@ -45,16 +47,32 @@ class FiniteGraph:
         loops = sum(Counter(ns)[v] for v, ns in self.adjacency.items())
         return loops + (sum(map(len, self.adjacency.values())) - loops) // 2
 
+    @cached_property
+    def component(self):
+        """Component id of every vertex, counting up from 0 in vertex order;
+        two vertices reach each other exactly when their ids are equal."""
+        label = {}
+        i = -1
+        for v0 in self.adjacency:
+            if v0 in label:
+                continue
+            i += 1
+            label[v0] = i
+            stack = [v0]
+            while stack:
+                for u in self.adjacency[stack.pop()]:
+                    if u not in label:
+                        label[u] = i
+                        stack.append(u)
+        return label
+
+    @cached_property
+    def self_loops(self):
+        """The vertices whose row lists themselves, in vertex order."""
+        return tuple(v for v, ns in self.adjacency.items() if v in ns)
+
     def is_connected(self):
-        verts = self.vertices
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            for u in self.adjacency[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(verts)
+        return not any(self.component.values())
 
 
 def finite_graph(adjacency):

@@ -77,24 +77,55 @@ def dump_tree(tree):
 # -- loop-erased walks -----------------------------------------------------------
 
 
-def _loop_erased_walk(graph, start, stop, rng, budget):
+def _words(rng):
+    """The 32-bit words that `rng.integers` reads, drawn in bulk. PCG64
+    hands out the low half of each 64-bit output and then the high half, so
+    on a fresh generator (every sampler here makes its own) the halves of
+    `random_raw` are that stream. A K4 tree reads two or three words, so
+    chunks start at four words and double up to 4096."""
+    raw = rng.bit_generator.random_raw
+    m = 2
+    while True:
+        for r in raw(m).tolist():
+            yield r & 0xFFFFFFFF
+            yield r >> 32
+        m = min(2 * m, 2048)
+
+
+def _loop_erased_walk(graph, start, stop, words, budget):
+    """Chronological loop-erasure of a walk from start until it hits stop.
+    Each step goes to neighbor `rng.integers(deg)`, decoded from `words` by
+    Lemire's rule as numpy does: `(w * deg) >> 32`, reading another word
+    while the low half of `w * deg` is below `(2**32 - deg) % deg`. A
+    degree-1 vertex reads no word."""
+    adjacency = graph.adjacency
     path = [start]
     pos = {start: 0}
+    cur = start
     steps = 0
-    while path[-1] not in stop:
+    while cur not in stop:
         if budget is not None and steps >= budget:
             raise BudgetExhausted(f"no hit within {budget} steps")
-        cur = path[-1]
-        ns = graph.neighbors(cur)
-        nxt = ns[int(rng.integers(len(ns)))]
-        steps += 1
-        if nxt in pos:
-            for w in path[pos[nxt] + 1 :]:
-                del pos[w]
-            del path[pos[nxt] + 1 :]
+        ns = adjacency[cur]
+        deg = len(ns)
+        if deg == 1:
+            cur = ns[0]
         else:
-            pos[nxt] = len(path)
-            path.append(nxt)
+            m = next(words) * deg
+            if m & 0xFFFFFFFF < deg:
+                threshold = (0x100000000 - deg) % deg
+                while m & 0xFFFFFFFF < threshold:
+                    m = next(words) * deg
+            cur = ns[m >> 32]
+        steps += 1
+        i = pos.get(cur)
+        if i is None:
+            pos[cur] = len(path)
+            path.append(cur)
+        else:
+            for w in path[i + 1 :]:
+                del pos[w]
+            del path[i + 1 :]
     return path
 
 
@@ -108,36 +139,27 @@ def lerw(graph, start, stop_set, seed, budget=None):
             raise UnknownVertex(repr(v))
     if not stop:
         raise ConfigError("empty stop set")
-    reach = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in graph.neighbors(v):
-                if u not in reach:
-                    reach.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    if not reach & stop:
+    component = graph.component
+    if all(component[v] != component[start] for v in stop):
         raise NotConnected("stop set unreachable from start")
-    rng = rng_for(seed, _ROLE_LERW)
-    return _loop_erased_walk(graph, start, stop, rng, budget)
+    words = _words(rng_for(seed, _ROLE_LERW))
+    return _loop_erased_walk(graph, start, stop, words, budget)
 
 
 # -- Wilson's algorithm ------------------------------------------------------------
 
 
 def _reject_self_loops(graph):
-    for v in graph.vertices:
-        if v in graph.neighbors(v):
-            raise BadGraph(f"self-loop at {v!r}")
+    if graph.self_loops:
+        raise BadGraph(f"self-loop at {graph.self_loops[0]!r}")
 
 
 def _fill_tree(graph, in_tree, parent, rng):
+    words = _words(rng)
     for v0 in graph.vertices:
         if v0 in in_tree:
             continue
-        path = _loop_erased_walk(graph, v0, in_tree, rng, None)
+        path = _loop_erased_walk(graph, v0, in_tree, words, None)
         for a, b in zip(path, path[1:]):
             parent[a] = b
             in_tree.add(a)
@@ -162,11 +184,12 @@ def conditional_wilson(graph, path, seed):
     _reject_self_loops(graph)
     if not path or len(set(path)) != len(path):
         raise BadPath("initial path must be nonempty and simple")
+    for v in path:
+        if v not in graph.adjacency:
+            raise UnknownVertex(repr(v))
     for a, b in zip(path, path[1:]):
         if b not in graph.neighbors(a):
             raise BadPath(f"{a!r} -> {b!r} is not an edge")
-        if a not in graph.adjacency:
-            raise UnknownVertex(repr(a))
     if not graph.is_connected():
         raise NotConnected("graph is not connected")
     rng = rng_for(seed, _ROLE_WILSON)

@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -54,6 +55,27 @@ def test_empty_config_exit_2_names_model(tmp_path, capsys):
     rc = main(["run", str(config), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert "model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "export-levels"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_exit_2_names_path(tmp_path, capsys, command, kind):
+    config = tmp_path / "config.json"
+    if kind == "directory":
+        config.mkdir()
+    elif kind == "not-utf8":
+        config.write_bytes(b'\xff\xfe{"seed": 1}')
+    rc = main([command, str(config), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert str(config) in capsys.readouterr().err
+
+
+def test_probe_failure_survives_pickling():
+    e = cli.ProbeFailure("nested-parity", ValueError("boom"))
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is cli.ProbeFailure
+    assert str(back) == str(e) == "probe 'nested-parity' failed: ValueError: boom"
+    assert back.args == e.args
 
 
 def test_missing_seed_exit_2(tmp_path, capsys):

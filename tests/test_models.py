@@ -84,6 +84,17 @@ def test_graph_validation():
     assert loop.degree(0) == 1 and loop.is_connected()
 
 
+def test_graph_facts_components_and_self_loops():
+    split = finite_graph({0: (1,), 1: (0,), 2: (2, 3), 3: (2, 4, 4), 4: (3, 3, 4)})
+    assert split.component == {0: 0, 1: 0, 2: 1, 3: 1, 4: 1}
+    assert not split.is_connected()
+    assert split.self_loops == (2, 4)
+    assert split.component is split.component  # computed once per graph
+    k4 = complete_graph(4)
+    assert k4.is_connected() and set(k4.component.values()) == {0}
+    assert k4.self_loops == ()
+
+
 # -- lattice models -----------------------------------------------------------
 
 

@@ -254,6 +254,7 @@ def test_lerw_budget_and_reachability():
     split = finite_graph({0: [1], 1: [0], 2: [3], 3: [2]})
     with pytest.raises(NotConnected):
         lerw(split, 0, {2}, 3)
+    assert lerw(split, 0, {1, 2}, 3) == [0, 1]  # one reachable stop vertex is enough
     with pytest.raises(ConfigError):
         lerw(path_graph(3), 0, set(), 3)
 
@@ -328,6 +329,23 @@ def test_conditional_wilson_bad_paths():
         conditional_wilson(g, [0, 2], 1)
     with pytest.raises(BadPath):
         conditional_wilson(g, [], 1)
+
+
+def test_conditional_wilson_unknown_vertices():
+    # checked before the edges; a lone unknown root once sent every walk
+    # looking for a vertex it could never reach
+    g = complete_graph(4)
+    for path in (["x", 0], ["x"], [0, "x"], [0, 1, "x"]):
+        with pytest.raises(UnknownVertex, match="'x'"):
+            conditional_wilson(g, path, 1)
+
+
+def test_self_loop_error_names_first_loop():
+    loops = finite_graph({0: [1], 1: [0, 1, 2], 2: [1, 2]})
+    with pytest.raises(BadGraph, match="self-loop at 1"):
+        wilson_ust(loops, 0, 1)
+    with pytest.raises(BadGraph, match="self-loop at 1"):
+        conditional_wilson(loops, [0, 1], 1)
 
 
 def test_conditional_wilson_mixture_reproduces_uniform():
