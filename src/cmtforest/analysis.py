@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chains import _vec, green_table
+from .chains import _check_steps, _vec, green_table
 from .errors import (
     BadGraph,
     ConfigError,
@@ -27,7 +27,7 @@ from .errors import (
     NeedsTorus,
     UnknownVertex,
 )
-from .forest import array_vertices, component_heights, components, coords, level_set, vertex
+from .forest import array_vertices, coords, level_set, vertex
 from .lattice import atom_cdf, check_cycle_free
 from .models import canopy_cmt
 from .seeds import derive_seed, rng_for
@@ -123,7 +123,7 @@ def _plain(v):
 
 def _jump_counts(forest, cid):
     counts = {}
-    rows, verts = forest.members[cid][0], forest.verts
+    rows, verts = forest.component_rows(cid), forest.verts
     for s, t in zip(rows.tolist(), forest.succ[rows].tolist()):
         if t >= 0:
             a = vertex(tuple(y - x for x, y in zip(coords(verts[s]), coords(verts[t]))))
@@ -141,15 +141,19 @@ def component_statistic_survey(forest, statistic, min_size):
         raise ConfigError(f"unknown statistic {statistic!r}")
     if min_size < 1:
         raise ConfigError("min_size must be at least one")
-    comps = [c for c in components(forest) if c.size >= min_size]
-    if statistic == "height-range-per-size":
-        comps = [c for c in comps if c.cycle_count == 0]
-    if not comps:
+    size = np.bincount(forest.comp)
+    dangling = np.bincount(forest.comp[forest.succ < 0], minlength=len(size))
+    keep = size >= min_size
+    if statistic == "height-range-per-size":  # a component has a cycle iff nothing dangles
+        keep &= dangling > 0
+    ids = np.flatnonzero(keep)
+    if not len(ids):
         raise Empty("no qualifying component")
+    sizes = size[ids].tolist()
 
-    details = {"statistic": statistic, "min_size": min_size, "component_count": len(comps)}
+    details = {"statistic": statistic, "min_size": min_size, "component_count": len(ids)}
     if statistic == "jump-frequency-vector":
-        per_comp = [_jump_counts(forest, c.component_id) for c in comps]
+        per_comp = [_jump_counts(forest, cid) for cid in ids]
         alphabet = sorted({a for counts in per_comp for a in counts}, key=repr)
         values = []
         for counts in per_comp:
@@ -164,26 +168,23 @@ def component_statistic_survey(forest, statistic, min_size):
         details["cv"] = max(cvs) if cvs else 0.0
     else:
         if statistic == "mean-in-degree":  # a component's arcs all start at its members
-            counts = [c.size - c.boundary_arc_count for c in comps]
-        else:
-            if statistic == "leaf-fraction":  # members with no preimage
-                leaves = forest.comp[np.diff(forest.ptr) == 0]
-                per_comp = np.bincount(leaves, minlength=len(forest.members))
-            else:  # a height range is the largest depth, as the end has depth 0
-                per_comp = np.zeros(len(forest.members), dtype=np.int64)
-                np.maximum.at(per_comp, forest.comp, forest.depth)
-            counts = per_comp[[c.component_id for c in comps]].tolist()
-        values = [k / c.size for k, c in zip(counts, comps)]
+            count = size - dangling
+        elif statistic == "leaf-fraction":  # members with no preimage
+            count = np.bincount(forest.comp[np.diff(forest.ptr) == 0], minlength=len(size))
+        else:  # a height range is the largest depth, as the end has depth 0
+            count = np.zeros(len(size), dtype=np.int64)
+            np.maximum.at(count, forest.comp, forest.depth)
+        values = [k / n for k, n in zip(count[ids].tolist(), sizes)]
         details["cv"] = _coefficient_of_variation(values)
 
-    truncated = sum(1 for c in comps if c.boundary_arc_count > 0)
+    truncated = int((dangling[ids] > 0).sum())
     return ProbeReport(
         probe="component-statistic-survey",
-        units=tuple(c.component_id for c in comps),
+        units=tuple(ids.tolist()),
         values=tuple(values),
-        half_widths=(0.0,) * len(comps),
-        trials=tuple(c.size for c in comps),
-        truncation_fraction=truncated / len(comps),
+        half_widths=(0.0,) * len(ids),
+        trials=tuple(sizes),
+        truncation_fraction=truncated / len(ids),
         details=details,
     )
 
@@ -233,11 +234,6 @@ def nested_level_average(forest, f, v, n_max):
 # -- torus occupation ---------------------------------------------------------------
 
 
-def _minimal_residue(diff, length):
-    r = diff % length
-    return r - length if 2 * r > length else r
-
-
 def cluster_frequency(forest, component_id, walk_steps, seed):
     """Fraction of time a lazy random walk on the torus window spends in
     one component. The walk steps by the symmetrized observed jump
@@ -246,20 +242,19 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
     wrap = forest.metadata.get("wrap")
     if not wrap or any(w is None for w in wrap):
         raise NeedsTorus("forest window is not toroidal on every axis")
-    if not 0 <= component_id < len(forest.members):
+    if not 0 <= component_id < len(forest.comp_ptr) - 1:
         raise ConfigError(f"component_id {component_id}: no such component")
+    if walk_steps < 100:
+        raise ConfigError(f"walk_steps must be at least 100 for the 100 half-width "
+                          f"blocks, got {walk_steps}")
     box = forest.metadata["box"]
     lows = np.array([lo for lo, hi in box], dtype=np.int64)
     lens = np.array([hi - lo + 1 for lo, hi in box], dtype=np.int64)
 
-    incs = set()
-    for src, dst in forest.jump.items():
-        a, b = coords(src), coords(dst)
-        incs.add(
-            tuple(
-                _minimal_residue(int(y - x), int(n)) for x, y, n in zip(a, b, lens)
-            )
-        )
+    # each jump's increment, taken mod the box to the residue of least size
+    xy = np.array([coords(v) for v in forest.verts], dtype=np.int64)
+    step = (xy[forest.succ[forest.src]] - xy[forest.src]) % lens
+    incs = set(map(tuple, np.where(2 * step > lens, step - lens, step).tolist()))
     moves = sorted(incs | {tuple(-c for c in inc) for inc in incs})
     moves_arr = np.array(moves, dtype=np.int64)
 
@@ -301,6 +296,8 @@ def in_degree_profile(forest, region=None):
             if v not in forest.row:
                 raise UnknownVertex(repr(v))
         indeg = indeg[[forest.row[v] for v in region]]
+    if not len(indeg):
+        raise ConfigError("region is empty: no vertex to average over")
     counts = np.bincount(indeg).tolist()
     return InDegreeProfile(
         mean=Fraction(int(indeg.sum()), len(indeg)),
@@ -530,6 +527,7 @@ def _binomial_half_width(freq, trials):
 def connectivity_decay_probe(model, origin, distance_list, trials, budget, seed):
     """Fraction of sampled forests connecting the origin to a vertex at
     each listed distance, within the step budget."""
+    _check_steps("trials", trials, least=1)
     model = _as_chain_model(model)
     if any(r < 0 for r in distance_list):
         raise ConfigError("distances must be nonnegative")
@@ -571,25 +569,17 @@ def count_components_probe(model, k, budget, trials, seed, starts=None):
     components at the end of the budget."""
     if k < 1:
         raise ConfigError("k must be positive")
-    if k == 1:
-        return ProbeReport(
-            probe="count-components",
-            units=(k,),
-            values=(1.0,),
-            half_widths=(0.0,),
-            trials=(trials,),
-            truncation_fraction=0.0,
-            details={"k": k, "budget": budget, "trials": trials, "seed": seed},
-        )
-    model = _as_chain_model(model)
-    if starts is None:
-        starts = model.default_starts(k)
-    if len(starts) != k:
-        raise ConfigError("need exactly k starts")
-    leader = model.run(list(starts), budget, trials, seed)
-    distinct = _distinct_counts(leader)
-    freq = float((distinct == k).mean())
-    unresolved = float((distinct > 1).mean())
+    _check_steps("trials", trials, least=1)
+    freq, unresolved = 1.0, 0.0  # one chain is one component, with no model run
+    if k > 1:
+        model = _as_chain_model(model)
+        if starts is None:
+            starts = model.default_starts(k)
+        if len(starts) != k:
+            raise ConfigError("need exactly k starts")
+        distinct = _distinct_counts(model.run(list(starts), budget, trials, seed))
+        freq = float((distinct == k).mean())
+        unresolved = float((distinct > 1).mean())
     return ProbeReport(
         probe="count-components",
         units=(k,),
@@ -607,6 +597,7 @@ def count_components_probe(model, k, budget, trials, seed, starts=None):
 def one_endedness_probe(jumps, n_list, trials, seed):
     """Monte-Carlo averages of the Green value at the chain position
     after n steps, one estimate per listed n."""
+    _check_steps("trials", trials, least=1)
     d = jumps.dimension
     atoms = np.array([_vec(a, d) for a in jumps.atoms])
     cum = atom_cdf(jumps.weights)
@@ -695,17 +686,12 @@ def level_set_bijection(forest, seed):
                 raise CyclicComponent(f"jump of {x!r} stays on its own level")
         level = {v: coords(v)[-1] for v in forest.verts}
     else:
-        domain_set = set(domain)
-        level = {}
-        for c in components(forest):
-            if c.cycle_count:
-                if c.members & domain_set:
-                    raise CyclicComponent(
-                        "bijection needs cycle-free components"
-                    )
-                continue
-            for v, h in component_heights(forest, min(c.members)).items():
-                level[v] = (c.component_id, h)
+        # a component with a cycle has depth -1 on every row
+        if (forest.depth[forest.is_interior] < 0).any():
+            raise CyclicComponent("bijection needs cycle-free components")
+        # within a component, depth is height up to a constant, so
+        # (component, depth) keys and orders the height classes
+        level = dict(zip(forest.verts, zip(forest.comp.tolist(), forest.depth.tolist())))
     rng = rng_for(seed, _ROLE_ORDER)
 
     rows = {}

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadDimension, ConfigError, CyclicComponent, TooLarge, UnknownVertex
-from .forest import coords, vertex
+from .forest import array_vertices, coords, vertex
 from .lattice import atom_cdf, check_cycle_free, in_lattice
 from .seeds import derive_seed, rng_for
 
@@ -213,17 +213,46 @@ def _difference_kernel(jumps):
     return np.array(vecs, dtype=np.int64), atom_cdf([diff[v] for v in vecs])
 
 
+def _pair_steps(jumps, vecs, cum, u):
+    """The steps (a, b) of X and Y behind the difference draws u.
+
+    The uniform that picks v = a - b in cum also picks the pair: v's
+    interval is split among the pairs with that difference in proportion
+    to w_a * w_b, and the pair is the part the uniform falls in. Each
+    interval's last split is its own end, so the pair's difference is
+    always the v that cum picks.
+    """
+    d = jumps.dimension
+    group = {v: g for g, v in enumerate(map(tuple, vecs.tolist()))}
+    pairs = sorted(((group[tuple(x - y for x, y in zip(a, b))], a, b, wa * wb)
+                    for a, wa in zip(jumps.atoms, jumps.weights)
+                    for b, wb in zip(jumps.atoms, jumps.weights)), key=lambda p: p[0])
+    splits, steps = [], []
+    for g, part in itertools.groupby(pairs, key=lambda p: p[0]):
+        part = list(part)
+        lo, hi = (float(cum[g - 1]) if g else 0.0), float(cum[g])
+        total, acc = sum(w for *_, w in part), Fraction(0)
+        for _, a, b, w in part:
+            acc += w
+            splits.append(hi if acc == total else min(hi, lo + (hi - lo) * float(acc / total)))
+            steps.append((_vec(a, d), _vec(b, d)))
+    pick = np.searchsorted(splits, u, side="right")
+    steps = np.array(steps, dtype=np.int64).reshape(len(steps), 2, d)
+    return steps[pick, 0], steps[pick, 1]
+
+
 def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
     """Run two independent chains until they share a position at equal times.
 
-    One seeded experiment. On success the chains could be glued from the
-    meeting index on; with record_trace the actually-glued paths are
-    returned, identical from the coupling time.
+    One seeded experiment: each step draws the difference X - Y. On
+    success the chains could be glued from the meeting index on; with
+    record_trace the glued paths over the whole budget are decoded from
+    the same draws (see _pair_steps), so a trace never changes the result.
     """
     d = jumps.dimension
     x0, y0 = _vec(x, d), _vec(y, d)
     if record_trace:
-        return _meet_with_trace(jumps, x0, y0, budget, seed)
+        return _traced_meeting(jumps, x0, y0, budget, rng_for(seed, _ROLE_MEET))
     if x0 == y0:
         return CouplingResult(True, coupling_time=0, shift=0)
 
@@ -248,27 +277,21 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
     return CouplingResult(False)
 
 
-def _meet_with_trace(jumps, x0, y0, budget, seed):
-    rng = rng_for(seed, _ROLE_MEET)
-    cum = atom_cdf(jumps.weights)
-    atoms = jumps.atoms
-    xs, ys = [vertex(x0)], [vertex(y0)]
-    px, py = x0, y0
-    met = 0 if x0 == y0 else None
-    for s in range(1, budget + 1):
-        ax = atoms[int(np.searchsorted(cum, rng.random(), side="right"))]
-        px = tuple(p + q for p, q in zip(px, ax))
-        if met is None:
-            ay = atoms[int(np.searchsorted(cum, rng.random(), side="right"))]
-            py = tuple(p + q for p, q in zip(py, ay))
-        else:
-            py = px
-        xs.append(vertex(px))
-        ys.append(vertex(py))
-        if met is None and px == py:
-            met = s
-    return CouplingResult(met is not None, coupling_time=met, shift=0,
-                          trace=(xs, ys))
+def _traced_meeting(jumps, x0, y0, budget, rng):
+    """The untraced experiment, read from one draw of its whole stream, with
+    its paths: X steps by a throughout, Y by b until the chains meet and
+    with X after."""
+    vecs, cum = _difference_kernel(jumps)
+    a, b = _pair_steps(jumps, vecs, cum, rng.random(max(budget, 0)))
+    xs = np.vstack([x0, x0 + np.cumsum(a, axis=0)])
+    ys = np.vstack([y0, y0 + np.cumsum(b, axis=0)])
+    met = np.flatnonzero((xs == ys).all(axis=1))
+    if not len(met):
+        return CouplingResult(False, trace=(array_vertices(xs), array_vertices(ys)))
+    t = int(met[0])
+    ys[t:] = xs[t:]
+    return CouplingResult(True, coupling_time=t, shift=0,
+                          trace=(array_vertices(xs), array_vertices(ys)))
 
 
 def _cross_collision_once(jumps, x0, y0, budget, rng, min_index):
@@ -331,6 +354,7 @@ def path_collision_estimate(jumps, x, y, budget, trials, seed):
     into one component of the coalescing forest; the complement of the
     frequency estimates the distinct-component probability.
     """
+    _check_steps("trials", trials, least=1)
     d = jumps.dimension
     x0, y0 = _vec(x, d), _vec(y, d)
     hits = []

@@ -399,7 +399,8 @@ def _cmd_run(args):
     run = _validate_run(raw, args.seed)
     out_dir = Path(args.out_dir or run["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = args.threads
+    # no more workers than replicates, and no pool for one worker
+    workers = min(args.threads, run["replicates"])
 
     reps = range(run["replicates"])
     try:

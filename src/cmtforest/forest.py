@@ -12,9 +12,11 @@ successor rows themselves from samplers that hold them as arrays.
 Components, heights, level sets and preimages are read from arrays kept on
 the window: CSR preimages (`pre`, `ptr`), pointer-doubling component labels
 and depths (`label`, `depth`), and, built on first read, component ids
-(`comp`), per-component members (`members`) and the reverse map (`rev`). `vertices`, `jump`, `exits` and `interior` are read-only set and
-dict views, built on first read. A window is never mutated after
-construction and is safe to share across workers.
+(`comp`), CSR rows per component (`comp_rows`, `comp_ptr`) and the reverse
+map (`rev`). `vertices`, `jump`, `exits` and `interior` are read-only set
+and dict views, built on first read; member frozensets are built only in
+`components` summaries. A window is never mutated after construction and
+is safe to share across workers.
 
 Vertex representation is uniform within a window: integer tuples (lattice
 coordinates), plain ints (abstract vertices or point-ids), never mixed.
@@ -122,12 +124,17 @@ class ForestWindow:
         return rank[inverse]
 
     @cached_property
-    def members(self):
-        """(rows, vertices) of each component, both in row order."""
-        order = np.argsort(self.comp, kind="stable")
-        bounds = np.cumsum(np.bincount(self.comp)).tolist()
-        verts = self.vertices_of(order)
-        return [(order[a:b], frozenset(verts[a:b])) for a, b in zip([0] + bounds, bounds)]
+    def comp_rows(self):
+        """The rows grouped by component, in row order within each."""
+        return np.argsort(self.comp, kind="stable")
+
+    @cached_property
+    def comp_ptr(self):
+        """Component c's rows are comp_rows[comp_ptr[c]:comp_ptr[c + 1]]."""
+        return np.concatenate(([0], np.cumsum(np.bincount(self.comp))))
+
+    def component_rows(self, c):
+        return self.comp_rows[self.comp_ptr[c]:self.comp_ptr[c + 1]]
 
     def preimages(self, rows):
         """The rows whose jump lands in rows, grouped by target in src order."""
@@ -323,19 +330,19 @@ def components(forest):
     member has an in-window jump, which is also the condition for the
     FiniteCycle label (no arc of the component crosses the boundary).
     """
-    members = forest.members
-    dangling = np.bincount(forest.comp[forest.succ < 0], minlength=len(members)).tolist()
+    verts, ptr = forest.vertices_of(forest.comp_rows), forest.comp_ptr.tolist()
+    dangling = np.bincount(forest.comp[forest.succ < 0], minlength=len(ptr) - 1).tolist()
     out = []
-    for cid, (_, verts) in enumerate(members):
+    for cid, (a, b) in enumerate(zip(ptr, ptr[1:])):
         cycle_count = 1 if dangling[cid] == 0 else 0
         out.append(
             ComponentSummary(
                 component_id=cid,
-                size=len(verts),
+                size=b - a,
                 cycle_count=cycle_count,
                 boundary_arc_count=dangling[cid],
                 label=FINITE_CYCLE if cycle_count else TRUNCATED,
-                members=verts,
+                members=frozenset(verts[a:b]),
             )
         )
     return out
@@ -385,15 +392,17 @@ def level_set(forest, v, horizon):
 def height(forest, component_id):
     """Height assignment of a cycle-free component.
 
-    Anchored at the lexicographically minimal member with height 0;
-    satisfies h(F(v)) = h(v) - 1 along every in-window jump.
+    Anchored at the lexicographically minimal member, the component's first
+    row, with height 0; satisfies h(F(v)) = h(v) - 1 along every in-window
+    jump.
     """
-    comp = classify_component(forest, component_id)
-    if comp.cycle_count:
+    if not 0 <= component_id < len(forest.comp_ptr) - 1:
+        raise UnknownVertex(f"no component {component_id}")
+    first = forest.comp_rows[forest.comp_ptr[component_id]]
+    if forest.depth[first] < 0:
         raise CyclicComponent(f"component {component_id} contains a cycle")
-    anchor = min(comp.members)
-    heights = component_heights(forest, anchor)
-    return HeightAssignment(component_id=component_id, anchor=anchor, heights=heights)
+    anchor = forest.verts[first]
+    return HeightAssignment(component_id, anchor, component_heights(forest, anchor))
 
 
 def component_heights(forest, anchor):
@@ -404,7 +413,7 @@ def component_heights(forest, anchor):
         raise UnknownVertex(repr(anchor))
     if forest.depth[r] < 0:
         raise CyclicComponent(f"the component of {anchor!r} contains a cycle")
-    rows, _ = forest.members[forest.comp[r]]
+    rows = forest.component_rows(forest.comp[r])
     return dict(zip(forest.vertices_of(rows), (forest.depth[rows] - forest.depth[r]).tolist()))
 
 

@@ -34,7 +34,7 @@ from cmtforest.analysis import (
     probe_json,
     right_stable_allocation,
 )
-from cmtforest.chains import green_function
+from cmtforest.chains import green_function, path_collision_estimate
 from cmtforest.errors import (
     BadDimension,
     ConfigError,
@@ -45,7 +45,7 @@ from cmtforest.errors import (
 )
 from cmtforest.forest import build_forest, level_set
 from cmtforest.graphs import regular_tree
-from cmtforest.lattice import even_sublattice, sample_lattice_cmt, uniform_jumps
+from cmtforest.lattice import even_sublattice, integer_lattice, sample_lattice_cmt, uniform_jumps
 from cmtforest.models import nguyen_atoms, nguyen_model, nguyen_variant, variant_atoms
 
 
@@ -227,6 +227,15 @@ def test_cluster_bad_component_id():
     forest = two_ring_torus()
     with pytest.raises(ConfigError):
         cluster_frequency(forest, 99, 100, 1)
+
+
+def test_cluster_too_few_walk_steps_names_the_field():
+    # under 100 steps the 100 half-width blocks are empty and the band is nan
+    torus = sample_lattice_cmt(integer_lattice(2), uniform_jumps([(1, 1), (1, -1)]),
+                               [(0, 9), (0, 9)], 3, wrap=(10, 10))
+    with pytest.raises(ConfigError, match="walk_steps"):
+        cluster_frequency(torus, 0, 50, 1)
+    assert cluster_frequency(torus, 0, 100, 1).half_widths[0] >= 0.0
 
 
 # -- in-degree profiles ---------------------------------------------------------------
@@ -577,3 +586,29 @@ def test_probe_csv_and_json_shapes():
         details={"a": 1, "b": 2},
     )
     assert probe_json(rep) == probe_json(reordered)
+
+
+# -- argument checks -------------------------------------------------------------------
+
+
+RENEWAL = uniform_jumps([(1,), (2,)])
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: count_components_probe(RENEWAL, 2, 50, 0, 1), "trials",
+                 id="count-components"),
+    pytest.param(lambda: count_components_probe(RENEWAL, 1, 50, 0, 1), "trials",
+                 id="count-components-k1"),
+    pytest.param(lambda: connectivity_decay_probe(RENEWAL, 0, [1], 0, 50, 1), "trials",
+                 id="connectivity-decay"),
+    pytest.param(lambda: one_endedness_probe(RENEWAL, [3], 0, 1), "trials",
+                 id="one-endedness"),
+    pytest.param(lambda: path_collision_estimate(RENEWAL, 0, 1, 50, 0, 1), "trials",
+                 id="path-collision"),
+    pytest.param(lambda: in_degree_profile(build_forest([0, 1], [(0, 1)]), []), "region",
+                 id="in-degree-empty-region"),
+])
+def test_empty_averages_name_the_argument(call, name):
+    # each of these divided by zero: no trial, or no vertex in the region
+    with pytest.raises(ConfigError, match=name):
+        call()

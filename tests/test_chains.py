@@ -23,6 +23,7 @@ from cmtforest.chains import (
     tv_profile,
 )
 from cmtforest.errors import ConfigError, CyclicComponent
+from cmtforest.forest import coords, vertex
 from cmtforest.lattice import JumpDistribution, integer_lattice, uniform_jumps
 from cmtforest.seeds import derive_seed, rng_for
 
@@ -291,6 +292,46 @@ def test_meet_trace_glues_paths():
             assert all(a == b for a, b in zip(xs[tc:], ys[tc:]))
             assert all(a != b for a, b in zip(xs[:tc], ys[:tc]))
     assert found
+
+
+def test_traced_and_untraced_meetings_agree():
+    # a trace is decoded from the untraced draws, so it never changes the result
+    kernels = [renewal_jumps(), nguyen_jumps(),
+               JumpDistribution(((1,), (2,), (3,)), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
+               uniform_jumps([(1, 0, -1), (0, 1, -1), (-1, -1, -1), (1, 1, -1)])]
+    for kern in kernels:
+        d = kern.dimension
+        atoms = {chains._vec(a, d) for a in kern.atoms}
+        for gap in (0, 1, 2, 5):
+            x, y = vertex((0,) * d), vertex((gap,) + (0,) * (d - 1))
+            for t in range(100):
+                seed, budget = derive_seed(41, t), 50 + 7 * t
+                plain = meet_and_stick_coupling(kern, x, y, budget, seed)
+                traced = meet_and_stick_coupling(kern, x, y, budget, seed, record_trace=True)
+                assert (traced.success, traced.coupling_time) == (plain.success, plain.coupling_time)
+                xs, ys = ([coords(v) for v in path] for path in traced.trace)
+                assert len(xs) == len(ys) == budget + 1
+                assert (xs[0], ys[0]) == (chains._vec(x, d), chains._vec(y, d))
+                for path in (xs, ys):
+                    assert all(tuple(q - p for p, q in zip(a, b)) in atoms
+                               for a, b in zip(path, path[1:]))
+                tc = traced.coupling_time if traced.success else budget + 1
+                assert xs[tc:] == ys[tc:] and all(a != b for a, b in zip(xs[:tc], ys[:tc]))
+
+
+def test_pair_steps_split_each_difference_by_product_weights():
+    # on an even grid of uniforms, each pair (a, b) takes its share w_a * w_b
+    weights = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    kern = JumpDistribution(((1,), (2,), (4,)), weights)
+    vecs, cum = chains._difference_kernel(kern)
+    n = 60_000
+    a, b = chains._pair_steps(kern, vecs, cum, (np.arange(n) + 0.5) / n)
+    assert (np.searchsorted(cum, (np.arange(n) + 0.5) / n, side="right")
+            == np.searchsorted(vecs[:, 0], (a - b)[:, 0])).all()
+    for p, wp in zip(kern.atoms, weights):
+        for q, wq in zip(kern.atoms, weights):
+            got = ((a[:, 0] == p[0]) & (b[:, 0] == q[0])).sum() / n
+            assert abs(got - wp * wq) <= 2 / n
 
 
 def test_shift_coupling_deterministic_kernel():

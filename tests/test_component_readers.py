@@ -1,0 +1,330 @@
+"""The component readers that take membership from a window's arrays
+(component ids `comp`, depths, and the rows-per-component CSR) against the
+bodies they replaced, which read the member frozensets of `components()`
+and are kept here as oracles.
+
+Each suite is deterministic and compares results, or the error type and
+message wherever the oracle raises, on random partial functional graphs
+(cycles, exits, missing jumps, int and tuple vertices, random interiors)
+and on sampled lattice windows and tori.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_forest_core import windows
+
+from cmtforest.analysis import (
+    _ROLE_ORDER,
+    _ROLE_WALK,
+    SURVEY_STATISTICS,
+    LevelBijection,
+    ProbeReport,
+    _coefficient_of_variation,
+    cluster_frequency,
+    component_statistic_survey,
+    level_set_bijection,
+    right_stable_allocation,
+)
+from cmtforest.errors import ConfigError, CyclicComponent, Empty, NeedsTorus, UnknownVertex
+from cmtforest.forest import (
+    EXIT,
+    HeightAssignment,
+    array_vertices,
+    build_forest,
+    classify_component,
+    component_heights,
+    components,
+    coords,
+    height,
+    vertex,
+)
+from cmtforest.lattice import integer_lattice, sample_lattice_cmt, uniform_jumps
+from cmtforest.seeds import rng_for
+
+SUITE = settings(derandomize=True, max_examples=120, deadline=None, database=None)
+
+
+# -- oracles: the readers as they were, over components() members ------------------
+
+
+def oracle_component_heights(forest, anchor):
+    r = forest.row.get(anchor)
+    if r is None:
+        raise UnknownVertex(repr(anchor))
+    if forest.depth[r] < 0:
+        raise CyclicComponent(f"the component of {anchor!r} contains a cycle")
+    members = sorted(components(forest)[forest.comp[r]].members)
+    return {v: int(forest.depth[forest.row[v]] - forest.depth[r]) for v in members}
+
+
+def oracle_height(forest, component_id):
+    comp = classify_component(forest, component_id)
+    if comp.cycle_count:
+        raise CyclicComponent(f"component {component_id} contains a cycle")
+    anchor = min(comp.members)
+    heights = oracle_component_heights(forest, anchor)
+    return HeightAssignment(component_id=component_id, anchor=anchor, heights=heights)
+
+
+def oracle_jump_counts(forest, members):
+    counts = {}
+    for v in sorted(members):
+        t = forest.jump.get(v)
+        if t is not None:
+            a = vertex(tuple(y - x for x, y in zip(coords(v), coords(t))))
+            counts[a] = counts.get(a, 0) + 1
+    return counts
+
+
+def oracle_survey(forest, statistic, min_size):
+    if statistic not in SURVEY_STATISTICS:
+        raise ConfigError(f"unknown statistic {statistic!r}")
+    if min_size < 1:
+        raise ConfigError("min_size must be at least one")
+    comps = [c for c in components(forest) if c.size >= min_size]
+    if statistic == "height-range-per-size":
+        comps = [c for c in comps if c.cycle_count == 0]
+    if not comps:
+        raise Empty("no qualifying component")
+
+    details = {"statistic": statistic, "min_size": min_size, "component_count": len(comps)}
+    if statistic == "jump-frequency-vector":
+        per_comp = [oracle_jump_counts(forest, c.members) for c in comps]
+        alphabet = sorted({a for counts in per_comp for a in counts}, key=repr)
+        values = []
+        for counts in per_comp:
+            total = sum(counts.values())
+            values.append(
+                tuple(counts.get(a, 0) / total if total else 0.0 for a in alphabet)
+            )
+        cols = list(zip(*values)) if values else []
+        cvs = tuple(_coefficient_of_variation(col) for col in cols)
+        details["alphabet"] = [str(a) for a in alphabet]
+        details["cv_vector"] = list(cvs)
+        details["cv"] = max(cvs) if cvs else 0.0
+    else:
+        if statistic == "mean-in-degree":
+            counts = [c.size - c.boundary_arc_count for c in comps]
+        else:
+            if statistic == "leaf-fraction":
+                leaves = forest.comp[np.diff(forest.ptr) == 0]
+                per_comp = np.bincount(leaves, minlength=len(components(forest)))
+            else:
+                per_comp = np.zeros(len(components(forest)), dtype=np.int64)
+                np.maximum.at(per_comp, forest.comp, forest.depth)
+            counts = per_comp[[c.component_id for c in comps]].tolist()
+        values = [k / c.size for k, c in zip(counts, comps)]
+        details["cv"] = _coefficient_of_variation(values)
+
+    truncated = sum(1 for c in comps if c.boundary_arc_count > 0)
+    return ProbeReport(
+        probe="component-statistic-survey",
+        units=tuple(c.component_id for c in comps),
+        values=tuple(values),
+        half_widths=(0.0,) * len(comps),
+        trials=tuple(c.size for c in comps),
+        truncation_fraction=truncated / len(comps),
+        details=details,
+    )
+
+
+def _minimal_residue(diff, length):
+    r = diff % length
+    return r - length if 2 * r > length else r
+
+
+def oracle_cluster_frequency(forest, component_id, walk_steps, seed):
+    wrap = forest.metadata.get("wrap")
+    if not wrap or any(w is None for w in wrap):
+        raise NeedsTorus("forest window is not toroidal on every axis")
+    if not 0 <= component_id < len(components(forest)):
+        raise ConfigError(f"component_id {component_id}: no such component")
+    box = forest.metadata["box"]
+    lows = np.array([lo for lo, hi in box], dtype=np.int64)
+    lens = np.array([hi - lo + 1 for lo, hi in box], dtype=np.int64)
+
+    incs = set()
+    for src, dst in forest.jump.items():
+        a, b = coords(src), coords(dst)
+        incs.add(tuple(_minimal_residue(int(y - x), int(n)) for x, y, n in zip(a, b, lens)))
+    moves = sorted(incs | {tuple(-c for c in inc) for inc in incs})
+    moves_arr = np.array(moves, dtype=np.int64)
+
+    rng = rng_for(seed, _ROLE_WALK)
+    hold = rng.random(walk_steps) < 0.5
+    idx = rng.integers(0, len(moves), size=walk_steps)
+    disp = moves_arr[idx] * (~hold)[:, None]
+    start = np.array(coords(forest.verts[0]), dtype=np.int64)
+    pos = (start + np.cumsum(disp, axis=0) - lows) % lens + lows
+    pos = np.vstack([start[None, :], pos])
+
+    hits = forest.comp[[forest.row[k] for k in array_vertices(pos)]] == component_id
+    freq = float(hits.mean())
+
+    blocks = 100
+    usable = (len(hits) // blocks) * blocks
+    block_means = hits[:usable].reshape(blocks, -1).mean(axis=1)
+    half = 4.0 * float(block_means.std(ddof=1)) / math.sqrt(blocks)
+    return ProbeReport(
+        probe="cluster-frequency",
+        units=(component_id,),
+        values=(freq,),
+        half_widths=(half,),
+        trials=(walk_steps,),
+        truncation_fraction=0.0,
+        details={"component_id": component_id, "walk_steps": walk_steps, "seed": seed},
+    )
+
+
+def oracle_level_set_bijection(forest, seed):
+    domain = forest.vertices_of(np.flatnonzero(forest.is_interior))
+    wrap = forest.metadata.get("wrap")
+    toroidal = bool(wrap) and all(w is not None for w in wrap)
+    if toroidal:
+        for x in domain:
+            if coords(forest.jump[x])[-1] == coords(x)[-1]:
+                raise CyclicComponent(f"jump of {x!r} stays on its own level")
+        level = {v: coords(v)[-1] for v in forest.verts}
+    else:
+        domain_set = set(domain)
+        level = {}
+        for c in components(forest):
+            if c.cycle_count:
+                if c.members & domain_set:
+                    raise CyclicComponent("bijection needs cycle-free components")
+                continue
+            for v, h in oracle_component_heights(forest, min(c.members)).items():
+                level[v] = (c.component_id, h)
+    rng = rng_for(seed, _ROLE_ORDER)
+
+    rows = {}
+    for v, key in level.items():
+        rows.setdefault(key, []).append(v)
+    for key in rows:
+        rows[key].sort()
+
+    groups = {}
+    for x in domain:
+        groups.setdefault(level[forest.jump[x]], []).append(x)
+
+    matching = {}
+    unmatched = set()
+    for parent_key, childs in sorted(groups.items()):
+        parents = rows[parent_key]
+        pos = {p: i for i, p in enumerate(parents)}
+        by_parent = {}
+        for x in sorted(childs):
+            by_parent.setdefault(forest.jump[x], []).append(x)
+        ordered = []
+        for p in sorted(by_parent, key=lambda q: pos[q]):
+            sibs = by_parent[p]
+            order = rng.permutation(len(sibs))
+            ordered.extend(sibs[i] for i in order)
+        got, missed = right_stable_allocation(
+            ordered, parents, {x: forest.jump[x] for x in childs}
+        )
+        matching.update(got)
+        unmatched.update(missed)
+    return LevelBijection(matching=matching, unmatched=frozenset(unmatched))
+
+
+# -- helpers ------------------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def same(new, old, *args):
+    assert outcome(new, *args) == outcome(old, *args)
+
+
+@st.composite
+def interior_windows(draw):
+    """A random window, rebuilt with a drawn interior (or the default), so
+    cyclic components may lie inside or outside the interior."""
+    fw = draw(windows())
+    if draw(st.booleans()):
+        return fw
+    pairs = list(fw.jump.items()) + [(v, EXIT) for v in sorted(fw.exits)]
+    keep = draw(st.lists(st.booleans(), min_size=len(fw), max_size=len(fw)))
+    return build_forest(fw.verts, pairs, interior=[v for v, k in zip(fw.verts, keep) if k])
+
+
+ATOMS_2D = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                    min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def lattice_windows(draw, wrapped):
+    """A sampled 2-D lattice window: a torus when wrapped, else a box with
+    its first axis wrapped or not."""
+    sides = [draw(st.integers(1, 5)) for _ in range(2)]
+    wrap = tuple(sides) if wrapped else (sides[0] if draw(st.booleans()) else None, None)
+    return sample_lattice_cmt(integer_lattice(2), uniform_jumps(draw(ATOMS_2D)),
+                              [(0, s - 1) for s in sides], draw(st.integers(0, 2**32)),
+                              wrap=wrap)
+
+
+# -- the gates ----------------------------------------------------------------------
+
+
+@SUITE
+@given(st.one_of(windows(), lattice_windows(False), lattice_windows(True)))
+def test_survey_equals_oracle(fw):
+    for statistic in SURVEY_STATISTICS:
+        for min_size in (0, 1, 2, 3, 5):
+            same(component_statistic_survey, oracle_survey, fw, statistic, min_size)
+
+
+@SUITE
+@given(st.one_of(windows(), lattice_windows(False)))
+def test_heights_equal_oracle(fw):
+    n = len(components(fw))
+    for cid in range(-1, n + 1):
+        got, want = outcome(height, fw, cid), outcome(oracle_height, fw, cid)
+        assert got == want
+        if isinstance(want, HeightAssignment):  # the same vertex order too
+            assert list(got.heights.items()) == list(want.heights.items())
+    for v in list(fw.verts) + [(99, 99), 99]:
+        got = outcome(component_heights, fw, v)
+        assert got == outcome(oracle_component_heights, fw, v)
+        if isinstance(got, dict):
+            assert list(got) == sorted(got)
+
+
+@SUITE
+@given(st.one_of(lattice_windows(True), lattice_windows(False)),
+       st.integers(100, 400), st.integers(0, 2**32))
+def test_cluster_frequency_equals_oracle(fw, walk_steps, seed):
+    for cid in range(-1, len(components(fw)) + 1):
+        same(cluster_frequency, oracle_cluster_frequency, fw, cid, walk_steps, seed)
+
+
+@SUITE
+@given(st.one_of(interior_windows(), lattice_windows(False), lattice_windows(True)),
+       st.integers(0, 2**32))
+def test_level_set_bijection_equals_oracle(fw, seed):
+    same(level_set_bijection, oracle_level_set_bijection, fw, seed)
+
+
+def test_gates_meet_every_branch():
+    # the suites above reach the branches the rewrite touched: a cyclic
+    # component inside the bijection's domain and one outside it, and
+    # components with and without height assignments
+    ring = build_forest([0, 1, 2, 5, 6], [(0, 1), (1, 2), (2, 0), (5, 6)], interior=[5])
+    assert outcome(level_set_bijection, ring, 1) == outcome(oracle_level_set_bijection, ring, 1)
+    assert level_set_bijection(ring, 1) == LevelBijection({5: 6}, frozenset())
+    inside = build_forest([0, 1, 2, 5, 6], [(0, 1), (1, 2), (2, 0), (5, 6)])
+    assert outcome(level_set_bijection, inside, 1) == (
+        CyclicComponent, "bijection needs cycle-free components")
+    assert outcome(height, ring, 0) == (CyclicComponent, "component 0 contains a cycle")
+    assert height(ring, 1) == HeightAssignment(1, 5, {5: 0, 6: -1})
+    assert outcome(height, ring, 2) == (UnknownVertex, "'no component 2'")
