@@ -528,6 +528,8 @@ def connectivity_decay_probe(model, origin, distance_list, trials, budget, seed)
     """Fraction of sampled forests connecting the origin to a vertex at
     each listed distance, within the step budget."""
     _check_steps("trials", trials, least=1)
+    _check_steps("budget", budget)
+    _check_steps("seed", seed, least=None)
     model = _as_chain_model(model)
     if any(r < 0 for r in distance_list):
         raise ConfigError("distances must be nonnegative")
@@ -570,6 +572,8 @@ def count_components_probe(model, k, budget, trials, seed, starts=None):
     if k < 1:
         raise ConfigError("k must be positive")
     _check_steps("trials", trials, least=1)
+    _check_steps("budget", budget)
+    _check_steps("seed", seed, least=None)
     freq, unresolved = 1.0, 0.0  # one chain is one component, with no model run
     if k > 1:
         model = _as_chain_model(model)
@@ -598,6 +602,9 @@ def one_endedness_probe(jumps, n_list, trials, seed):
     """Monte-Carlo averages of the Green value at the chain position
     after n steps, one estimate per listed n."""
     _check_steps("trials", trials, least=1)
+    _check_steps("seed", seed, least=None)
+    for i, n in enumerate(n_list):
+        _check_steps(f"n_list[{i}]", n)
     d = jumps.dimension
     atoms = np.array([_vec(a, d) for a in jumps.atoms])
     cum = atom_cdf(jumps.weights)

@@ -26,6 +26,9 @@ _ROLE_SHIFT = 0xC2
 _ROLE_CROSS = 0xC3
 
 _SUPPORT_CAP = 10**8
+_BOX_CAP = 2**22  # cells of one dense power
+_DENSE_COORD = 2**20  # largest atom coordinate stepped on a box
+_FAR = 2**62  # past every box a sweep can reach, and inside int64
 
 
 @dataclass
@@ -68,34 +71,131 @@ def _vec(v, d):
 
 
 def _check_steps(name, value, least=0):
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    """An integer count >= least (any integer when least is None); bools
+    are not counts."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or least is not None and value < least):
+        floor = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{name} must be an integer{floor}, got {value!r}")
+
+
+@dataclass
+class _Box:
+    """A kernel power's numerators on its bounding box: cell t holds the
+    numerator of the increment low + spacing * t."""
+
+    num: np.ndarray  # object dtype: exact Python ints
+    low: np.ndarray
+    spacing: np.ndarray
+
+
+def _rank(rows):
+    """Exact rank of an integer matrix given by its rows."""
+    rows, rank = [[Fraction(c) for c in r] for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((j for j in range(rank, len(rows)) if rows[j][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for j in range(rank + 1, len(rows)):
+            f = rows[j][col] / rows[rank][col]
+            rows[j] = [x - f * y for x, y in zip(rows[j], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _dense_grid(jumps):
+    """How the powers sit on a box, or None when they fill a shrinking
+    share of it and are stepped as dicts.
+
+    With each axis divided by the gcd of the atoms' differences on it (its
+    spacing), every step moves the box's low corner by the atoms' least
+    coordinates and each atom to a fixed cell offset. The m-th power's box
+    has about m**v cells, v the number of axes the atoms vary on, and its
+    support about m**r points, r the rank of the atoms' differences; the
+    support's share of the box falls like m**(r - v), so the box is used
+    only when v == r. Atoms with a coordinate past _DENSE_COORD stay on
+    dicts, so that every box corner and target offset fits in int64.
+    Returns (spacing, lift, offsets, growth).
+    """
+    atoms = jumps.atoms
+    if any(abs(c) > _DENSE_COORD for a in atoms for c in a):
+        return None
+    lift = tuple(map(min, zip(*atoms)))
+    rel = [tuple(x - y for x, y in zip(a, lift)) for a in atoms]
+    gcds = [math.gcd(*axis) for axis in zip(*rel)]
+    diffs = [tuple(x - y for x, y in zip(a, atoms[0])) for a in atoms]
+    if sum(g > 0 for g in gcds) != _rank(diffs):
+        return None
+    spacing = [g or 1 for g in gcds]
+    offsets = [tuple(x // s for x, s in zip(r, spacing)) for r in rel]
+    return (np.array(spacing, dtype=np.int64), np.array(lift, dtype=np.int64),
+            offsets, tuple(map(max, zip(*offsets))))
+
+
+def _step_dict(dist, moves):
+    out = {}
+    for p, c in dist.items():
+        for a, na in moves:
+            q = tuple(x + y for x, y in zip(p, a))
+            out[q] = out.get(q, 0) + c * na
+    if len(out) > _SUPPORT_CAP:
+        raise TooLarge(f"kernel support exceeded {_SUPPORT_CAP} points")
+    return out
+
+
+def _step_box(box, grid, moves):
+    """The next power: one slice-add per atom. A box that would outgrow
+    _BOX_CAP cells hands its power to the dict step, so the box never
+    raises TooLarge where the dict step would not."""
+    spacing, lift, offsets, growth = grid
+    shape = tuple(n + g for n, g in zip(box.num.shape, growth))
+    if math.prod(shape) > _BOX_CAP:
+        return _step_dict(_support(box), moves)
+    out = np.zeros(shape, dtype=object)
+    for off, (_, na) in zip(offsets, moves):
+        out[tuple(slice(o, o + n) for o, n in zip(off, box.num.shape))] += (
+            box.num if na == 1 else box.num * na)
+    return _Box(out, box.low + lift, spacing)
+
+
+def _support(power):
+    """A power's nonzero numerators keyed by increment tuple."""
+    if isinstance(power, dict):
+        return power
+    cells = np.nonzero(power.num)
+    points = power.low + power.spacing * np.stack(cells, axis=1)
+    return dict(zip(map(tuple, points.tolist()), power.num[cells].tolist()))
 
 
 def _power_numerators(jumps):
-    """Yield (m, numerators, den**m) for m = 0, 1, 2, ...: the m-step law as
+    """Yield (m, power, den**m) for m = 0, 1, 2, ...: the m-step law as
     integer numerators over den**m, den the lcm of the weight denominators.
-    Each power is stepped from the last only when the next item is asked for."""
+
+    A power is a _Box where _dense_grid places the kernel's powers on one,
+    and otherwise a dict from increment tuple to nonzero numerator. Each
+    power is stepped from the last only when the next item is asked for."""
     den = math.lcm(*(w.denominator for w in jumps.weights))
     moves = [(a, int(w * den)) for a, w in zip(jumps.atoms, jumps.weights)]
-    dist = {(0,) * jumps.dimension: 1}
+    grid = _dense_grid(jumps)
+    d = jumps.dimension
+    if grid is None:
+        power = {(0,) * d: 1}
+    else:
+        power = _Box(np.ones((1,) * d, dtype=object), np.zeros(d, dtype=np.int64), grid[0])
     for m in itertools.count():
-        yield m, dist, den**m
-        out = {}
-        for p, c in dist.items():
-            for a, na in moves:
-                q = tuple(x + y for x, y in zip(p, a))
-                out[q] = out.get(q, 0) + c * na
-        if len(out) > _SUPPORT_CAP:
-            raise TooLarge(f"kernel support exceeded {_SUPPORT_CAP} points")
-        dist = out
+        yield m, power, den**m
+        if isinstance(power, dict):
+            power = _step_dict(power, moves)
+        else:
+            power = _step_box(power, grid, moves)
 
 
 def kernel_power(jumps, n):
     """Exact law of the n-step increment X_n - X_0."""
     _check_steps("n", n)
-    _, dist, total = next(itertools.islice(_power_numerators(jumps), n, None))
-    probs = {vertex(p): Fraction(c, total) for p, c in dist.items()}
+    _, power, total = next(itertools.islice(_power_numerators(jumps), n, None))
+    probs = {vertex(p): Fraction(c, total) for p, c in _support(power).items()}
     return KernelPower(n=n, distribution=probs)
 
 
@@ -122,15 +222,28 @@ def _last_visit(jumps, witness, vecs):
     return horizon
 
 
+def _hits(power, keys, points):
+    """(i, numerator) for each keys[i] at which the power is nonzero;
+    points holds the keys as an int64 array."""
+    if isinstance(power, dict):
+        return [(i, power[v]) for i, v in enumerate(keys) if v in power]
+    cell, rest = np.divmod(points - power.low, power.spacing)
+    on = np.flatnonzero(((rest == 0) & (cell >= 0) & (cell < power.num.shape)).all(axis=1))
+    nums = power.num[tuple(cell[on].T)].tolist()
+    return [(i, c) for i, c in zip(on.tolist(), nums) if c]
+
+
 def _green_sums(jumps, vecs, horizon):
     """Sum of K^m(0, y) over 0 <= m <= horizon for each vector y, in one sweep."""
-    acc = dict.fromkeys(vecs, Fraction(0))
-    for _, dist, scale in itertools.islice(_power_numerators(jumps), horizon + 1):
-        for vec in acc:
-            c = dist.get(vec)
-            if c:
-                acc[vec] += Fraction(c, scale)
-    return acc
+    keys = list(dict.fromkeys(vecs))
+    # a coordinate past _FAR is off every box, and clamping keeps it so
+    points = np.array([[min(max(c, -_FAR), _FAR) for c in v] for v in keys],
+                      dtype=np.int64).reshape(len(keys), jumps.dimension)
+    acc = [Fraction(0)] * len(keys)
+    for _, power, scale in itertools.islice(_power_numerators(jumps), horizon + 1):
+        for i, c in _hits(power, keys, points):
+            acc[i] += Fraction(c, scale)
+    return dict(zip(keys, acc))
 
 
 def green_function(jumps, target, horizon=None):
@@ -172,11 +285,27 @@ def green_table(jumps, targets):
     return {y: sums[vec] for y, vec in vecs.items()}
 
 
+def _overlap(a, b, ratio):
+    """Sum over the increments both powers charge of min(ratio * a, b)."""
+    if isinstance(a, _Box) and isinstance(b, _Box):
+        shift, rest = np.divmod(a.low - b.low, b.spacing)  # a's cell 0 among b's
+        lo = np.maximum(shift, 0)
+        hi = np.minimum(shift + a.num.shape, b.num.shape)
+        if rest.any() or (lo >= hi).any():
+            return 0
+        in_a = tuple(slice(x - s, y - s) for x, y, s in zip(lo, hi, shift))
+        in_b = tuple(slice(x, y) for x, y in zip(lo, hi))
+        return np.minimum(a.num[in_a] * ratio, b.num[in_b]).sum()
+    a, b = _support(a), _support(b)
+    return sum(min(ratio * c, b[p]) for p, c in a.items() if p in b)
+
+
 def tv_profile(jumps, n_max, k=1):
     """Exact TV distances between kernel powers k steps apart.
 
     Entry n-1 is TV(K^n(0,.), K^{n+k}(0,.)) for n = 1..n_max, on the
     half-sum-of-absolute-differences normalization, so values lie in [0,1].
+    Both laws have mass one, so that half-sum is one less their overlap.
     Only the latest k + 1 powers are held.
     """
     _check_steps("n_max", n_max)
@@ -186,9 +315,7 @@ def tv_profile(jumps, n_max, k=1):
         window.append((b, scale_b))
         if len(window) > k:
             a, scale_a = window.pop(0)
-            ratio = scale_b // scale_a
-            num = sum(abs(a.get(p, 0) * ratio - b.get(p, 0)) for p in set(a) | set(b))
-            out.append(Fraction(num, 2 * scale_b))
+            out.append(1 - Fraction(_overlap(a, b, scale_b // scale_a), scale_b))
             del a  # power n is not needed while the next power is stepped
     return out
 
@@ -249,6 +376,8 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
     record_trace the glued paths over the whole budget are decoded from
     the same draws (see _pair_steps), so a trace never changes the result.
     """
+    _check_steps("budget", budget)
+    _check_steps("seed", seed, least=None)
     d = jumps.dimension
     x0, y0 = _vec(x, d), _vec(y, d)
     if record_trace:
@@ -282,7 +411,7 @@ def _traced_meeting(jumps, x0, y0, budget, rng):
     its paths: X steps by a throughout, Y by b until the chains meet and
     with X after."""
     vecs, cum = _difference_kernel(jumps)
-    a, b = _pair_steps(jumps, vecs, cum, rng.random(max(budget, 0)))
+    a, b = _pair_steps(jumps, vecs, cum, rng.random(budget))
     xs = np.vstack([x0, x0 + np.cumsum(a, axis=0)])
     ys = np.vstack([y0, y0 + np.cumsum(b, axis=0)])
     met = np.flatnonzero((xs == ys).all(axis=1))
@@ -332,6 +461,8 @@ def shift_coupling(jumps, lattice, x, y, budget, seed):
     where the sources live; sources are validated against it. No path is
     recorded: the result's trace is always None.
     """
+    _check_steps("budget", budget)
+    _check_steps("seed", seed, least=None)
     d = jumps.dimension
     x0, y0 = _vec(x, d), _vec(y, d)
     if lattice is not None:
@@ -354,7 +485,9 @@ def path_collision_estimate(jumps, x, y, budget, trials, seed):
     into one component of the coalescing forest; the complement of the
     frequency estimates the distinct-component probability.
     """
+    _check_steps("budget", budget)
     _check_steps("trials", trials, least=1)
+    _check_steps("seed", seed, least=None)
     d = jumps.dimension
     x0, y0 = _vec(x, d), _vec(y, d)
     hits = []

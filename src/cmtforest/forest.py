@@ -34,6 +34,7 @@ The bare third form is a minimal extension of the two spec'd arrow forms;
 without it, vertices that legitimately carry no jump could not round-trip.
 """
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -321,6 +322,20 @@ def reverse_jump(forest):
     return dict(forest.rev)
 
 
+def _summary(cid, members, dangling):
+    """Component cid's summary from its members and its count of arcs that
+    leave the window."""
+    cycle_count = 1 if dangling == 0 else 0
+    return ComponentSummary(
+        component_id=cid,
+        size=len(members),
+        cycle_count=cycle_count,
+        boundary_arc_count=dangling,
+        label=FINITE_CYCLE if cycle_count else TRUNCATED,
+        members=frozenset(members),
+    )
+
+
 def components(forest):
     """Partition the window into undirected components of the jump graph.
 
@@ -332,28 +347,17 @@ def components(forest):
     """
     verts, ptr = forest.vertices_of(forest.comp_rows), forest.comp_ptr.tolist()
     dangling = np.bincount(forest.comp[forest.succ < 0], minlength=len(ptr) - 1).tolist()
-    out = []
-    for cid, (a, b) in enumerate(zip(ptr, ptr[1:])):
-        cycle_count = 1 if dangling[cid] == 0 else 0
-        out.append(
-            ComponentSummary(
-                component_id=cid,
-                size=b - a,
-                cycle_count=cycle_count,
-                boundary_arc_count=dangling[cid],
-                label=FINITE_CYCLE if cycle_count else TRUNCATED,
-                members=frozenset(verts[a:b]),
-            )
-        )
-    return out
+    return [_summary(cid, verts[a:b], dangling[cid])
+            for cid, (a, b) in enumerate(zip(ptr, ptr[1:]))]
 
 
 def classify_component(forest, component_id):
     """Return the summary (with label) for one component."""
-    comps = components(forest)
-    if not 0 <= component_id < len(comps):
+    cid = operator.index(component_id)  # numpy reads a bool as a mask
+    if not 0 <= cid < len(forest.comp_ptr) - 1:
         raise UnknownVertex(f"no component {component_id}")
-    return comps[component_id]
+    rows = forest.component_rows(cid)
+    return _summary(cid, forest.vertices_of(rows), int((forest.succ[rows] < 0).sum()))
 
 
 def descendants(forest, v, n):

@@ -11,6 +11,7 @@ built-in hash() is unsuitable (salted per process).
 """
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -20,9 +21,9 @@ _MASK = (1 << 64) - 1
 def derive_seed(master, *keys):
     """Derive a 64-bit child seed from a master seed and integer keys."""
     h = hashlib.sha256()
-    h.update(int(master & _MASK).to_bytes(8, "little"))
+    h.update((operator.index(master) & _MASK).to_bytes(8, "little"))
     for k in keys:
-        h.update(int(k & _MASK).to_bytes(8, "little"))
+        h.update((operator.index(k) & _MASK).to_bytes(8, "little"))
     return int.from_bytes(h.digest()[:8], "big")
 
 

@@ -58,6 +58,16 @@ class OrientedTreeOrForest:
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "roots", roots)
 
+    @classmethod
+    def _built(cls, parent, roots):
+        """A tree or forest the library built by construction, kept as given
+        and not re-walked: every chain of parent (a dict) reaches roots (a
+        frozenset)."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "parent", parent)
+        object.__setattr__(tree, "roots", roots)
+        return tree
+
     def vertices(self):
         return set(self.parent) | set(self.roots)
 
@@ -175,7 +185,7 @@ def wilson_ust(graph, root, seed):
     rng = rng_for(seed, _ROLE_WILSON)
     parent = {}
     _fill_tree(graph, {root}, parent, rng)
-    return OrientedTreeOrForest(parent, frozenset([root]))
+    return OrientedTreeOrForest._built(parent, frozenset([root]))
 
 
 def conditional_wilson(graph, path, seed):
@@ -195,7 +205,7 @@ def conditional_wilson(graph, path, seed):
     rng = rng_for(seed, _ROLE_WILSON)
     parent = dict(zip(path, path[1:]))
     _fill_tree(graph, set(path), parent, rng)
-    return OrientedTreeOrForest(parent, frozenset([path[-1]]))
+    return OrientedTreeOrForest._built(parent, frozenset([path[-1]]))
 
 
 # -- wired windows -------------------------------------------------------------------
@@ -238,7 +248,7 @@ def wusf_window(radius, seed, dimension=3):
     tree = wilson_ust(graph, z, seed)
     parent = {v: p for v, p in tree.parent.items() if p != z}
     exits = frozenset(v for v, p in tree.parent.items() if p == z)
-    return OrientedTreeOrForest(parent, exits)
+    return OrientedTreeOrForest._built(parent, exits)
 
 
 # -- exact coupling feasibility --------------------------------------------------------

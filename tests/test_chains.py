@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cmtforest import chains
+from cmtforest.analysis import connectivity_decay_probe, count_components_probe, one_endedness_probe
 from cmtforest.chains import (
     green_function,
     kernel_power,
@@ -215,6 +216,54 @@ def test_step_counts_raise_named_errors():
         tv_consecutive(jd, 0)
     assert tv_profile(jd, 3, k=0) == [0, 0, 0]
     assert tv_profile(jd, 0) == []
+
+
+J = uniform_jumps([(1,), (2,)])
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: meet_and_stick_coupling(J, 0, 3, -1, 1), "budget", id="meet-negative"),
+    pytest.param(lambda: meet_and_stick_coupling(J, 0, 3, -1, 1, record_trace=True), "budget",
+                 id="meet-traced-negative"),
+    pytest.param(lambda: meet_and_stick_coupling(J, 0, 3, 1.5, 1), "budget", id="meet-float"),
+    pytest.param(lambda: meet_and_stick_coupling(J, 0, 3, 50, 1.5), "seed", id="meet-seed"),
+    pytest.param(lambda: meet_and_stick_coupling(J, 0, 0, 50, True), "seed", id="meet-seed-bool"),
+    pytest.param(lambda: shift_coupling(J, None, 0, 3, -1, 1), "budget", id="shift-negative"),
+    pytest.param(lambda: shift_coupling(J, None, 0, 3, 1.5, 1), "budget", id="shift-float"),
+    pytest.param(lambda: shift_coupling(J, None, 0, 3, 50, 1.5), "seed", id="shift-seed"),
+    pytest.param(lambda: path_collision_estimate(J, 0, 3, -1, 5, 1), "budget",
+                 id="collision-negative"),
+    pytest.param(lambda: path_collision_estimate(J, 0, 3, 50, True, 1), "trials",
+                 id="collision-trials-bool"),
+    pytest.param(lambda: path_collision_estimate(J, 0, 3, 50, 5, 1.5), "seed",
+                 id="collision-seed"),
+    pytest.param(lambda: one_endedness_probe(J, [-1], 5, 1), r"n_list\[0\]", id="ends-negative"),
+    pytest.param(lambda: one_endedness_probe(J, [3, 2.5], 5, 1), r"n_list\[1\]", id="ends-float"),
+    pytest.param(lambda: one_endedness_probe(J, [3], True, 1), "trials", id="ends-trials-bool"),
+    pytest.param(lambda: one_endedness_probe(J, [3], 5, 1.5), "seed", id="ends-seed"),
+    pytest.param(lambda: count_components_probe(J, 2, -1, 5, 1), "budget", id="count-negative"),
+    pytest.param(lambda: count_components_probe(J, 2, 50, 5, 1.5), "seed", id="count-seed"),
+    pytest.param(lambda: connectivity_decay_probe(J, 0, [1], 5, -1, 1), "budget",
+                 id="decay-negative"),
+    pytest.param(lambda: connectivity_decay_probe(J, 0, [1], 5, 50, 1.5), "seed",
+                 id="decay-seed"),
+    pytest.param(lambda: tv_profile(J, True), "n_max", id="tv-bool"),
+    pytest.param(lambda: tv_profile(J, 3, k=True), "k", id="tv-k-bool"),
+    pytest.param(lambda: kernel_power(J, True), "n", id="power-bool"),
+    pytest.param(lambda: green_function(J, 3, horizon=False), "horizon", id="green-bool"),
+])
+def test_chain_arguments_raise_named_errors(call, name):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        call()
+
+
+def test_chain_arguments_keep_integer_seeds_and_zero_budgets():
+    # any integer seed, negative or numpy, and a zero budget stay accepted
+    assert meet_and_stick_coupling(J, 0, 3, 0, -7) == meet_and_stick_coupling(J, 0, 3, 0, -7)
+    assert not meet_and_stick_coupling(J, 0, 3, 0, np.int64(5)).success
+    assert not shift_coupling(J, None, 0, 3, 0, -1).success
+    assert path_collision_estimate(J, 0, 3, 0, 2, -1).successes == 0
+    assert one_endedness_probe(J, [0, 2], 3, np.uint64(9)).values[0] == 1.0
 
 
 def test_tv_profile_nonincreasing_for_mixing_kernel():

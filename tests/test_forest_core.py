@@ -12,15 +12,18 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtforest.analysis import in_degree_profile
+from cmtforest.errors import UnknownVertex
 from cmtforest.forest import (
     EXIT,
     FINITE_CYCLE,
     TRUNCATED,
     build_forest,
+    classify_component,
     component_heights,
     components,
     dump_forest,
@@ -181,6 +184,18 @@ def test_core_components_equal_union_find(fw):
            for c in components(fw)]
     assert got == oracle_components(fw)
     assert [c.size for c in components(fw)] == [len(c.members) for c in components(fw)]
+
+
+
+@SUITE
+@given(windows())
+def test_classify_component_is_its_components_entry(fw):
+    comps = components(fw)
+    for c in range(len(comps)):
+        assert classify_component(fw, c) == comps[c]
+    for c in (-1, len(comps)):
+        with pytest.raises(UnknownVertex, match=f"no component {c}"):
+            classify_component(fw, c)
 
 
 @SUITE

@@ -4,10 +4,13 @@ replaced, which are kept here as the oracles.
 Each oracle steps its own dict of integer numerators over D^m, as
 kernel_power, green_function, green_table and tv_profile each did before
 they read from one shared generator. On random kernels (d = 1-3, 1-4 atoms,
-rational weights) the library must equal them exactly, as Fractions. Suites
-are deterministic (derandomize=True) with a bounded number of examples.
+rational weights) the library must equal them exactly, as Fractions, on
+both the dense step and the dict step the sweep keeps for kernels whose
+powers fill a shrinking share of their box. Suites are deterministic
+(derandomize=True) with a bounded number of examples.
 """
 
+import itertools
 import math
 import weakref
 from fractions import Fraction
@@ -21,6 +24,7 @@ from cmtforest.analysis import green_table
 from cmtforest.chains import _vec, green_function, kernel_power, tv_profile
 from cmtforest.errors import CyclicComponent
 from cmtforest.lattice import JumpDistribution, check_cycle_free, uniform_jumps
+from cmtforest.models import nguyen_atoms
 
 SUITE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -198,10 +202,6 @@ def test_tv_profile_matches_its_loop(jumps, n_max, k):
     assert tv_profile(jumps, n_max, k) == oracle_tv_profile(jumps, n_max, k)
 
 
-class _Power(dict):
-    """A dict that can be weakly referenced, so live powers can be counted."""
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_tv_profile_holds_at_most_k_plus_one_powers(monkeypatch, k):
     sweep = chains._power_numerators
@@ -209,11 +209,10 @@ def test_tv_profile_holds_at_most_k_plus_one_powers(monkeypatch, k):
     most = []
 
     def counted(jumps):
-        for m, dist, scale in sweep(jumps):
+        for m, power, scale in sweep(jumps):
             # the powers the caller still holds while this one is stepped
             most.append(sum(r() is not None for r in refs) + 1)
-            power = _Power(dist)
-            refs.append(weakref.ref(power))
+            refs.append(weakref.ref(power.num))
             yield m, power, scale
             del power
 
@@ -222,6 +221,90 @@ def test_tv_profile_holds_at_most_k_plus_one_powers(monkeypatch, k):
     assert tv_profile(jumps, 20, k) == oracle_tv_profile(jumps, 20, k)
     assert max(most) <= k + 1
 
+
+# -- the dense and the dict step ------------------------------------------------------
+
+RENEWAL = uniform_jumps([(1,), (2,)])
+SPREAD = uniform_jumps([(0,), (100,)])  # dense once its axis is divided by 100
+SPARSE = uniform_jumps([(100, 0, 0, -1), (0, 100, 0, -1), (0, 0, 100, -1)])
+
+
+def step_of(jumps):
+    """'dense' or 'dict': how the sweep holds the kernel's first power."""
+    _, power, _ = next(itertools.islice(chains._power_numerators(jumps), 1, None))
+    return "dict" if isinstance(power, dict) else "dense"
+
+
+@pytest.mark.parametrize("jumps, step", [
+    (RENEWAL, "dense"),
+    (uniform_jumps(nguyen_atoms(2)), "dense"),
+    (uniform_jumps(nguyen_atoms(3)), "dense"),
+    (uniform_jumps(nguyen_atoms(4)), "dense"),
+    (SPREAD, "dense"),
+    (uniform_jumps([(1,)]), "dense"),
+    (SPARSE, "dict"),
+    (uniform_jumps([(1, 1), (2, 2)]), "dict"),
+    (uniform_jumps([(0,), (2**62,)]), "dict"),  # its box corners would pass int64
+])
+def test_each_kernel_takes_its_step(jumps, step):
+    assert step_of(jumps) == step
+
+
+def test_random_kernels_take_both_steps():
+    steps = set()
+
+    @SUITE
+    @given(jumps=kernels())
+    def record(jumps):
+        steps.add(step_of(jumps))
+
+    record()
+    assert steps == {"dense", "dict"}
+
+
+@pytest.mark.parametrize("jumps, n, targets", [
+    (SPREAD, 30, [(0,), (100,), (250,), (300,), (2900,), (-100,)]),
+    (SPARSE, 8, [(100, 0, 0, -1), (200, 100, 0, -3), (0, 0, 0, 0), (300, 300, 200, -8),
+                 (100, 100, 100, -2)]),
+])
+def test_sparse_kernels_match_their_loops(jumps, n, targets):
+    assert kernel_power(jumps, n).distribution == oracle_kernel_power(jumps, n)
+    assert tv_profile(jumps, n, 2) == oracle_tv_profile(jumps, n, 2)
+    for y in targets:
+        got = green_function(jumps, y, horizon=n)
+        assert (got.value, got.terms) == oracle_green_function(jumps, y, n)
+    if check_cycle_free(jumps).holds:
+        assert green_table(jumps, targets) == oracle_green_table(jumps, targets)
+
+
+def test_huge_coordinates_stay_exact():
+    huge = uniform_jumps([(0,), (2**62,)])
+    assert kernel_power(huge, 3).distribution == oracle_kernel_power(huge, 3)
+    # a target past int64 is off every box the sweep reaches
+    assert green_function(RENEWAL, 2**70, horizon=4).value == 0
+    assert green_function(RENEWAL, -(2**70), horizon=4).value == 0
+
+
+def test_sparse_example_needs_no_box():
+    # its powers fill a shrinking share of their box; the dict step holds
+    # only the 91 points of the 12th power and never reaches TooLarge
+    assert len(kernel_power(SPARSE, 12).distribution) == 91
+    assert len(kernel_power(SPREAD, 300).distribution) == 301
+
+
+@pytest.mark.parametrize("jumps, n", [(RENEWAL, 20), (uniform_jumps(nguyen_atoms(3)), 9),
+                                      (uniform_jumps([(1, 0), (0, 1), (1, 1)]), 9)])
+def test_a_box_past_its_cap_hands_over_to_the_dict_step(monkeypatch, jumps, n):
+    # the box outgrows the cap mid-sweep, so one sweep holds both kinds
+    monkeypatch.setattr(chains, "_BOX_CAP", 20)
+    kinds = [type(p) for _, p, _ in itertools.islice(chains._power_numerators(jumps), n + 3)]
+    assert kinds[0] is chains._Box and kinds[-1] is dict
+    assert kernel_power(jumps, n).distribution == oracle_kernel_power(jumps, n)
+    for k in (1, 3):
+        assert tv_profile(jumps, n, k) == oracle_tv_profile(jumps, n, k)
+    targets = list(oracle_kernel_power(jumps, n)) + list(oracle_kernel_power(jumps, 2))
+    table, oracle = green_table(jumps, targets), oracle_green_table(jumps, targets)
+    assert all(table[y] == oracle[_vec(y, jumps.dimension)] for y in targets)
 
 
 @pytest.mark.parametrize("target, horizon", [(5, 200), (5, 3), (4, 4), (-1, 50)])

@@ -144,6 +144,33 @@ def test_tree_type_validation():
         OrientedTreeOrForest({0: 1}, frozenset([2]))
 
 
+@pytest.mark.parametrize("parent, roots, message", [
+    ({0: 1, 1: 0}, [2], "parent map has a cycle"),
+    ({0: 1, 1: 2, 2: 1, 3: 4}, [4], "parent map has a cycle"),
+    ({0: 1}, [2], "parent chain leaves the structure at 1"),
+    ({(0, 0): (0, 1), (0, 1): (0, 2)}, [(0, 3)], r"leaves the structure at \(0, 2\)"),
+    ({0: 1}, [0], "a root cannot also have a parent"),
+])
+def test_caller_built_tree_is_still_checked(parent, roots, message):
+    # the library's own builders skip the walk; a caller's map never does
+    with pytest.raises(BadGraph, match=message):
+        OrientedTreeOrForest(parent, frozenset(roots))
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: wilson_ust(complete_graph(4), 0, s),
+    lambda s: wilson_ust(cycle_graph(7), 3, s),
+    lambda s: conditional_wilson(cycle_graph(7), [0, 1, 2], s),
+    lambda s: wusf_window(3, s, dimension=2),
+    lambda s: wusf_window(2, s, dimension=3),
+])
+def test_built_trees_pass_the_full_check(build):
+    for seed in range(20):
+        tree = build(seed)
+        assert type(tree.parent) is dict and type(tree.roots) is frozenset
+        assert OrientedTreeOrForest(tree.parent, tree.roots) == tree
+
+
 def test_wilson_path_graph_unique_tree():
     g = path_graph(3)
     for seed in range(5):
