@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chains import _check_steps, _vec, green_table
+from .chains import _vec, green_table
 from .errors import (
     BadGraph,
     ConfigError,
@@ -26,6 +26,7 @@ from .errors import (
     Empty,
     NeedsTorus,
     UnknownVertex,
+    _check_steps,
 )
 from .forest import array_vertices, coords, level_set, vertex
 from .lattice import atom_cdf, check_cycle_free
@@ -208,6 +209,7 @@ def nested_level_average(forest, f, v, n_max):
     v stays inside the window. Flags an average as truncated when the
     backward cone leaves the interior, since the window may then hide
     part of the averaging set."""
+    _check_steps("n_max", n_max)
     r = forest.row.get(v)
     if r is None:
         raise UnknownVertex(repr(v))
@@ -331,19 +333,17 @@ class LatticeChainModel:
             raise ConfigError("kernel is not level-graded; slices would miss merges")
         self.jumps = jumps
         self.witness = tuple(u)
+        atoms = sorted(jumps.atoms)
+        self._delta = tuple(x - y for x, y in zip(atoms[-1], atoms[0]))
         self._atoms = np.array([_vec(a, jumps.dimension) for a in jumps.atoms])
         self._cum = atom_cdf(jumps.weights)
 
     def default_starts(self, k):
-        atoms = sorted(self.jumps.atoms)
-        delta = tuple(x - y for x, y in zip(atoms[-1], atoms[0]))
-        return tuple(tuple(i * c for c in delta) for i in range(k))
+        return tuple(tuple(i * c for c in self._delta) for i in range(k))
 
     def at_distance(self, origin, r):
-        atoms = sorted(self.jumps.atoms)
-        delta = tuple(x - y for x, y in zip(atoms[-1], atoms[0]))
         o = _vec(origin, self.jumps.dimension)
-        return tuple(x + r * c for x, c in zip(o, delta))
+        return tuple(x + r * c for x, c in zip(o, self._delta))
 
     def _check_levels(self, starts):
         levels = {

@@ -10,13 +10,14 @@ four-sigma binomial half-width.
 
 import itertools
 import math
-import numbers
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadDimension, ConfigError, CyclicComponent, TooLarge, UnknownVertex
+from .errors import BadDimension, CyclicComponent, TooLarge, UnknownVertex, _check_steps
 from .forest import array_vertices, coords, vertex
 from .lattice import atom_cdf, check_cycle_free, in_lattice
 from .seeds import derive_seed, rng_for
@@ -26,9 +27,7 @@ _ROLE_SHIFT = 0xC2
 _ROLE_CROSS = 0xC3
 
 _SUPPORT_CAP = 10**8
-_BOX_CAP = 2**22  # cells of one dense power
-_DENSE_COORD = 2**20  # largest atom coordinate stepped on a box
-_FAR = 2**62  # past every box a sweep can reach, and inside int64
+_FAR = 2**62  # past every int64 box and coordinate, and inside int64
 
 
 @dataclass
@@ -70,132 +69,103 @@ def _vec(v, d):
     return vec
 
 
-def _check_steps(name, value, least=0):
-    """An integer count >= least (any integer when least is None); bools
-    are not counts."""
-    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or least is not None and value < least):
-        floor = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{name} must be an integer{floor}, got {value!r}")
-
-
 @dataclass
-class _Box:
-    """A kernel power's numerators on its bounding box: cell t holds the
-    numerator of the increment low + spacing * t."""
+class _Power:
+    """A kernel power's support: the nonzero numerators num in ascending
+    order of their keys, the mixed-radix ids (cells @ strides, last axis
+    least significant) of the cells in a box of the given extent. Sorted
+    keys order the rows as their increments origin + spacing * cells.
+    Origin, spacing, extent and keys are int64 arrays, or object arrays
+    of Python ints once the box would reach _FAR."""
 
-    num: np.ndarray  # object dtype: exact Python ints
-    low: np.ndarray
+    origin: np.ndarray
     spacing: np.ndarray
+    extent: np.ndarray
+    strides: list
+    keys: np.ndarray
+    num: np.ndarray  # object dtype: exact Python ints
+
+    @cached_property
+    def cells(self):
+        return self.keys[:, None] // np.array(self.strides, self.keys.dtype) % self.extent
+
+    def find(self, cells):
+        """(i, r) for each cells[i] the power charges, at its row r."""
+        inside = ((cells >= 0) & (cells < self.extent)).all(axis=1).nonzero()[0]
+        cells = cells[inside]
+        keys = cells[:, -1]
+        for axis, stride in enumerate(self.strides[:-1]):
+            keys = keys + cells[:, axis] * stride
+        at = self.keys.searchsorted(keys)
+        hit = self.keys.take(at, mode="clip") == keys
+        return inside[hit], at[hit]
 
 
-def _rank(rows):
-    """Exact rank of an integer matrix given by its rows."""
-    rows, rank = [[Fraction(c) for c in r] for r in rows], 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((j for j in range(rank, len(rows)) if rows[j][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for j in range(rank + 1, len(rows)):
-            f = rows[j][col] / rows[rank][col]
-            rows[j] = [x - f * y for x, y in zip(rows[j], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _dense_grid(jumps):
-    """How the powers sit on a box, or None when they fill a shrinking
-    share of it and are stepped as dicts.
-
-    With each axis divided by the gcd of the atoms' differences on it (its
-    spacing), every step moves the box's low corner by the atoms' least
-    coordinates and each atom to a fixed cell offset. The m-th power's box
-    has about m**v cells, v the number of axes the atoms vary on, and its
-    support about m**r points, r the rank of the atoms' differences; the
-    support's share of the box falls like m**(r - v), so the box is used
-    only when v == r. Atoms with a coordinate past _DENSE_COORD stay on
-    dicts, so that every box corner and target offset fits in int64.
-    Returns (spacing, lift, offsets, growth).
-    """
-    atoms = jumps.atoms
-    if any(abs(c) > _DENSE_COORD for a in atoms for c in a):
-        return None
-    lift = tuple(map(min, zip(*atoms)))
-    rel = [tuple(x - y for x, y in zip(a, lift)) for a in atoms]
-    gcds = [math.gcd(*axis) for axis in zip(*rel)]
-    diffs = [tuple(x - y for x, y in zip(a, atoms[0])) for a in atoms]
-    if sum(g > 0 for g in gcds) != _rank(diffs):
-        return None
-    spacing = [g or 1 for g in gcds]
-    offsets = [tuple(x // s for x, s in zip(r, spacing)) for r in rel]
-    return (np.array(spacing, dtype=np.int64), np.array(lift, dtype=np.int64),
-            offsets, tuple(map(max, zip(*offsets))))
-
-
-def _step_dict(dist, moves):
-    out = {}
-    for p, c in dist.items():
-        for a, na in moves:
-            q = tuple(x + y for x, y in zip(p, a))
-            out[q] = out.get(q, 0) + c * na
-    if len(out) > _SUPPORT_CAP:
-        raise TooLarge(f"kernel support exceeded {_SUPPORT_CAP} points")
-    return out
-
-
-def _step_box(box, grid, moves):
-    """The next power: one slice-add per atom. A box that would outgrow
-    _BOX_CAP cells hands its power to the dict step, so the box never
-    raises TooLarge where the dict step would not."""
-    spacing, lift, offsets, growth = grid
-    shape = tuple(n + g for n, g in zip(box.num.shape, growth))
-    if math.prod(shape) > _BOX_CAP:
-        return _step_dict(_support(box), moves)
-    out = np.zeros(shape, dtype=object)
-    for off, (_, na) in zip(offsets, moves):
-        out[tuple(slice(o, o + n) for o, n in zip(off, box.num.shape))] += (
-            box.num if na == 1 else box.num * na)
-    return _Box(out, box.low + lift, spacing)
-
-
-def _support(power):
-    """A power's nonzero numerators keyed by increment tuple."""
-    if isinstance(power, dict):
-        return power
-    cells = np.nonzero(power.num)
-    points = power.low + power.spacing * np.stack(cells, axis=1)
-    return dict(zip(map(tuple, points.tolist()), power.num[cells].tolist()))
+def _strides(extent):
+    """Place values of the mixed-radix ids over a box of the given extent."""
+    strides = [1]
+    for n in extent[:0:-1]:
+        strides.append(strides[-1] * n)
+    return strides[::-1]
 
 
 def _power_numerators(jumps):
-    """Yield (m, power, den**m) for m = 0, 1, 2, ...: the m-step law as
-    integer numerators over den**m, den the lcm of the weight denominators.
+    """Yield (m, power, den**m) for m = 0, 1, 2, ...: the m-step law as a
+    _Power of integer numerators over den**m, den the lcm of the weight
+    denominators. Each power is stepped from the last only when the next
+    item is asked for.
 
-    A power is a _Box where _dense_grid places the kernel's powers on one,
-    and otherwise a dict from increment tuple to nonzero numerator. Each
-    power is stepped from the last only when the next item is asked for."""
+    Each axis is shifted by the atoms' least coordinate on it (lift) and
+    divided by the gcd of the shifted coordinates (spacing), so an atom
+    moves every cell by a fixed offset and the m-th power lies in a box
+    of extent m * growth + 1, growth the largest offsets. Its support has
+    about m**r points, r the rank of the atoms' differences. A step
+    re-keys the rows for the next box (a digit's place value changes only
+    where a later axis grows), adds each atom's key offset, sorts the
+    rows by key and sums the runs of equal keys. Keys are int64 while the
+    step from the power keeps every coordinate and the box's cell count
+    below _FAR, and Python ints from then on."""
     den = math.lcm(*(w.denominator for w in jumps.weights))
-    moves = [(a, int(w * den)) for a, w in zip(jumps.atoms, jumps.weights)]
-    grid = _dense_grid(jumps)
-    d = jumps.dimension
-    if grid is None:
-        power = {(0,) * d: 1}
-    else:
-        power = _Box(np.ones((1,) * d, dtype=object), np.zeros(d, dtype=np.int64), grid[0])
+    weights = [int(w * den) for w in jumps.weights]
+    lift = list(map(min, zip(*jumps.atoms)))
+    rel = [[x - y for x, y in zip(a, lift)] for a in jumps.atoms]
+    spacing = [math.gcd(*axis) or 1 for axis in zip(*rel)]
+    offsets = [[x // s for x, s in zip(r, spacing)] for r in rel]
+    growth = list(map(max, zip(*offsets)))
+    reach = max(abs(c) for a in jumps.atoms for c in a)
+    extent = [1] * jumps.dimension
+    keys, num = np.zeros(1, dtype=np.int64), np.ones(1, dtype=object)
     for m in itertools.count():
+        step = [n + g for n, g in zip(extent, growth)]
+        if keys.dtype != object and max((m + 1) * reach, math.prod(step)) >= _FAR:
+            keys = keys.astype(object)
+        power = _Power(np.array([m * x for x in lift], keys.dtype), np.array(spacing, keys.dtype),
+                       np.array(extent, keys.dtype), _strides(extent), keys, num)
         yield m, power, den**m
-        if isinstance(power, dict):
-            power = _step_dict(power, moves)
-        else:
-            power = _step_box(power, grid, moves)
+        strides = _strides(step)
+        base = keys
+        for old, new, n in zip(power.strides, strides, extent):
+            if new != old:
+                base = base + keys // old % n * (new - old)
+        extent = step
+        keys = np.concatenate([base + sum(x * s for x, s in zip(o, strides)) for o in offsets])
+        order = keys.argsort(kind="stable")  # merges the atoms' sorted runs
+        keys = keys[order]
+        first = np.concatenate(([True], keys[1:] != keys[:-1])).nonzero()[0]
+        if len(first) > _SUPPORT_CAP:
+            raise TooLarge(f"kernel support exceeded {_SUPPORT_CAP} points")
+        num = np.concatenate([power.num if w == 1 else power.num * w for w in weights])
+        num = np.add.reduceat(num[order], first)
+        keys = keys[first]
 
 
 def kernel_power(jumps, n):
     """Exact law of the n-step increment X_n - X_0."""
     _check_steps("n", n)
     _, power, total = next(itertools.islice(_power_numerators(jumps), n, None))
-    probs = {vertex(p): Fraction(c, total) for p, c in _support(power).items()}
+    points = power.origin + power.spacing * power.cells
+    probs = {vertex(p): Fraction(c, total)
+             for p, c in zip(points.tolist(), power.num.tolist())}
     return KernelPower(n=n, distribution=probs)
 
 
@@ -210,38 +180,37 @@ def kernel_power_csv(kp):
     return "\n".join(lines) + "\n"
 
 
-def _last_visit(jumps, witness, vecs):
-    """Largest m with K^m(0, y) > 0 possible for some y in vecs: each step
-    raises u.x by at least delta = min u.a > 0 for the cycle-free witness u."""
+def _last_visit(jumps, witness, vecs, cap=None):
+    """Largest m <= cap with K^m(0, y) > 0 possible for some y in vecs: each
+    step raises u.x by at least delta = min u.a > 0 for the cycle-free
+    witness u. A y whose m passes sys.maxsize raises TooLarge, since no
+    sweep gets that far."""
     delta = min(sum(Fraction(c) * x for c, x in zip(a, witness)) for a in jumps.atoms)
     horizon = 0
     for vec in vecs:
         t = sum(Fraction(c) * x for c, x in zip(vec, witness))
         if t >= 0:
-            horizon = max(horizon, math.floor(t / delta))
+            last = math.floor(t / delta) if cap is None else min(math.floor(t / delta), cap)
+            if last > sys.maxsize:
+                raise TooLarge(f"target {vertex(vec)!r} needs a sweep of {last} steps, "
+                               f"past {sys.maxsize}")
+            horizon = max(horizon, last)
     return horizon
-
-
-def _hits(power, keys, points):
-    """(i, numerator) for each keys[i] at which the power is nonzero;
-    points holds the keys as an int64 array."""
-    if isinstance(power, dict):
-        return [(i, power[v]) for i, v in enumerate(keys) if v in power]
-    cell, rest = np.divmod(points - power.low, power.spacing)
-    on = np.flatnonzero(((rest == 0) & (cell >= 0) & (cell < power.num.shape)).all(axis=1))
-    nums = power.num[tuple(cell[on].T)].tolist()
-    return [(i, c) for i, c in zip(on.tolist(), nums) if c]
 
 
 def _green_sums(jumps, vecs, horizon):
     """Sum of K^m(0, y) over 0 <= m <= horizon for each vector y, in one sweep."""
     keys = list(dict.fromkeys(vecs))
-    # a coordinate past _FAR is off every box, and clamping keeps it so
-    points = np.array([[min(max(c, -_FAR), _FAR) for c in v] for v in keys],
-                      dtype=np.int64).reshape(len(keys), jumps.dimension)
+    exact = np.array(keys, dtype=object).reshape(len(keys), jumps.dimension)
+    # a coordinate past _FAR is off every int64 power, and clamping keeps it so
+    clamped = exact.clip(-_FAR, _FAR).astype(np.int64)
     acc = [Fraction(0)] * len(keys)
     for _, power, scale in itertools.islice(_power_numerators(jumps), horizon + 1):
-        for i, c in _hits(power, keys, points):
+        offset = (exact if power.keys.dtype == object else clamped) - power.origin
+        cells = offset // power.spacing
+        cells[(offset % power.spacing != 0).any(axis=1)] = -1
+        hits, rows = power.find(cells)
+        for i, c in zip(hits.tolist(), power.num[rows].tolist()):
             acc[i] += Fraction(c, scale)
     return dict(zip(keys, acc))
 
@@ -262,7 +231,9 @@ def green_function(jumps, target, horizon=None):
     rep = check_cycle_free(jumps)
     if horizon is None and not rep.holds:
         raise CyclicComponent("kernel admits zero convex combinations; pass a horizon")
-    bound = _last_visit(jumps, rep.witness, [diff]) if rep.holds else None
+    # past the horizon a bound only tells that the series is not full
+    cap = None if horizon is None else horizon + 1
+    bound = _last_visit(jumps, rep.witness, [diff], cap) if rep.holds else None
     if horizon is None:
         horizon = bound
     # every term past the witness bound is zero, so the sweep stops there
@@ -287,17 +258,11 @@ def green_table(jumps, targets):
 
 def _overlap(a, b, ratio):
     """Sum over the increments both powers charge of min(ratio * a, b)."""
-    if isinstance(a, _Box) and isinstance(b, _Box):
-        shift, rest = np.divmod(a.low - b.low, b.spacing)  # a's cell 0 among b's
-        lo = np.maximum(shift, 0)
-        hi = np.minimum(shift + a.num.shape, b.num.shape)
-        if rest.any() or (lo >= hi).any():
-            return 0
-        in_a = tuple(slice(x - s, y - s) for x, y, s in zip(lo, hi, shift))
-        in_b = tuple(slice(x, y) for x, y in zip(lo, hi))
-        return np.minimum(a.num[in_a] * ratio, b.num[in_b]).sum()
-    a, b = _support(a), _support(b)
-    return sum(min(ratio * c, b[p]) for p, c in a.items() if p in b)
+    shift, rest = (a.origin - b.origin) // b.spacing, (a.origin - b.origin) % b.spacing
+    if rest.any() or ((shift + a.extent <= 0) | (shift >= b.extent)).any():
+        return 0  # a's box, from its cell 0 at shift among b's cells, misses b's
+    i, r = b.find(a.cells + shift)
+    return np.minimum(a.num[i] * ratio, b.num[r]).sum()
 
 
 def tv_profile(jumps, n_max, k=1):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises one."""
+
+import numbers
 
 
 class MalformedJump(ValueError):
@@ -59,3 +62,12 @@ class TooLarge(ValueError):
 
 class ConfigError(ValueError):
     """Experiment config failed schema validation (CLI exit code 2)."""
+
+
+def _check_steps(name, value, least=0):
+    """An integer count >= least (any integer when least is None); bools
+    are not counts."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or least is not None and value < least):
+        floor = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{name} must be an integer{floor}, got {value!r}")

@@ -42,7 +42,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadDimension, CyclicComponent, MalformedJump, UnknownVertex
+from .errors import BadDimension, CyclicComponent, MalformedJump, UnknownVertex, _check_steps
 
 EXIT = "EXIT"
 
@@ -295,6 +295,7 @@ def _checked_rows(succ, interior, n):
 
 def ancestral_line(forest, v, max_steps):
     """Follow the jump map from v for at most max_steps jumps."""
+    _check_steps("max_steps", max_steps)
     r = forest.row.get(v)
     if r is None:
         raise UnknownVertex(repr(v))
@@ -362,6 +363,7 @@ def classify_component(forest, component_id):
 
 def descendants(forest, v, n):
     """D_n(v): vertices u with n-th iterate equal to v, all steps in-window."""
+    _check_steps("n", n)
     r = forest.row.get(v)
     if r is None:
         raise UnknownVertex(repr(v))
@@ -378,6 +380,7 @@ def level_set(forest, v, horizon):
     Lines that wrap a cycle never end, so fully cyclic components are
     never flagged.
     """
+    _check_steps("horizon", horizon)
     r = forest.row.get(v)
     if r is None:
         raise UnknownVertex(repr(v))
@@ -400,13 +403,14 @@ def height(forest, component_id):
     row, with height 0; satisfies h(F(v)) = h(v) - 1 along every in-window
     jump.
     """
-    if not 0 <= component_id < len(forest.comp_ptr) - 1:
+    cid = operator.index(component_id)  # numpy reads a bool as a mask
+    if not 0 <= cid < len(forest.comp_ptr) - 1:
         raise UnknownVertex(f"no component {component_id}")
-    first = forest.comp_rows[forest.comp_ptr[component_id]]
+    first = forest.comp_rows[forest.comp_ptr[cid]]
     if forest.depth[first] < 0:
         raise CyclicComponent(f"component {component_id} contains a cycle")
     anchor = forest.verts[first]
-    return HeightAssignment(component_id, anchor, component_heights(forest, anchor))
+    return HeightAssignment(cid, anchor, component_heights(forest, anchor))
 
 
 def component_heights(forest, anchor):

@@ -16,6 +16,7 @@ from .errors import (
     MalformedJump,
     NotConnected,
     UnknownVertex,
+    _check_steps,
 )
 from .forest import EXIT, build_forest
 from .graphs import FiniteGraph
@@ -190,6 +191,7 @@ def voter_stationary(base, lookback, seed):
     draw for layer s depends only on (seed, s), which makes the
     `lookback` partition a refinement of the `lookback+1` one.
     """
+    _check_steps("lookback", lookback)
     if not base.is_connected():
         raise NotConnected("base graph is not connected")
     verts = list(base.vertices)

@@ -9,6 +9,7 @@ search scanned lies inside the window, so the recorded jump is exactly
 what the infinite model would have produced.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -80,8 +81,8 @@ def sample_bernoulli(p, box, seed):
 def sample_poisson(intensity, rectangle, seed):
     """Poisson process on a real box: Poisson(intensity * volume) many
     uniform points."""
-    if intensity < 0:
-        raise ConfigError("intensity must be nonnegative")
+    if not 0 <= intensity < math.inf:
+        raise ConfigError(f"intensity must be a finite number >= 0, got {intensity!r}")
     vol = 1.0
     for lo, hi in rectangle:
         if hi <= lo:
@@ -116,8 +117,8 @@ class StripConfig:
     time_axis: int = 0
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ConfigError("half-width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise ConfigError(f"half_width must be a finite number > 0, got {self.half_width!r}")
 
 
 def _axis_order(d, time_axis):

@@ -160,6 +160,11 @@ def test_nested_cycle_raises():
         nested_level_average(forest, lambda w: 1, 0, 3)
 
 
+def test_nested_negative_depth_is_named():
+    with pytest.raises(ConfigError, match="^n_max must be an integer >= 0"):
+        nested_level_average(delta_chain_forest(10), lambda w: w, 2, -1)
+
+
 def test_nested_truncation_flag():
     forest = build_forest(range(7), {v: v + 1 for v in range(6)}, interior=[2, 3, 4, 5])
     out = nested_level_average(forest, lambda w: w, 4, 2)

@@ -15,7 +15,7 @@ from cmtforest.forest import (
     load_forest,
     reverse_jump,
 )
-from cmtforest.errors import CyclicComponent, MalformedJump, UnknownVertex
+from cmtforest.errors import ConfigError, CyclicComponent, MalformedJump, UnknownVertex
 from cmtforest.seeds import rng_for
 
 
@@ -322,6 +322,24 @@ def test_height_simple_tree():
     fw = build_forest([0, 1, 2, 3], [(1, 0), (2, 0), (3, 1)])
     ha = height(fw, 0)
     assert ha.heights == {0: 0, 1: 1, 2: 1, 3: 2}
+
+
+def test_height_reads_a_bool_id_as_an_index():
+    fw = build_forest([0, 1, 2, 3, 5], [(1, 0), (3, 2)])
+    assert height(fw, True) == height(fw, 1)
+    assert height(fw, False) == height(fw, 0)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda fw: level_set(fw, 2, -1), "horizon", id="level_set"),
+    pytest.param(lambda fw: descendants(fw, 2, -1), "n", id="descendants"),
+    pytest.param(lambda fw: ancestral_line(fw, 2, -1), "max_steps", id="ancestral_line"),
+    pytest.param(lambda fw: level_set(fw, 2, 1.5), "horizon", id="level_set-float"),
+    pytest.param(lambda fw: descendants(fw, 2, True), "n", id="descendants-bool"),
+])
+def test_bad_step_counts_are_named(call, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+        call(chain(5))
 
 
 # -- dumps ------------------------------------------------------------------

@@ -4,9 +4,9 @@ replaced, which are kept here as the oracles.
 Each oracle steps its own dict of integer numerators over D^m, as
 kernel_power, green_function, green_table and tv_profile each did before
 they read from one shared generator. On random kernels (d = 1-3, 1-4 atoms,
-rational weights) the library must equal them exactly, as Fractions, on
-both the dense step and the dict step the sweep keeps for kernels whose
-powers fill a shrinking share of their box. Suites are deterministic
+rational weights) the library must equal them exactly, as Fractions; fixed
+cases add sparse kernels, coordinates past int64 and a sweep that crosses
+from int64 keys to Python ints. Suites are deterministic
 (derandomize=True) with a bounded number of examples.
 """
 
@@ -15,6 +15,7 @@ import math
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from cmtforest import chains
 from cmtforest.analysis import green_table
 from cmtforest.chains import _vec, green_function, kernel_power, tv_profile
-from cmtforest.errors import CyclicComponent
+from cmtforest.errors import CyclicComponent, TooLarge
 from cmtforest.lattice import JumpDistribution, check_cycle_free, uniform_jumps
 from cmtforest.models import nguyen_atoms
 
@@ -222,50 +223,38 @@ def test_tv_profile_holds_at_most_k_plus_one_powers(monkeypatch, k):
     assert max(most) <= k + 1
 
 
-# -- the dense and the dict step ------------------------------------------------------
+# -- sparse, far and huge kernels ----------------------------------------------------
 
 RENEWAL = uniform_jumps([(1,), (2,)])
-SPREAD = uniform_jumps([(0,), (100,)])  # dense once its axis is divided by 100
+SPREAD = uniform_jumps([(0,), (100,)])  # one cell per point once its axis is divided by 100
 SPARSE = uniform_jumps([(100, 0, 0, -1), (0, 100, 0, -1), (0, 0, 100, -1)])
+THIN = uniform_jumps([(0, 0), (100, 1), (1, 100)])  # fills ~1/20,000 of its box
+HUGE = uniform_jumps([(0,), (3,), (2**62,)])
 
 
-def step_of(jumps):
-    """'dense' or 'dict': how the sweep holds the kernel's first power."""
-    _, power, _ = next(itertools.islice(chains._power_numerators(jumps), 1, None))
-    return "dict" if isinstance(power, dict) else "dense"
-
-
-@pytest.mark.parametrize("jumps, step", [
-    (RENEWAL, "dense"),
-    (uniform_jumps(nguyen_atoms(2)), "dense"),
-    (uniform_jumps(nguyen_atoms(3)), "dense"),
-    (uniform_jumps(nguyen_atoms(4)), "dense"),
-    (SPREAD, "dense"),
-    (uniform_jumps([(1,)]), "dense"),
-    (SPARSE, "dict"),
-    (uniform_jumps([(1, 1), (2, 2)]), "dict"),
-    (uniform_jumps([(0,), (2**62,)]), "dict"),  # its box corners would pass int64
+@pytest.mark.parametrize("jumps, dtype", [
+    (RENEWAL, "int64"),
+    (uniform_jumps(nguyen_atoms(2)), "int64"),
+    (uniform_jumps(nguyen_atoms(3)), "int64"),
+    (uniform_jumps(nguyen_atoms(4)), "int64"),
+    (SPREAD, "int64"),
+    (uniform_jumps([(1,)]), "int64"),
+    (SPARSE, "int64"),
+    (uniform_jumps([(1, 1), (2, 2)]), "int64"),
+    (uniform_jumps([(0,), (2**62,)]), "object"),  # its first step reaches 2**62
 ])
-def test_each_kernel_takes_its_step(jumps, step):
-    assert step_of(jumps) == step
-
-
-def test_random_kernels_take_both_steps():
-    steps = set()
-
-    @SUITE
-    @given(jumps=kernels())
-    def record(jumps):
-        steps.add(step_of(jumps))
-
-    record()
-    assert steps == {"dense", "dict"}
+def test_each_kernel_keys_its_first_step(jumps, dtype):
+    _, power, _ = next(itertools.islice(chains._power_numerators(jumps), 1, None))
+    assert power.keys.dtype == dtype
+    assert (power.keys[1:] > power.keys[:-1]).all()
 
 
 @pytest.mark.parametrize("jumps, n, targets", [
     (SPREAD, 30, [(0,), (100,), (250,), (300,), (2900,), (-100,)]),
     (SPARSE, 8, [(100, 0, 0, -1), (200, 100, 0, -3), (0, 0, 0, 0), (300, 300, 200, -8),
                  (100, 100, 100, -2)]),
+    (THIN, 8, [(0, 0), (100, 1), (101, 101), (300, 3), (203, 302), (5, 5), (-1, 0)]),
+    (HUGE, 8, [(0,), (3,), (2**62,), (2**62 + 3,), (2**63 + 6,), (2**64,), (-3,), (2**70,)]),
 ])
 def test_sparse_kernels_match_their_loops(jumps, n, targets):
     assert kernel_power(jumps, n).distribution == oracle_kernel_power(jumps, n)
@@ -280,31 +269,59 @@ def test_sparse_kernels_match_their_loops(jumps, n, targets):
 def test_huge_coordinates_stay_exact():
     huge = uniform_jumps([(0,), (2**62,)])
     assert kernel_power(huge, 3).distribution == oracle_kernel_power(huge, 3)
-    # a target past int64 is off every box the sweep reaches
+    # a spacing past int64 on one axis, a small one on the other
+    wide = uniform_jumps([(5, 0), (0, 2**63 + 1)])
+    assert kernel_power(wide, 4).distribution == oracle_kernel_power(wide, 4)
+    assert tv_profile(wide, 4, 2) == oracle_tv_profile(wide, 4, 2)
+    for y in [(5, 2**63 + 1), (10, 0), (0, 2**63), (-5, 0)]:
+        got = green_function(wide, y, horizon=4)
+        assert (got.value, got.terms) == oracle_green_function(wide, y, 4)
+    # a target past int64 is off every power the sweep reaches
     assert green_function(RENEWAL, 2**70, horizon=4).value == 0
     assert green_function(RENEWAL, -(2**70), horizon=4).value == 0
 
 
 def test_sparse_example_needs_no_box():
-    # its powers fill a shrinking share of their box; the dict step holds
-    # only the 91 points of the 12th power and never reaches TooLarge
+    # the sweep holds only the support: the 91 points of the 12th power,
+    # never a box of cells, and never reaches TooLarge
     assert len(kernel_power(SPARSE, 12).distribution) == 91
+    assert len(kernel_power(THIN, 12).distribution) == 91
     assert len(kernel_power(SPREAD, 300).distribution) == 301
 
 
-@pytest.mark.parametrize("jumps, n", [(RENEWAL, 20), (uniform_jumps(nguyen_atoms(3)), 9),
-                                      (uniform_jumps([(1, 0), (0, 1), (1, 1)]), 9)])
-def test_a_box_past_its_cap_hands_over_to_the_dict_step(monkeypatch, jumps, n):
-    # the box outgrows the cap mid-sweep, so one sweep holds both kinds
-    monkeypatch.setattr(chains, "_BOX_CAP", 20)
-    kinds = [type(p) for _, p, _ in itertools.islice(chains._power_numerators(jumps), n + 3)]
-    assert kinds[0] is chains._Box and kinds[-1] is dict
+@pytest.mark.parametrize("jumps, n, far", [
+    (RENEWAL, 20, 20),
+    (uniform_jumps(nguyen_atoms(3)), 9, 200),
+    (uniform_jumps([(1, 0), (0, 1), (1, 1)]), 9, 50),
+    (THIN, 8, 50_000),
+])
+def test_a_sweep_past_far_keys_python_ints(monkeypatch, jumps, n, far):
+    # lowering _FAR makes one sweep cross from int64 keys to Python ints
+    monkeypatch.setattr(chains, "_FAR", far)
+    dtypes = [p.keys.dtype for _, p, _ in itertools.islice(chains._power_numerators(jumps), n + 3)]
+    assert dtypes[0] == np.int64 and dtypes[-1] == object
     assert kernel_power(jumps, n).distribution == oracle_kernel_power(jumps, n)
     for k in (1, 3):
         assert tv_profile(jumps, n, k) == oracle_tv_profile(jumps, n, k)
     targets = list(oracle_kernel_power(jumps, n)) + list(oracle_kernel_power(jumps, 2))
-    table, oracle = green_table(jumps, targets), oracle_green_table(jumps, targets)
-    assert all(table[y] == oracle[_vec(y, jumps.dimension)] for y in targets)
+    for y in targets[::7]:
+        got = green_function(jumps, y, horizon=n)
+        assert (got.value, got.terms) == oracle_green_function(jumps, y, n)
+    if check_cycle_free(jumps).holds:
+        table, oracle = green_table(jumps, targets), oracle_green_table(jumps, targets)
+        assert all(table[y] == oracle[_vec(y, jumps.dimension)] for y in targets)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: green_table(RENEWAL, [2**70]), id="table"),
+    pytest.param(lambda: green_table(RENEWAL, [3, (2**70,)]), id="table-of-two"),
+    pytest.param(lambda: green_function(RENEWAL, 2**70), id="function"),
+    pytest.param(lambda: green_function(RENEWAL, 2**70, horizon=2**66), id="function-horizon"),
+])
+def test_a_target_past_sys_maxsize_steps_is_named(call):
+    # no sweep gets 2**70 steps out; the error names the target
+    with pytest.raises(TooLarge, match=str(2**70)):
+        call()
 
 
 @pytest.mark.parametrize("target, horizon", [(5, 200), (5, 3), (4, 4), (-1, 50)])

@@ -11,6 +11,7 @@ import pytest
 from cmtforest.errors import (
     BadDimension,
     BadGraph,
+    ConfigError,
     DetailedBalanceViolated,
     MalformedJump,
     NotConnected,
@@ -247,6 +248,11 @@ def test_mc_matches_srw_distribution_shape():
 def test_voter_zero_lookback_is_singletons():
     part = voter_stationary(complete_graph(4), 0, seed=0)
     assert part == [[0], [1], [2], [3]]
+
+
+def test_voter_negative_lookback_is_named():
+    with pytest.raises(ConfigError, match="^lookback must be an integer >= 0"):
+        voter_stationary(complete_graph(4), -1, seed=0)
 
 
 def test_voter_partitions_refine_with_lookback():

@@ -57,6 +57,14 @@ def test_poisson_zero_intensity_empty():
     assert len(sample_poisson(0.0, [(0.0, 1.0), (0.0, 1.0)], seed=3)) == 0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_point_process_inputs_are_named(bad):
+    with pytest.raises(ConfigError, match="^intensity must be a finite number"):
+        sample_poisson(bad, [(0.0, 1.0), (0.0, 1.0)], seed=3)
+    with pytest.raises(ConfigError, match="^half_width must be a finite number"):
+        StripConfig(bad)
+
+
 def test_poisson_mean_count():
     total = 0
     for r in range(10000):
