@@ -20,6 +20,7 @@ import numpy as np
 
 from .chains import _vec, green_table
 from .errors import (
+    BadDimension,
     BadGraph,
     ConfigError,
     CyclicComponent,
@@ -28,7 +29,7 @@ from .errors import (
     UnknownVertex,
     _check_steps,
 )
-from .forest import array_vertices, coords, level_set, vertex
+from .forest import coords, level_set, vertex
 from .lattice import atom_cdf, check_cycle_free
 from .models import canopy_cmt
 from .seeds import derive_seed, rng_for
@@ -122,14 +123,24 @@ def _plain(v):
 # -- component statistics ------------------------------------------------------------
 
 
-def _jump_counts(forest, cid):
-    counts = {}
-    rows, verts = forest.component_rows(cid), forest.verts
-    for s, t in zip(rows.tolist(), forest.succ[rows].tolist()):
-        if t >= 0:
-            a = vertex(tuple(y - x for x, y in zip(coords(verts[s]), coords(verts[t]))))
-            counts[a] = counts.get(a, 0) + 1
-    return counts
+def _lattice_coords(forest, reader):
+    """The window's int coordinates, or BadDimension for vertices that are
+    not integer points."""
+    if forest.coords.dtype == object:
+        raise BadDimension(f"{reader} needs vertices that are integer points")
+    return forest.coords
+
+
+def _jump_counts(forest, ids):
+    """The in-window jump increments of each listed component, with counts."""
+    xy, src = _lattice_coords(forest, "jump-frequency-vector"), forest.src
+    steps, inc = np.unique(xy[forest.succ[src]] - xy[src], axis=0, return_inverse=True)
+    keys, counts = np.unique(forest.comp[src] * len(steps) + inc.ravel(), return_counts=True)
+    steps = list(map(vertex, steps.tolist()))
+    per_comp = {cid: {} for cid in ids.tolist()}
+    for key, k in zip(keys.tolist(), counts.tolist()):  # a dropped component's counts go nowhere
+        per_comp.get(key // len(steps), {})[steps[key % len(steps)]] = k
+    return list(per_comp.values())
 
 
 def component_statistic_survey(forest, statistic, min_size):
@@ -154,7 +165,7 @@ def component_statistic_survey(forest, statistic, min_size):
 
     details = {"statistic": statistic, "min_size": min_size, "component_count": len(ids)}
     if statistic == "jump-frequency-vector":
-        per_comp = [_jump_counts(forest, cid) for cid in ids]
+        per_comp = _jump_counts(forest, ids)
         alphabet = sorted({a for counts in per_comp for a in counts}, key=repr)
         values = []
         for counts in per_comp:
@@ -210,9 +221,7 @@ def nested_level_average(forest, f, v, n_max):
     backward cone leaves the interior, since the window may then hide
     part of the averaging set."""
     _check_steps("n_max", n_max)
-    r = forest.row.get(v)
-    if r is None:
-        raise UnknownVertex(repr(v))
+    (r,) = forest.rows_of([v])
     if forest.depth[r] < 0:
         raise CyclicComponent("nested averages need a cycle-free component")
     line = [r]
@@ -253,8 +262,10 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
     lows = np.array([lo for lo, hi in box], dtype=np.int64)
     lens = np.array([hi - lo + 1 for lo, hi in box], dtype=np.int64)
 
+    xy = _lattice_coords(forest, "cluster_frequency")
+    if ((xy < lows) | (xy >= lows + lens)).any():
+        raise NeedsTorus("a window vertex lies outside the torus box")
     # each jump's increment, taken mod the box to the residue of least size
-    xy = np.array([coords(v) for v in forest.verts], dtype=np.int64)
     step = (xy[forest.succ[forest.src]] - xy[forest.src]) % lens
     incs = set(map(tuple, np.where(2 * step > lens, step - lens, step).tolist()))
     moves = sorted(incs | {tuple(-c for c in inc) for inc in incs})
@@ -264,11 +275,14 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
     hold = rng.random(walk_steps) < 0.5
     idx = rng.integers(0, len(moves), size=walk_steps)
     disp = moves_arr[idx] * (~hold)[:, None]
-    start = np.array(coords(forest.verts[0]), dtype=np.int64)
-    pos = (start + np.cumsum(disp, axis=0) - lows) % lens + lows
-    pos = np.vstack([start[None, :], pos])
-
-    hits = forest.comp[[forest.row[k] for k in array_vertices(pos)]] == component_id
+    cell = np.cumsum(np.vstack([xy[:1] - lows, disp]), axis=0) % lens
+    # the row of each site of the box, as the lattice sampler numbers them
+    rowmap = np.full(int(lens.prod()), -1, dtype=np.int64)
+    rowmap[np.ravel_multi_index(tuple((xy - lows).T), lens)] = np.arange(len(xy))
+    rows = rowmap[np.ravel_multi_index(tuple(cell.T), lens)]
+    if (rows < 0).any():
+        raise UnknownVertex(repr(vertex((cell[rows.argmin()] + lows).tolist())))
+    hits = forest.comp[rows] == component_id
     freq = float(hits.mean())
 
     blocks = 100
@@ -293,11 +307,7 @@ def in_degree_profile(forest, region=None):
     """Exact mean and histogram of in-window preimage counts."""
     indeg = np.diff(forest.ptr)
     if region is not None:
-        region = list(region)
-        for v in region:
-            if v not in forest.row:
-                raise UnknownVertex(repr(v))
-        indeg = indeg[[forest.row[v] for v in region]]
+        indeg = indeg[forest.rows_of(region)]
     if not len(indeg):
         raise ConfigError("region is empty: no vertex to average over")
     counts = np.bincount(indeg).tolist()

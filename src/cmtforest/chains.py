@@ -159,9 +159,17 @@ def _power_numerators(jumps):
         keys = keys[first]
 
 
+def _check_sweep(name, steps):
+    """TooLarge naming the argument behind a sweep of steps powers past
+    sys.maxsize, which no sweep (nor itertools.islice) gets to."""
+    if steps >= sys.maxsize:
+        raise TooLarge(f"{name} = {steps} needs a sweep past {sys.maxsize} steps")
+
+
 def kernel_power(jumps, n):
     """Exact law of the n-step increment X_n - X_0."""
     _check_steps("n", n)
+    _check_sweep("n", n)
     _, power, total = next(itertools.islice(_power_numerators(jumps), n, None))
     points = power.origin + power.spacing * power.cells
     probs = {vertex(p): Fraction(c, total)
@@ -237,7 +245,9 @@ def green_function(jumps, target, horizon=None):
     if horizon is None:
         horizon = bound
     # every term past the witness bound is zero, so the sweep stops there
-    value = _green_sums(jumps, [diff], horizon if bound is None else min(horizon, bound))[diff]
+    steps = horizon if bound is None else min(horizon, bound)
+    _check_sweep("horizon", steps)
+    value = _green_sums(jumps, [diff], steps)[diff]
     return GreenValue(value=value, probability=rep.holds and horizon >= bound,
                       terms=horizon + 1)
 
@@ -275,6 +285,7 @@ def tv_profile(jumps, n_max, k=1):
     """
     _check_steps("n_max", n_max)
     _check_steps("k", k)
+    _check_sweep("n_max + k", n_max + k)
     out, window = [], []
     for _, b, scale_b in itertools.islice(_power_numerators(jumps), 1, n_max + k + 1):
         window.append((b, scale_b))
@@ -345,47 +356,34 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
     _check_steps("seed", seed, least=None)
     d = jumps.dimension
     x0, y0 = _vec(x, d), _vec(y, d)
-    if record_trace:
-        return _traced_meeting(jumps, x0, y0, budget, rng_for(seed, _ROLE_MEET))
-    if x0 == y0:
-        return CouplingResult(True, coupling_time=0, shift=0)
-
     vecs, cum = _difference_kernel(jumps)
     rng = rng_for(seed, _ROLE_MEET)
     pos = np.array(tuple(a - b for a, b in zip(x0, y0)), dtype=np.int64)
+    met = 0 if x0 == y0 else None
     # most pairs meet within a few steps: draw 64 steps first, then double
     # up to 4096 per chunk (the same stream as one draw per step)
-    step = 0
-    chunk = 64
-    while step < budget:
-        b = min(chunk, budget - step)
-        idx = np.searchsorted(cum, rng.random(b), side="right")
-        traj = pos + np.cumsum(vecs[idx], axis=0)
+    step, chunk, drawn = 0, 64, []
+    while met is None and step < budget:
+        u = rng.random(min(chunk, budget - step))
+        traj = pos + np.cumsum(vecs[np.searchsorted(cum, u, side="right")], axis=0)
         zero = (traj == 0).all(axis=1)
         if zero.any():
-            first = int(zero.argmax())
-            return CouplingResult(True, coupling_time=step + first + 1, shift=0)
+            met = step + int(zero.argmax()) + 1
+        if record_trace:
+            drawn.append(u)
         pos = traj[-1]
-        step += b
+        step += len(u)
         chunk = min(2 * chunk, 4096)
-    return CouplingResult(False)
-
-
-def _traced_meeting(jumps, x0, y0, budget, rng):
-    """The untraced experiment, read from one draw of its whole stream, with
-    its paths: X steps by a throughout, Y by b until the chains meet and
-    with X after."""
-    vecs, cum = _difference_kernel(jumps)
-    a, b = _pair_steps(jumps, vecs, cum, rng.random(budget))
-    xs = np.vstack([x0, x0 + np.cumsum(a, axis=0)])
-    ys = np.vstack([y0, y0 + np.cumsum(b, axis=0)])
-    met = np.flatnonzero((xs == ys).all(axis=1))
-    if not len(met):
-        return CouplingResult(False, trace=(array_vertices(xs), array_vertices(ys)))
-    t = int(met[0])
-    ys[t:] = xs[t:]
-    return CouplingResult(True, coupling_time=t, shift=0,
-                          trace=(array_vertices(xs), array_vertices(ys)))
+    result = CouplingResult(met is not None, met, None if met is None else 0)
+    if record_trace:  # X steps by a throughout, Y by b until the chains meet and with X after
+        drawn.append(rng.random(budget - step))
+        a, b = _pair_steps(jumps, vecs, cum, np.concatenate(drawn))
+        xs = np.vstack([x0, x0 + np.cumsum(a, axis=0)])
+        ys = np.vstack([y0, y0 + np.cumsum(b, axis=0)])
+        if met is not None:
+            ys[met:] = xs[met:]
+        result.trace = (array_vertices(xs), array_vertices(ys))
+    return result
 
 
 def _cross_collision_once(jumps, x0, y0, budget, rng, min_index):

@@ -216,14 +216,13 @@ def _in_degree_report(forest):
 
 def _nested_parity(p, forest):
     start = p["start"]
-    if start is None:
-        start = min(forest.interior or forest.vertices)
+    if start is None:  # the first interior row, or row 0 (argmax of no True): rows are sorted
+        start = forest.verts[forest.is_interior.argmax()]
     else:  # an int is one coordinate
         start = start if isinstance(start, list) else [start]
-        k = len(coords(forest.verts[0])) if forest.verts else len(start)
-        if len(start) != k:
+        if len(start) != forest.coords.shape[1]:
             raise ConfigError(f"field 'start' has {len(start)} coordinates; "
-                              f"the window's vertices have {k}")
+                              f"the window's vertices have {forest.coords.shape[1]}")
         start = vertex(start)
     out = nested_level_average(forest, lambda v: coords(v)[0] % 2, start, p["n_max"])
     return ProbeReport(

@@ -2,21 +2,23 @@
 
 A point-map assigns to each vertex at most one out-neighbor, its jump. A
 ForestWindow is stored as rows, which number its vertices in sorted order:
-`verts` and its vertex-to-row map `row`, the successor array `succ` (the row
-of each in-window jump, or -1), the row masks `is_exit` (the sampled jump
-left the window) and `is_interior` (the jump is guaranteed unaffected by
-truncation), and `src`, the rows with an in-window jump in the order their
-pairs were given (row order when rows were given), which fixes the preimage
-order. build_forest is the one constructor; it takes jump pairs, or the
-successor rows themselves from samplers that hold them as arrays.
-Components, heights, level sets and preimages are read from arrays kept on
-the window: CSR preimages (`pre`, `ptr`), pointer-doubling component labels
-and depths (`label`, `depth`), and, built on first read, component ids
-(`comp`), CSR rows per component (`comp_rows`, `comp_ptr`) and the reverse
-map (`rev`). `vertices`, `jump`, `exits` and `interior` are read-only set
-and dict views, built on first read; member frozensets are built only in
-`components` summaries. A window is never mutated after construction and
-is safe to share across workers.
+`coords`, their coordinates as an N x d int array in lexicographic order (an
+N x 1 object column of the vertices if they are not integer points, such as
+((x, y), t)), the successor array `succ` (the row of each in-window jump, or
+-1), the row masks `is_exit` (the sampled jump left the window) and
+`is_interior` (the jump is guaranteed unaffected by truncation), and `src`,
+the rows with an in-window jump in the order their pairs were given (row
+order when rows were given), which fixes the preimage order. build_forest is
+the one constructor; it takes jump pairs, or the coordinates and successor
+rows from samplers that hold them as arrays. Components, heights, level
+sets and preimages are read from arrays kept on the window: CSR preimages
+(`pre`, `ptr`), pointer-doubling component labels and depths (`label`,
+`depth`), and, built on first read, component ids (`comp`), CSR rows per
+component (`comp_rows`, `comp_ptr`) and the reverse map (`rev`). Vertex
+objects are built on first read too: the list `verts`, its inverse `row`,
+and the read-only views `vertices`, `jump`, `exits` and `interior`; member
+frozensets only in `components` summaries. A window is never mutated after
+construction and is safe to share across workers.
 
 Vertex representation is uniform within a window: integer tuples (lattice
 coordinates), plain ints (abstract vertices or point-ids), never mixed.
@@ -66,29 +68,47 @@ def vertex(c):
 
 
 def array_vertices(a):
-    """The vertices of the rows of an N x d int array."""
-    return a[:, 0].tolist() if a.shape[1] == 1 else list(map(tuple, a.tolist()))
+    """The vertices of the rows of an N x d int array or an object column."""
+    return a[:, 0].tolist() if a.shape[1] == 1 else list(zip(*a.T.tolist()))
 
 
 class ForestWindow:
     """A window as rows (see the module docstring); made by build_forest."""
 
-    def __init__(self, verts, row, succ, is_exit, is_interior, src, dimension, metadata):
-        self.verts, self.row, self.succ = verts, row, succ
+    def __init__(self, coords, succ, is_exit, is_interior, src, dimension, metadata,
+                 verts=None, row=None):
+        self.coords, self.succ = coords, succ
         self.is_exit, self.is_interior, self.src = is_exit, is_interior, src
         self.dimension, self.metadata = dimension, metadata
+        if verts is not None:  # the pair form has built both views already
+            self.verts, self.row = verts, row
         # the preimages of row r are pre[ptr[r]:ptr[r + 1]], in src order
-        dst = succ[src]
+        n, dst = len(succ), succ[src]
         self.pre = src[np.argsort(dst, kind="stable")]
-        self.ptr = np.zeros(len(verts) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=len(verts)), out=self.ptr[1:])
+        self.ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=n), out=self.ptr[1:])
         self.label, self.depth = _line_labels(succ)
 
     def __contains__(self, v):
         return v in self.row
 
     def __len__(self):
-        return len(self.verts)
+        return len(self.succ)
+
+    @cached_property
+    def verts(self):
+        return array_vertices(self.coords)
+
+    @cached_property
+    def row(self):
+        return dict(zip(self.verts, range(len(self.succ))))
+
+    def rows_of(self, vertices):
+        """The rows of vertices, or UnknownVertex naming the first absent one."""
+        try:
+            return [self.row[v] for v in vertices]
+        except KeyError as e:
+            raise UnknownVertex(repr(e.args[0])) from None
 
     @cached_property
     def vertices(self):
@@ -217,40 +237,59 @@ def build_forest(vertices, jump_pairs, interior=None, dimension=1, metadata=None
     Pairs: a dict or an iterable of (source, target) pairs, read in one
     pass. A target equal to EXIT, or outside `vertices`, flags the source as
     a boundary exit; `interior` is an iterable of vertices. Raises
-    UnknownVertex for a source outside the window and MalformedJump for a
-    repeated source.
+    UnknownVertex for a source outside the window, MalformedJump for a
+    repeated source and BadDimension for vertices that cannot be ordered.
 
-    Rows: an int ndarray, the target row of each of the already sorted and
-    distinct `vertices`, or -1 for a jump that left the window; every vertex
-    has a jump, and the jumps are kept in row order. `interior` is a bool
-    mask over the rows. Raises MalformedJump naming what is wrong.
+    Rows: an int ndarray, the target row of each vertex, or -1 for a jump
+    that left the window; every vertex has a jump, and the jumps are kept in
+    row order. `vertices` is their sorted and distinct coordinates: an N x d
+    int array, or N ints (int vertices). `interior` is a bool mask over the
+    rows. Raises BadDimension or MalformedJump naming the fault.
 
     The interior is intersected with the vertices whose jump stayed in the
-    window. Vertices that cannot be ordered (ints mixed with tuples) raise
-    BadDimension.
+    window.
     """
-    rows_form = isinstance(jump_pairs, np.ndarray)
-    vertices = list(vertices) if rows_form else vertices
-    try:
-        verts = sorted(vertices)
-    except TypeError as e:
-        raise BadDimension(f"window vertices cannot be ordered: {e}") from None
-    row = dict(zip(verts, range(len(verts))))
-    if rows_form:
-        if len(row) < len(verts) or verts != vertices:
-            raise MalformedJump("rows-form vertices are not sorted and distinct")
-        succ, interior = _checked_rows(jump_pairs, interior, len(verts))
+    verts = row = None
+    if isinstance(jump_pairs, np.ndarray):
+        coords = _checked_coords(vertices)
+        succ, interior = _checked_rows(jump_pairs, interior, len(coords))
         is_exit, src = succ < 0, np.flatnonzero(succ >= 0)
     else:
+        try:
+            verts = sorted(vertices)
+        except TypeError as e:
+            raise BadDimension(f"window vertices cannot be ordered: {e}") from None
+        row = dict(zip(verts, range(len(verts))))
         if len(row) < len(verts):  # a repeated vertex; the keys are sorted and distinct
             verts = list(row)
             row = dict(zip(verts, range(len(verts))))
         succ, is_exit, src, interior = _pair_rows(row, jump_pairs, interior)
+        try:
+            coords = _checked_coords(verts)
+        except BadDimension:  # not integer points: a column of the vertices
+            coords = np.fromiter(verts, dtype=object, count=len(verts))[:, None]
     is_interior = succ >= 0
     if interior is not None:
         is_interior &= interior
-    return ForestWindow(verts, row, succ, is_exit, is_interior, src, dimension,
-                        dict(metadata or {}))
+    return ForestWindow(coords, succ, is_exit, is_interior, src, dimension,
+                        dict(metadata or {}), verts, row)
+
+
+def _checked_coords(vertices):
+    """Rows-form coordinates as an int64 N x d array, or the named fault."""
+    try:  # rows of unequal lengths raise ValueError too
+        c = np.asarray(vertices)
+        c = c[:, None] if c.ndim == 1 else c
+        if c.ndim != 2 or not c.shape[1] or len(c) and c.dtype.kind != "i":
+            raise ValueError(f"got shape {c.shape} of {c.dtype}")
+    except ValueError as e:
+        raise BadDimension(f"rows-form vertices need N ints or N x d ints: {e}") from None
+    c = c.astype(np.int64)
+    # each row must pass the last where they first differ (column 0 if they are equal)
+    at = (np.arange(len(c) - 1), (c[1:] != c[:-1]).argmax(axis=1))
+    if not (c[1:][at] > c[:-1][at]).all():
+        raise MalformedJump("rows-form vertices are not sorted and distinct")
+    return c
 
 
 def _pair_rows(row, jump_pairs, interior):
@@ -296,9 +335,7 @@ def _checked_rows(succ, interior, n):
 def ancestral_line(forest, v, max_steps):
     """Follow the jump map from v for at most max_steps jumps."""
     _check_steps("max_steps", max_steps)
-    r = forest.row.get(v)
-    if r is None:
-        raise UnknownVertex(repr(v))
+    (r,) = forest.rows_of([v])
     path, seen = [r], {r: 0}
     termination = entry = None
     while termination is None:
@@ -364,9 +401,7 @@ def classify_component(forest, component_id):
 def descendants(forest, v, n):
     """D_n(v): vertices u with n-th iterate equal to v, all steps in-window."""
     _check_steps("n", n)
-    r = forest.row.get(v)
-    if r is None:
-        raise UnknownVertex(repr(v))
+    (r,) = forest.rows_of([v])
     return frozenset(forest.vertices_of(forest.descend(r, n)))
 
 
@@ -381,9 +416,7 @@ def level_set(forest, v, horizon):
     never flagged.
     """
     _check_steps("horizon", horizon)
-    r = forest.row.get(v)
-    if r is None:
-        raise UnknownVertex(repr(v))
+    (r,) = forest.rows_of([v])
     top, steps = r, 0
     while steps < horizon and forest.succ[top] >= 0:
         top = int(forest.succ[top])
@@ -416,9 +449,7 @@ def height(forest, component_id):
 def component_heights(forest, anchor):
     """Heights over the cycle-free component of anchor, which gets height
     0: h(v) = depth(v) - depth(anchor), so h(F(v)) = h(v) - 1."""
-    r = forest.row.get(anchor)
-    if r is None:
-        raise UnknownVertex(repr(anchor))
+    (r,) = forest.rows_of([anchor])
     if forest.depth[r] < 0:
         raise CyclicComponent(f"the component of {anchor!r} contains a cycle")
     rows = forest.component_rows(forest.comp[r])

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadDimension, ConfigError, EmptyWindow, MalformedJump
-from .forest import array_vertices, build_forest
+from .forest import build_forest
 from .seeds import rng_for
 
 _ROLE_LATTICE = 0xA1
@@ -423,7 +423,7 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
     at = np.ravel_multi_index(tuple((targets - [lo for lo, _ in box]).T), [len(x) for x in axes],
                               mode="clip")
     return build_forest(
-        array_vertices(pts),
+        pts,
         np.where(in_box, rowmap[at], -1),
         interior=interior,
         dimension=d,

@@ -11,7 +11,6 @@ what the infinite model would have produced.
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -162,7 +161,7 @@ def strip_point_map(cloud, config):
             inside &= (pts[i, a] - w > win[a][0]) and (pts[i, a] + w < win[a][1])
         interior[i] = inside
     return build_forest(
-        range(n),
+        np.arange(n),
         succ,
         interior=interior,
         dimension=d,
@@ -276,7 +275,7 @@ def discrete_strip(p, box, seed):
     succ = np.full(rows * length, -1, dtype=np.int64)
     succ[found] = h * length + cand[np.arange(len(h)), pick]
     return build_forest(
-        product(range(t_lo, t_hi + 1), range(length)),
+        np.stack(np.meshgrid(np.arange(t_lo, t_hi + 1), x, indexing="ij"), axis=-1).reshape(-1, 2),
         succ,
         interior=hit < rows - 1,
         dimension=2,

@@ -226,6 +226,18 @@ def test_cluster_needs_torus():
     )
     with pytest.raises(NeedsTorus):
         cluster_frequency(half_wrapped, 0, 100, 1)
+    overhanging = build_forest(range(5), {v: (v + 1) % 5 for v in range(5)},
+                               metadata={"wrap": (4,), "box": ((0, 3),)})
+    with pytest.raises(NeedsTorus, match="outside the torus box"):
+        cluster_frequency(overhanging, 0, 100, 1)
+
+
+def test_cluster_walk_onto_a_missing_site_is_named():
+    # increments 1, 2 and 1 mod 4 step the walk onto site 2, which is no vertex
+    gappy = build_forest([0, 1, 3], {0: 1, 1: 3, 3: 0},
+                         metadata={"wrap": (4,), "box": ((0, 3),)})
+    with pytest.raises(UnknownVertex, match="2"):
+        cluster_frequency(gappy, 0, 200, 1)
 
 
 def test_cluster_bad_component_id():

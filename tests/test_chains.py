@@ -343,8 +343,23 @@ def test_meet_trace_glues_paths():
     assert found
 
 
+def oracle_traced_paths(jumps, x0, y0, budget, seed):
+    """The traced paths as one draw of the whole stream decodes them: X steps
+    by a throughout, Y by b until the chains meet and with X after."""
+    vecs, cum = chains._difference_kernel(jumps)
+    u = rng_for(seed, chains._ROLE_MEET).random(budget)
+    a, b = chains._pair_steps(jumps, vecs, cum, u)
+    xs = np.vstack([x0, x0 + np.cumsum(a, axis=0)])
+    ys = np.vstack([y0, y0 + np.cumsum(b, axis=0)])
+    met = np.flatnonzero((xs == ys).all(axis=1))
+    if len(met):
+        ys[met[0]:] = xs[met[0]:]
+    return list(map(tuple, xs.tolist())), list(map(tuple, ys.tolist()))
+
+
 def test_traced_and_untraced_meetings_agree():
-    # a trace is decoded from the untraced draws, so it never changes the result
+    # a trace is decoded from the untraced draws and the rest of the same
+    # stream, so it never changes the result
     kernels = [renewal_jumps(), nguyen_jumps(),
                JumpDistribution(((1,), (2,), (3,)), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
                uniform_jumps([(1, 0, -1), (0, 1, -1), (-1, -1, -1), (1, 1, -1)])]
@@ -359,6 +374,8 @@ def test_traced_and_untraced_meetings_agree():
                 traced = meet_and_stick_coupling(kern, x, y, budget, seed, record_trace=True)
                 assert (traced.success, traced.coupling_time) == (plain.success, plain.coupling_time)
                 xs, ys = ([coords(v) for v in path] for path in traced.trace)
+                assert (xs, ys) == oracle_traced_paths(kern, chains._vec(x, d),
+                                                       chains._vec(y, d), budget, seed)
                 assert len(xs) == len(ys) == budget + 1
                 assert (xs[0], ys[0]) == (chains._vec(x, d), chains._vec(y, d))
                 for path in (xs, ys):

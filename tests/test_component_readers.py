@@ -12,10 +12,11 @@ and on sampled lattice windows and tori.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_forest_core import windows
 
+from cmtforest import cli
 from cmtforest.analysis import (
     _ROLE_ORDER,
     _ROLE_WALK,
@@ -231,6 +232,10 @@ def oracle_level_set_bijection(forest, seed):
     return LevelBijection(matching=matching, unmatched=frozenset(unmatched))
 
 
+def oracle_default_start(forest):
+    return min(forest.interior or forest.vertices)
+
+
 # -- helpers ------------------------------------------------------------------------
 
 
@@ -313,6 +318,17 @@ def test_cluster_frequency_equals_oracle(fw, walk_steps, seed):
        st.integers(0, 2**32))
 def test_level_set_bijection_equals_oracle(fw, seed):
     same(level_set_bijection, oracle_level_set_bijection, fw, seed)
+
+
+@SUITE
+@given(st.one_of(interior_windows(), lattice_windows(False)))
+def test_nested_parity_default_start_equals_oracle(fw):
+    # rows are sorted, so the first interior row (or row 0) is the least vertex
+    assume(len(fw))
+    probe = {"start": None, "n_max": 3}
+    want = outcome(cli._nested_parity, dict(probe, start=list(coords(oracle_default_start(fw)))),
+                   fw)
+    assert outcome(cli._nested_parity, probe, fw) == want
 
 
 def test_gates_meet_every_branch():

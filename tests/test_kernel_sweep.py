@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from cmtforest import chains
 from cmtforest.analysis import green_table
-from cmtforest.chains import _vec, green_function, kernel_power, tv_profile
+from cmtforest.chains import _vec, green_function, kernel_power, tv_consecutive, tv_profile
 from cmtforest.errors import CyclicComponent, TooLarge
 from cmtforest.lattice import JumpDistribution, check_cycle_free, uniform_jumps
 from cmtforest.models import nguyen_atoms
@@ -321,6 +321,20 @@ def test_a_sweep_past_far_keys_python_ints(monkeypatch, jumps, n, far):
 def test_a_target_past_sys_maxsize_steps_is_named(call):
     # no sweep gets 2**70 steps out; the error names the target
     with pytest.raises(TooLarge, match=str(2**70)):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: kernel_power(RENEWAL, 2**70), "n", id="power"),
+    pytest.param(lambda: tv_profile(RENEWAL, 2**70), "n_max", id="profile"),
+    pytest.param(lambda: tv_profile(RENEWAL, 3, 2**70), "k", id="profile-k"),
+    pytest.param(lambda: tv_consecutive(RENEWAL, 2**70), "n_max", id="consecutive"),
+    pytest.param(lambda: green_function(uniform_jumps([(0,), (1,)]), 3, horizon=2**70),
+                 "horizon", id="function-horizon"),
+])
+def test_a_step_count_past_sys_maxsize_is_named(call, name):
+    # islice stops at sys.maxsize; the error names the argument instead
+    with pytest.raises(TooLarge, match=name):
         call()
 
 

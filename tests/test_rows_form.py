@@ -1,10 +1,13 @@
 """The rows form of build_forest. The three samplers that hold a window's
-successor array in numpy (the lattice sampler, the discrete strip and the
-strip point-map) hand build_forest their rows. The pair-building bodies
-they had before, which encoded the same rows as vertex pairs with EXIT
-sentinels and an interior vertex list, are kept here as the oracles. Both
-must give equal windows: the same sorted vertices, row arrays, set and dict
-views, reverse map order and dump bytes.
+coordinates and successor array in numpy (the lattice sampler, the discrete
+strip and the strip point-map) hand build_forest those arrays. The
+pair-building bodies they had before, which encoded the same rows as vertex
+pairs with EXIT sentinels and an interior vertex list, are kept here as the
+oracles. Both must give equal windows: the same coordinates and sorted
+vertices, row arrays, set and dict views, reverse map order and dump bytes.
+Random coordinate arrays, given as N ints, N x 1 or N x d arrays or lists
+of tuples, must build the same windows as their pairs, and the vertex
+objects must stay unbuilt through the array readers.
 
 The suites are deterministic (the profile in conftest) with a bounded
 number of examples.
@@ -17,9 +20,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cmtforest.errors import BadDimension, EmptyWindow, MalformedJump
-from cmtforest.forest import EXIT, array_vertices, build_forest, dump_forest, reverse_jump
+from cmtforest.analysis import (
+    SURVEY_STATISTICS,
+    cluster_frequency,
+    component_statistic_survey,
+    in_degree_profile,
+)
+from cmtforest.errors import BadDimension, Empty, EmptyWindow, MalformedJump
+from cmtforest.forest import (
+    EXIT,
+    array_vertices,
+    build_forest,
+    dump_forest,
+    reverse_jump,
+    vertex,
+)
 from cmtforest.lattice import (
     _ROLE_LATTICE,
     JumpDistribution,
@@ -42,7 +59,7 @@ from cmtforest.seeds import rng_for
 
 SUITE = settings(max_examples=120)
 
-ROW_ARRAYS = ("succ", "is_exit", "is_interior", "src", "pre", "ptr", "label", "depth")
+ROW_ARRAYS = ("coords", "succ", "is_exit", "is_interior", "src", "pre", "ptr", "label", "depth")
 
 
 # -- the oracles: the samplers' pair-building bodies ------------------------------
@@ -278,6 +295,20 @@ def test_rows_form_unorderable_vertices_raise_bad_dimension():
         build_forest([0, (1, 2)], rows(-1, -1))
 
 
+@pytest.mark.parametrize("vertices", [
+    [0.0, 1.0],
+    [True, False],
+    ["a", "b"],
+    [2**63, 2**64],
+    np.zeros((2, 1, 1), dtype=np.int64),
+    np.zeros((2, 0), dtype=np.int64),
+    iter([0, 1]),
+])
+def test_rows_form_non_int_coordinates_raise_bad_dimension(vertices):
+    with pytest.raises(BadDimension):
+        build_forest(vertices, rows(-1, -1))
+
+
 def test_rows_form_every_vertex_has_a_jump():
     fw = build_forest(range(4), rows(2, -1, 2, 0), interior=np.array([True, True, False, True]))
     assert fw.exits == {1}
@@ -296,3 +327,73 @@ def test_rows_form_does_not_alias_the_callers_array():
     fw = build_forest([0, 1], succ)
     succ[0] = -1
     assert fw.succ.tolist() == [1, -1]
+
+
+def test_rows_form_one_tuples_give_int_vertices():
+    fw = build_forest([(0,), (2,)], rows(1, -1))
+    assert fw.verts == [0, 2] and dict(fw.jump) == {0: 2}
+
+
+# -- coordinate arrays ------------------------------------------------------------------
+
+
+@st.composite
+def coordinate_windows(draw):
+    """Sorted distinct points (d = 1-4) with random successor rows and interior;
+    an empty window has no dimension in the pair form, so n >= 1."""
+    d = draw(st.integers(1, 4))
+    pts = sorted(set(draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1,
+                                   max_size=25))))
+    n = len(pts)
+    succ = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    interior = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return pts, np.array(succ, dtype=np.int64), np.array(interior, dtype=bool)
+
+
+@SUITE
+@given(coordinate_windows())
+def test_coordinate_rows_equal_pairs(case):
+    pts, succ, interior = case
+    c = np.array(pts, dtype=np.int64).reshape(len(pts), -1)
+    verts = array_vertices(c)
+    meta = {"model": "coords", "seed": 3}
+    want = build_forest(verts, [(v, verts[t] if t >= 0 else EXIT)
+                                for v, t in zip(verts, succ.tolist())],
+                        interior=list(compress(verts, interior.tolist())), dimension=c.shape[1],
+                        metadata=meta)
+    forms = [c, pts] + ([c[:, 0], c[:, 0].tolist()] if c.shape[1] == 1 else [])
+    for form in forms:
+        assert_same_window(build_forest(form, succ, interior=interior, dimension=c.shape[1],
+                                        metadata=meta), want)
+
+
+@SUITE
+@given(arrays(np.int64, st.tuples(st.integers(0, 20), st.integers(1, 4))))
+def test_array_vertices_reads_columns(a):
+    got = array_vertices(a)
+    assert got == list(map(vertex, map(tuple, a.tolist())))
+    assert all(type(x) is (int if a.shape[1] == 1 else tuple) for x in got)
+    assert all(type(c) is int for v in got if a.shape[1] > 1 for c in v)
+
+
+TORUS = (integer_lattice(2), JumpDistribution(((1, 0), (0, 1), (-1, 1)), (Fraction(1, 3),) * 3),
+         [(0, 5), (0, 6)])
+
+
+@pytest.mark.parametrize("sample", [
+    pytest.param(lambda: sample_lattice_cmt(*TORUS, 4, wrap=(6, 7)), id="lattice"),
+    pytest.param(lambda: discrete_strip(0.4, [(0, 9), (0, 7)], 4), id="discrete-strip"),
+    pytest.param(lambda: strip_point_map(sample_poisson(3.0, [(0.0, 4.0), (0.0, 2.0)], 4),
+                                         StripConfig(0.5)), id="strip"),
+])
+def test_array_readers_build_no_vertex_objects(sample):
+    fw = sample()
+    for statistic in SURVEY_STATISTICS:
+        try:
+            component_statistic_survey(fw, statistic, 1)
+        except Empty:  # every component of a torus has a cycle, so no height range
+            assert statistic == "height-range-per-size"
+    in_degree_profile(fw)
+    if fw.metadata.get("wrap"):
+        cluster_frequency(fw, 0, 200, 4)
+    assert "verts" not in fw.__dict__ and "row" not in fw.__dict__

@@ -2,9 +2,11 @@
 two-step build it replaced is kept here as the oracle: the old build_forest
 loop, which filled a jump dict, an exit set and an interior set, then the
 old array core's constructor, which sorted, hashed and looked those up
-again into the successor array, CSR preimages, labels and depths. Both builds must agree on every row array, on every set
-and dict view, on the reverse map's order, on the dump bytes and on the
-error raised for malformed pairs.
+again into the successor array, CSR preimages, labels and depths. Both
+builds must agree on the coordinates, on every row array, on every set and
+dict view, on the reverse map's order, on the dump bytes and on the error
+raised for malformed pairs. Vertices that are not integer points keep
+themselves as an object column of coordinates.
 
 The suite is deterministic (derandomize=True) with a bounded number of
 examples. Random partial functional graphs mix cycles, EXIT targets,
@@ -20,16 +22,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmtforest.analysis import component_statistic_survey
 from cmtforest.errors import BadDimension, MalformedJump, UnknownVertex
 from cmtforest.forest import (
     EXIT,
     _fmt_vertex,
     _line_labels,
     build_forest,
+    components,
     dump_forest,
     load_forest,
     reverse_jump,
 )
+from cmtforest.graphs import torus_graph
+from cmtforest.models import SpaceTimeGraph, coalescing_srw
 
 SUITE = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -154,6 +160,9 @@ def test_rows_build_equals_dict_build(case):
     vset, jump, exits, inner = want
     rows = oracle_rows(vset, jump)
     assert fw.verts == rows["verts"]
+    want = np.array(rows["verts"], dtype=np.int64)
+    assert fw.coords.dtype == want.dtype
+    assert np.array_equal(fw.coords, want[:, None] if want.ndim == 1 else want)
     for name in ("succ", "pre", "ptr", "label", "depth"):
         assert np.array_equal(getattr(fw, name), rows[name]), name
     assert (fw.vertices, fw.exits, fw.interior) == (vset, exits, inner)
@@ -167,6 +176,30 @@ def test_views_are_read_only():
     with pytest.raises(TypeError):
         fw.jump[2] = 0
     assert isinstance(fw.vertices, frozenset) and isinstance(fw.exits, frozenset)
+
+
+def test_rows_of_names_the_first_absent_vertex():
+    fw = build_forest([0, 1, 2], [(0, 1)])
+    assert fw.rows_of([2, 0, 2]) == [2, 0, 2] and fw.rows_of(iter([])) == []
+    with pytest.raises(UnknownVertex) as e:
+        fw.rows_of(iter([1, 7, 8]))
+    assert e.value.args == ("7",)
+
+
+def test_object_column_window_keeps_its_vertices():
+    space_time = SpaceTimeGraph(torus_graph(3, 2), (0, 3))
+    fw = coalescing_srw(space_time, 1)
+    assert fw.coords.dtype == object and fw.coords[:, 0].tolist() == fw.verts
+    assert fw.verts == sorted(space_time.vertices())
+    assert all(t[1] == s[1] + 1 for s, t in fw.jump.items())
+    assert len(fw.jump) == 27 and not fw.exits
+    assert frozenset().union(*(c.members for c in components(fw))) == fw.vertices
+    assert dump_forest(fw).splitlines()[1:] == [
+        f"{_fmt_vertex(v)} -> {_fmt_vertex(fw.jump[v])}" if v in fw.jump else _fmt_vertex(v)
+        for v in fw.verts]
+    with pytest.raises(BadDimension, match="integer points"):
+        component_statistic_survey(fw, "jump-frequency-vector", 1)
+    assert component_statistic_survey(fw, "leaf-fraction", 1).values
 
 
 # -- named errors --------------------------------------------------------------------
