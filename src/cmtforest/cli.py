@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import ConfigError, CyclicComponent
+from .errors import ConfigError, CyclicComponent, Empty
 from .analysis import (
     SURVEY_STATISTICS, LatticeChainModel, ProbeReport, canopy_distinguishability_demo,
     cluster_frequency, component_statistic_survey, connectivity_decay_probe,
@@ -217,6 +217,8 @@ def _in_degree_report(forest):
 def _nested_parity(p, forest):
     start = p["start"]
     if start is None:  # the first interior row, or row 0 (argmax of no True): rows are sorted
+        if not len(forest.coords):
+            raise Empty("the window is empty: no vertex to start from")
         start = forest.verts[forest.is_interior.argmax()]
     else:  # an int is one coordinate
         start = start if isinstance(start, list) else [start]

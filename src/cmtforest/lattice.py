@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadDimension, ConfigError, EmptyWindow, MalformedJump
+from .errors import BadDimension, ConfigError, EmptyWindow, MalformedJump, _check_steps
 from .forest import build_forest
 from .seeds import rng_for
 
@@ -380,6 +380,7 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
 
     Vertices are coordinate tuples, or plain ints in dimension one.
     """
+    _check_steps("seed", seed, least=None)
     d = lattice.dimension
     if jumps.dimension != d or len(box) != d:
         raise BadDimension("box/jump dimension mismatch")

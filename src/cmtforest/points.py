@@ -7,14 +7,19 @@ resulting windows are cycle-free by construction. Interior flags follow
 stopping-set honesty: a source is interior only when the region its
 search scanned lies inside the window, so the recorded jump is exactly
 what the infinite model would have produced.
+
+The strip point-map finds every successor in one time-sorted bucket sweep,
+about n log n on a Poisson cloud instead of a scan of all pairs; equal
+times break lexicographically on the other coordinates, then by point id.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension, ConfigError, CyclicComponent, EmptyWindow
+from .errors import BadDimension, ConfigError, CyclicComponent, EmptyWindow, _check_steps
 from .forest import EXIT, build_forest
 from .seeds import derive_seed, rng_for, vertex_stream
 
@@ -23,6 +28,9 @@ _ROLE_POISSON = 0xD2
 _ROLE_HOWARD = 0xD4
 _ROLE_STRIP_FIELD = 0xD5
 _ROLE_STRIP_TIES = 0xD6
+
+_CELL_AXES = 2  # the strip sweep cuts cells on at most this many space axes
+_STEP_BLOCK = 1 << 18  # candidates one step of the strip sweep may read
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,7 @@ class PointCloud:
 
 def sample_bernoulli(p, box, seed):
     """Keep each integer point of the box independently with chance p."""
+    _check_steps("seed", seed, least=None)
     if not 0 <= p <= 1:
         raise ConfigError("retention probability out of range")
     axes = [np.arange(lo, hi + 1) for lo, hi in box]
@@ -80,8 +89,11 @@ def sample_bernoulli(p, box, seed):
 def sample_poisson(intensity, rectangle, seed):
     """Poisson process on a real box: Poisson(intensity * volume) many
     uniform points."""
+    _check_steps("seed", seed, least=None)
     if not 0 <= intensity < math.inf:
         raise ConfigError(f"intensity must be a finite number >= 0, got {intensity!r}")
+    if not len(rectangle):
+        raise BadDimension("rectangle has no axes")
     vol = 1.0
     for lo, hi in rectangle:
         if hi <= lo:
@@ -90,7 +102,7 @@ def sample_poisson(intensity, rectangle, seed):
     rng = rng_for(seed, _ROLE_POISSON)
     n = int(rng.poisson(intensity * vol))
     coords = [rng.uniform(lo, hi, size=n) for lo, hi in rectangle]
-    pts = tuple(tuple(float(c[i]) for c in coords) for i in range(n))
+    pts = tuple(zip(*(c.tolist() for c in coords)))
     return PointCloud(pts, tuple(rectangle), "poisson", float(intensity), int(seed))
 
 
@@ -126,15 +138,85 @@ def _axis_order(d, time_axis):
     return (time_axis,) + tuple(a for a in range(d) if a != time_axis)
 
 
+def _strip_successors(pts, w):
+    """The strip successor of every row of pts (n x d, time in column 0),
+    or -1: among the points with a later time and every other coordinate
+    within w (the float test abs(x_j - x_i) <= w), the first in (time,
+    other coordinates lexicographically, id) order.
+
+    Points are bucketed into cells of width W, the least power of two above
+    w, on at most the first _CELL_AXES space axes. A float difference at
+    most w is an exact one below W, and floor(x / W) is exact short of
+    over- and underflow (where the only floats within w of each other share
+    a cell, or sit in cells -1 and 0); so every candidate lies in the
+    source's cell or one cell away on each cut axis. Cells are ranked
+    densely axis by axis, so no key outgrows n^2. Each cell is held in
+    (time, coordinates, id) order. A source searches every neighbour cell
+    from its first later time; all open searches step at once, in blocks
+    that double, and a search stops at its first hit or once it passes the
+    best hit of another cell. The cost is n log n plus the candidates
+    stepped over, with no Python loop over points or cells."""
+    n = len(pts)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    t, x = pts[:, 0], pts[:, 1:]
+    by_rank = np.lexsort(tuple(x.T[::-1]) + (t,))  # stable, so ids break ties
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_rank] = np.arange(n)
+
+    k = min(x.shape[1], _CELL_AXES)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        cells = np.floor(x[:, :k] / np.ldexp(1.0, np.frexp(w)[1]))
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=k))).reshape(3**k, k)
+    cell = np.zeros(n, dtype=np.int64)  # dense rank of the cell on the axes so far
+    near = np.zeros((n, len(offsets)), dtype=np.int64)  # neighbour cells' ranks, -1 if empty
+    for a in range(k):
+        values, axis_rank = np.unique(cells[:, a], return_inverse=True)
+        want = cells[:, a, None] + offsets[:, a]
+        at = np.minimum(np.searchsorted(values, want), len(values) - 1)
+        occupied, cell = np.unique(cell * len(values) + axis_rank, return_inverse=True)
+        key = near * len(values) + at
+        hit = np.minimum(np.searchsorted(occupied, key), len(occupied) - 1)
+        near = np.where((near >= 0) & (values[at] == want) & (occupied[hit] == key), hit, -1)
+
+    order = by_rank[np.argsort(cell[by_rank], kind="stable")]
+    ends = np.cumsum(np.bincount(cell))
+    times, t_rank = np.unique(t, return_inverse=True)
+    keys = (cell * len(times) + t_rank)[order]
+    src, col = np.nonzero(near >= 0)
+    pair_cell = near[src, col]
+    pos = np.searchsorted(keys, pair_cell * len(times) + t_rank[src], side="right")
+    end = ends[pair_cell]
+    sx, s_rank = x[order], rank[order]
+    best = np.full(n, n)  # rank of each source's best hit so far
+    step = 1
+    while True:
+        keep = pos < end
+        src, pos, end = src[keep], pos[keep], end[keep]
+        keep = s_rank[pos] < best[src]
+        src, pos, end = src[keep], pos[keep], end[keep]
+        if len(src) == 0:
+            break
+        at = np.minimum(pos[:, None] + np.arange(step), end[:, None] - 1)
+        ok = (np.abs(sx[at] - x[src, None]) <= w).all(axis=2)
+        got = ok.any(axis=1)
+        np.minimum.at(best, src[got], s_rank[at[got, ok[got].argmax(axis=1)]])
+        src, pos, end = src[~got], pos[~got] + step, end[~got]
+        step = max(1, min(2 * step, _STEP_BLOCK // max(len(src), 1)))
+    return np.where(best < n, by_rank[np.minimum(best, n - 1)], -1)
+
+
 def strip_point_map(cloud, config):
     """Jump to the first point ahead of the source inside its strip.
 
     The strip of a point is {first coordinate greater} x {every other
     coordinate within half_width}. Among candidates the minimal first
-    coordinate wins; exact ties (possible only for discrete clouds)
-    break lexicographically. Vertices of the output are point ids, the
-    indices into cloud.points. A source is interior when its scan region
-    stayed strictly inside the window on every axis."""
+    coordinate wins; exact ties (possible only for discrete clouds) break
+    lexicographically on the other coordinates, then by the smaller id.
+    Vertices of the output are point ids, the indices into cloud.points.
+    A source is interior when its scan region stayed strictly inside the
+    window on every axis. The search is a time-sorted bucket sweep
+    (_strip_successors), about n log n for a Poisson cloud."""
     d = cloud.dimension
     order = _axis_order(d, config.time_axis)
     pts = np.array(cloud.points, dtype=float).reshape(len(cloud), d)[:, order]
@@ -142,24 +224,10 @@ def strip_point_map(cloud, config):
     w = config.half_width
     n = len(cloud)
 
-    t = pts[:, 0]
-    succ = np.full(n, -1, dtype=np.int64)
-    interior = np.zeros(n, dtype=bool)
-    for i in range(n):
-        ok = t > t[i]
-        for a in range(1, d):
-            ok &= np.abs(pts[:, a] - pts[i, a]) <= w
-        idx = np.nonzero(ok)[0]
-        if len(idx) == 0:
-            continue
-        best_t = t[idx].min()
-        tied = idx[t[idx] == best_t]
-        j = min((int(k) for k in tied), key=lambda k: tuple(pts[k, 1:]))
-        succ[i] = j
-        inside = t[j] < win[0][1]
-        for a in range(1, d):
-            inside &= (pts[i, a] - w > win[a][0]) and (pts[i, a] + w < win[a][1])
-        interior[i] = inside
+    succ = _strip_successors(pts, w)
+    interior = (succ >= 0) & (pts[succ, 0] < win[0][1])
+    for a in range(1, d):
+        interior &= (pts[:, a] - w > win[a][0]) & (pts[:, a] + w < win[a][1])
     return build_forest(
         np.arange(n),
         succ,
@@ -221,6 +289,7 @@ def _howard_forest(cloud, seed):
 def howard_model(p, box, seed):
     """Bernoulli cloud plus nearest-point jumps between consecutive
     slices; the base distance on the space coordinates is l1."""
+    _check_steps("seed", seed, least=None)
     if len(box) < 2:
         raise BadDimension("need a time axis and at least one space axis")
     if not 0 < p <= 1:
@@ -240,6 +309,7 @@ def discrete_strip(p, box, seed):
     vertex, retained or not. Sources whose scan concluded strictly below
     the top row are interior; the space axis wraps, so only the time
     boundary truncates."""
+    _check_steps("seed", seed, least=None)
     if not 0 < p <= 1:
         raise ConfigError("retention probability out of range")
     if len(box) != 2:

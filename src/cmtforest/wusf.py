@@ -7,6 +7,7 @@ are rejected for tree sampling since a loop step can never extend a
 spanning tree.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -26,6 +27,8 @@ from .seeds import rng_for
 
 _ROLE_WILSON = 0xE1
 _ROLE_LERW = 0xE2
+
+_SUBSET_CAP = 10**6  # edge subsets spanning_trees may try
 
 BOUNDARY = "WIRED"
 
@@ -265,10 +268,15 @@ def _edge_set(graph):
 
 def spanning_trees(graph):
     """Every spanning tree of a small simple graph, each a frozenset of
-    frozenset edges."""
+    frozenset edges. It tries every (n-1)-subset of the edges, and raises
+    TooLarge when there are more than _SUBSET_CAP of them."""
     verts = list(graph.vertices)
     edges = _edge_set(graph)
     n = len(verts)
+    subsets = math.comb(len(edges), n - 1)
+    if subsets > _SUBSET_CAP:
+        raise TooLarge(f"spanning_trees would try {subsets} edge subsets, "
+                       f"more than {_SUBSET_CAP}")
     out = []
     for combo in combinations(edges, n - 1):
         lead = {v: v for v in verts}

@@ -181,6 +181,16 @@ def test_nested_parity_start_of_wrong_length_exit_2(tmp_path, capsys, model, sta
     assert "'start'" in capsys.readouterr().err
 
 
+def test_nested_parity_on_an_empty_window_names_it(tmp_path, capsys):
+    # intensity 0 gives a strip map over no points; there is no default start
+    model = {"model": "strip", "intensity": 0, "half_width": 0.5, "box": [[0, 1], [0, 1]]}
+    payload = {"model": model, "probes": [{"probe": "nested-parity"}], "seed": 1}
+    rc, _ = run_into(tmp_path, payload, "a")
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == (
+        "probe 'nested-parity' failed: Empty: the window is empty: no vertex to start from")
+
+
 def test_nested_parity_start_on_point_ids_has_one_coordinate(tmp_path):
     model = {"model": "strip", "intensity": 1.0, "half_width": 1.0, "box": [[0, 8], [0, 4]],
              "time_axis": 0}

@@ -10,7 +10,9 @@ import pytest
 
 from cmtforest.errors import BadDimension, ConfigError, CyclicComponent
 from cmtforest.forest import build_forest
+from cmtforest.lattice import JumpDistribution, integer_lattice, sample_lattice_cmt
 from cmtforest.points import (
+    _ROLE_POISSON,
     PointCloud,
     StripConfig,
     _howard_forest,
@@ -22,6 +24,7 @@ from cmtforest.points import (
     sample_poisson,
     strip_point_map,
 )
+from cmtforest.seeds import rng_for
 
 
 def band(freq, p, n, sigmas=4):
@@ -63,6 +66,37 @@ def test_non_finite_point_process_inputs_are_named(bad):
         sample_poisson(bad, [(0.0, 1.0), (0.0, 1.0)], seed=3)
     with pytest.raises(ConfigError, match="^half_width must be a finite number"):
         StripConfig(bad)
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", None, True])
+@pytest.mark.parametrize("sample", [
+    lambda seed: sample_poisson(1.0, [(0.0, 1.0), (0.0, 1.0)], seed),
+    lambda seed: sample_bernoulli(0.5, [(0, 3), (0, 3)], seed),
+    lambda seed: discrete_strip(0.5, [(0, 3), (0, 3)], seed),
+    lambda seed: howard_model(0.5, [(0, 3), (0, 3)], seed),
+    lambda seed: sample_lattice_cmt(integer_lattice(1), JumpDistribution(((1,),), (1,)),
+                                    [(0, 3)], seed),
+], ids=["poisson", "bernoulli", "discrete-strip", "howard", "lattice"])
+def test_sampler_seed_must_be_an_integer(sample, seed):
+    with pytest.raises(ConfigError, match=f"^seed must be an integer, got {seed!r}$"):
+        sample(seed)
+
+
+@pytest.mark.parametrize("rectangle", [[(0.0, 3.0), (-1.0, 2.0)], [(0.0, 20.0)],
+                                       [(0.0, 2.0), (0.0, 2.0), (0.0, 1.5)]])
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_poisson_points_are_the_per_float_tuples(rectangle, seed):
+    rng = rng_for(seed, _ROLE_POISSON)
+    n = int(rng.poisson(2.0 * math.prod(hi - lo for lo, hi in rectangle)))
+    coords = [rng.uniform(lo, hi, size=n) for lo, hi in rectangle]
+    want = tuple(tuple(float(c[i]) for c in coords) for i in range(n))
+    got = sample_poisson(2.0, rectangle, seed).points
+    assert got == want and all(type(c) is float for p in got for c in p)
+
+
+def test_poisson_rectangle_without_axes_raises_bad_dimension():
+    with pytest.raises(BadDimension, match="^rectangle has no axes$"):
+        sample_poisson(2.0, [], seed=0)
 
 
 def test_poisson_mean_count():

@@ -13,6 +13,7 @@ The suites are deterministic (the profile in conftest) with a bounded
 number of examples.
 """
 
+import math
 from fractions import Fraction
 from itertools import compress
 
@@ -49,6 +50,7 @@ from cmtforest.lattice import (
 from cmtforest.points import (
     _ROLE_STRIP_FIELD,
     _ROLE_STRIP_TIES,
+    PointCloud,
     StripConfig,
     _axis_order,
     discrete_strip,
@@ -260,6 +262,50 @@ def test_strip_point_map_rows_equal_pairs(d, intensity, half_width, time_axis, s
     rectangle = [(0.0, 4.0), (-1.0, 2.0), (0.0, 1.5)][:d]
     cloud = sample_poisson(intensity, rectangle, seed)
     config = StripConfig(half_width, time_axis % d)
+    assert_same_window(strip_point_map(cloud, config), oracle_strip_point_map(cloud, config))
+
+
+def _ulps(x, k):
+    """The float k steps of one ulp from x."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+@st.composite
+def strip_edge_clouds(draw):
+    """(cloud, config) with what a Poisson draw never gives the sweep: equal
+    times, distances of exactly w, coincident points (allowed under kind
+    "bernoulli", and the id tie-break decides between them), coordinates
+    one ulp either side of k*w and of the sweep's power-of-two cell edges,
+    and w = 1e-9 beside coordinates near 1e9 or 1e300, whose cells are past
+    int64. d = 1-3, every time axis, n from 0."""
+    d = draw(st.integers(1, 3))
+    case = draw(st.sampled_from(["integers", "cell-edges", "far"]))
+    if case == "integers":
+        w = float(draw(st.integers(1, 2)))
+        coord = st.integers(0, 4)
+    elif case == "cell-edges":
+        w = draw(st.sampled_from([1.0, 0.1, 0.3, 2.5, _ulps(0.5, -1), _ulps(2.0, 1)]))
+        coord = st.builds(lambda k, u: _ulps(k * w, u), st.integers(-3, 3), st.integers(-1, 1))
+    else:
+        w = 1e-9
+        base = draw(st.sampled_from([0.0, 1e9, -1e9, 1e300]))
+        coord = st.one_of(st.builds(lambda k: _ulps(base, k), st.integers(-2, 2)),
+                          st.builds(lambda k, u: _ulps(k * w, u), st.integers(-2, 2),
+                                    st.integers(-1, 1)))
+    points = draw(st.lists(st.tuples(*[coord] * d), max_size=30))
+    margin = draw(st.sampled_from([0, w, 3 * w]))
+    window = [(min(c) - margin, max(c) + margin) for c in zip(*points)] or [(0, 1)] * d
+    kind = "poisson" if len(set(points)) == len(points) else "bernoulli"
+    cloud = PointCloud(points, window, kind, 1.0, 0)
+    return cloud, StripConfig(w, draw(st.integers(0, d - 1)))
+
+
+@settings(max_examples=300)
+@given(strip_edge_clouds())
+def test_strip_point_map_edge_clouds_equal_scan(case):
+    cloud, config = case
     assert_same_window(strip_point_map(cloud, config), oracle_strip_point_map(cloud, config))
 
 

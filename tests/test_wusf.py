@@ -395,6 +395,13 @@ def test_spanning_trees_matches_deletion_contraction():
     assert len(spanning_trees(complete_graph(4))) == 16
 
 
+def test_spanning_trees_refuses_a_large_enumeration_at_once():
+    # K8 has C(28, 7) = 1,184,040 seven-edge subsets, just past the cap
+    for n in (8, 9):
+        with pytest.raises(TooLarge, match=f"would try {math.comb(n * (n - 1) // 2, n - 1)} "):
+            spanning_trees(complete_graph(n))
+
+
 def test_covering_coupling_feasible_cases():
     c3 = complete_graph(3)
     e = frozenset((0, 1))
