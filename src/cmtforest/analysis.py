@@ -694,6 +694,7 @@ def level_set_bijection(forest, seed):
     a cycle; elsewhere rows are the per-component height classes, and
     vertices squeezed out at the window edge are surfaced as unmatched.
     """
+    _check_steps("seed", seed, least=None)
     domain = forest.vertices_of(np.flatnonzero(forest.is_interior))
     wrap = forest.metadata.get("wrap")
     toroidal = bool(wrap) and all(w is not None for w in wrap)

@@ -72,6 +72,15 @@ def array_vertices(a):
     return a[:, 0].tolist() if a.shape[1] == 1 else list(zip(*a.T.tolist()))
 
 
+def box_grid(box):
+    """The points of a box of inclusive (lo, hi) axes, as an N x d array in
+    lexicographic order; N is 0 when an axis is empty."""
+    if not len(box):
+        raise BadDimension("box has no axes")
+    axes = [np.arange(lo, hi + 1) for lo, hi in box]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
+
+
 class ForestWindow:
     """A window as rows (see the module docstring); made by build_forest."""
 
@@ -389,11 +398,18 @@ def components(forest):
             for cid, (a, b) in enumerate(zip(ptr, ptr[1:]))]
 
 
-def classify_component(forest, component_id):
-    """Return the summary (with label) for one component."""
+def _component_id(forest, component_id):
+    """component_id as an int, or UnknownVertex if the window has no such
+    component."""
     cid = operator.index(component_id)  # numpy reads a bool as a mask
     if not 0 <= cid < len(forest.comp_ptr) - 1:
         raise UnknownVertex(f"no component {component_id}")
+    return cid
+
+
+def classify_component(forest, component_id):
+    """Return the summary (with label) for one component."""
+    cid = _component_id(forest, component_id)
     rows = forest.component_rows(cid)
     return _summary(cid, forest.vertices_of(rows), int((forest.succ[rows] < 0).sum()))
 
@@ -436,14 +452,11 @@ def height(forest, component_id):
     row, with height 0; satisfies h(F(v)) = h(v) - 1 along every in-window
     jump.
     """
-    cid = operator.index(component_id)  # numpy reads a bool as a mask
-    if not 0 <= cid < len(forest.comp_ptr) - 1:
-        raise UnknownVertex(f"no component {component_id}")
+    cid = _component_id(forest, component_id)
     first = forest.comp_rows[forest.comp_ptr[cid]]
     if forest.depth[first] < 0:
         raise CyclicComponent(f"component {component_id} contains a cycle")
-    anchor = forest.verts[first]
-    return HeightAssignment(cid, anchor, component_heights(forest, anchor))
+    return HeightAssignment(cid, forest.verts[first], _heights_from(forest, first))
 
 
 def component_heights(forest, anchor):
@@ -452,6 +465,11 @@ def component_heights(forest, anchor):
     (r,) = forest.rows_of([anchor])
     if forest.depth[r] < 0:
         raise CyclicComponent(f"the component of {anchor!r} contains a cycle")
+    return _heights_from(forest, r)
+
+
+def _heights_from(forest, r):
+    """Heights over the cycle-free component of row r, which gets height 0."""
     rows = forest.component_rows(forest.comp[r])
     return dict(zip(forest.vertices_of(rows), (forest.depth[rows] - forest.depth[r]).tolist()))
 

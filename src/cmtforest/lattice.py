@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadDimension, ConfigError, EmptyWindow, MalformedJump, _check_steps
-from .forest import build_forest
+from .forest import box_grid, build_forest
 from .seeds import rng_for
 
 _ROLE_LATTICE = 0xA1
@@ -395,8 +395,7 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
             raise ConfigError(f"wrap[{a}] = {m} needs box[{a}] = (0, {m - 1}) "
                               f"and {m}*e_{a} in the lattice")
 
-    axes = [np.arange(lo, hi + 1) for lo, hi in box]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    grid = box_grid(box)
     num = grid @ np.array(adj, dtype=np.int64).T
     mask = (num % det == 0).all(axis=1)
     pts = grid[mask]
@@ -421,8 +420,8 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
     # the row of each site of the grid, read at the in-box targets
     rowmap = np.full(len(grid), -1, dtype=np.int64)
     rowmap[mask] = np.arange(len(pts))
-    at = np.ravel_multi_index(tuple((targets - [lo for lo, _ in box]).T), [len(x) for x in axes],
-                              mode="clip")
+    at = np.ravel_multi_index(tuple((targets - [lo for lo, _ in box]).T),
+                              [hi - lo + 1 for lo, hi in box], mode="clip")
     return build_forest(
         pts,
         np.where(in_box, rowmap[at], -1),

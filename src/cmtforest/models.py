@@ -8,6 +8,8 @@ windows.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BadDimension,
     BadGraph,
@@ -15,10 +17,11 @@ from .errors import (
     EmptyWindow,
     MalformedJump,
     NotConnected,
+    TooLarge,
     UnknownVertex,
     _check_steps,
 )
-from .forest import EXIT, build_forest
+from .forest import build_forest
 from .graphs import FiniteGraph
 from .lattice import (
     even_sublattice,
@@ -111,6 +114,7 @@ def _space_time_window(space_time, seed, name, draw):
     """One jump per space-time vertex below the top slice, from (x, t) to
     (draw(rng, x), t + 1), drawn slice by slice in base vertex order; the
     top slice keeps no jump."""
+    _check_steps("seed", seed, least=None)
     lo, hi = space_time.time_range
     rng = rng_for(seed, _ROLE_SPACE_TIME)
     vertices = space_time.vertices()
@@ -192,6 +196,7 @@ def voter_stationary(base, lookback, seed):
     `lookback` partition a refinement of the `lookback+1` one.
     """
     _check_steps("lookback", lookback)
+    _check_steps("seed", seed, least=None)
     if not base.is_connected():
         raise NotConnected("base graph is not connected")
     verts = list(base.vertices)
@@ -224,28 +229,28 @@ def canopy_cmt(depth, seed):
     reach a grandparent inside the window, so that draw is redirected to
     the parent; the root's jump leaves the window. Returns the window
     together with {vertex: l + n}, where n counts the grandparent hops
-    actually performed along the sampled in-window line.
+    actually performed along the sampled in-window line. depth runs from
+    1 to 61; from 62 on the row count passes int64 (TooLarge).
     """
+    _check_steps("depth", depth, least=None)
+    _check_steps("seed", seed, least=None)
     if depth < 1:
         raise BadDimension("depth must be at least 1")
+    if depth >= 62:
+        raise TooLarge(f"depth {depth} would give 2**{depth + 1} - 1 vertices")
     rng = rng_for(seed, _ROLE_CANOPY)
-    vertices = [
-        (lvl, j) for lvl in range(depth + 1) for j in range(2 ** (depth - lvl))
-    ]
-    pairs = []
-    for lvl, j in vertices:
-        if lvl == depth:
-            pairs.append(((lvl, j), EXIT))
-            continue
-        wants_double = rng.random() < 2.0 ** (-lvl - 1)
-        if wants_double and lvl + 2 <= depth:
-            pairs.append(((lvl, j), (lvl + 2, j // 4)))
-        else:
-            pairs.append(((lvl, j), (lvl + 1, j // 2)))
+    # rows run level by level, so (l, j) is row first[l] + j; every row but
+    # the root's reads one draw, in row order
+    sizes = np.left_shift(1, depth - np.arange(depth + 1))
+    first = np.concatenate(([0], np.cumsum(sizes)))
+    lvl = np.repeat(np.arange(depth + 1), sizes)
+    j = np.arange(len(lvl)) - first[lvl]
+    low, jl = lvl[:-1], j[:-1]
+    up = low + 1 + ((rng.random(len(low)) < np.ldexp(1.0, -low - 1)) & (low + 2 <= depth))
     fw = build_forest(
-        vertices,
-        pairs,
-        interior=[v for v in vertices if v[0] <= depth - 2],
+        np.stack([lvl, j], axis=1),
+        np.append(first[up] + (jl >> (up - low)), -1),
+        interior=lvl <= depth - 2,
         dimension=2,
         metadata={"model": "canopy", "seed": int(seed), "depth": int(depth)},
     )

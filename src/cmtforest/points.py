@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, ConfigError, CyclicComponent, EmptyWindow, _check_steps
-from .forest import EXIT, build_forest
+from .forest import EXIT, box_grid, build_forest
 from .seeds import derive_seed, rng_for, vertex_stream
 
 _ROLE_BERNOULLI = 0xD1
@@ -74,12 +74,9 @@ def sample_bernoulli(p, box, seed):
     _check_steps("seed", seed, least=None)
     if not 0 <= p <= 1:
         raise ConfigError("retention probability out of range")
-    axes = [np.arange(lo, hi + 1) for lo, hi in box]
-    if any(len(a) == 0 for a in axes):
+    grid = box_grid(box)
+    if not len(grid):
         raise EmptyWindow("box has an empty axis")
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
-        -1, len(box)
-    )
     rng = rng_for(seed, _ROLE_BERNOULLI)
     keep = rng.random(len(grid)) < p
     pts = tuple(tuple(int(c) for c in row) for row in grid[keep])
@@ -130,6 +127,7 @@ class StripConfig:
     def __post_init__(self):
         if not 0 < self.half_width < math.inf:
             raise ConfigError(f"half_width must be a finite number > 0, got {self.half_width!r}")
+        _check_steps("time_axis", self.time_axis)
 
 
 def _axis_order(d, time_axis):
@@ -345,7 +343,7 @@ def discrete_strip(p, box, seed):
     succ = np.full(rows * length, -1, dtype=np.int64)
     succ[found] = h * length + cand[np.arange(len(h)), pick]
     return build_forest(
-        np.stack(np.meshgrid(np.arange(t_lo, t_hi + 1), x, indexing="ij"), axis=-1).reshape(-1, 2),
+        box_grid(box),
         succ,
         interior=hit < rows - 1,
         dimension=2,

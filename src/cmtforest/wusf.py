@@ -20,6 +20,7 @@ from .errors import (
     TooLarge,
     Unconditionable,
     UnknownVertex,
+    _check_steps,
 )
 from .forest import _fmt_vertex
 from .graphs import FiniteGraph
@@ -143,7 +144,11 @@ def _loop_erased_walk(graph, start, stop, words, budget):
 
 
 def lerw(graph, start, stop_set, seed, budget=None):
-    """Chronological loop-erasure of a random walk run until stop_set."""
+    """Chronological loop-erasure of a random walk run until stop_set, or
+    BudgetExhausted after budget steps (no limit when budget is None)."""
+    _check_steps("seed", seed, least=None)
+    if budget is not None:
+        _check_steps("budget", budget)
     stop = set(stop_set)
     if start not in graph.adjacency:
         raise UnknownVertex(repr(start))
@@ -180,6 +185,7 @@ def _fill_tree(graph, in_tree, parent, rng):
 
 def wilson_ust(graph, root, seed):
     """Uniform spanning tree oriented toward root."""
+    _check_steps("seed", seed, least=None)
     _reject_self_loops(graph)
     if root not in graph.adjacency:
         raise UnknownVertex(repr(root))
@@ -194,6 +200,7 @@ def wilson_ust(graph, root, seed):
 def conditional_wilson(graph, path, seed):
     """Wilson's algorithm preseeded with a simple path; the path's last
     vertex is the root and the output always contains the path."""
+    _check_steps("seed", seed, least=None)
     _reject_self_loops(graph)
     if not path or len(set(path)) != len(path):
         raise BadPath("initial path must be nonempty and simple")

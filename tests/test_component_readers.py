@@ -306,6 +306,15 @@ def test_heights_equal_oracle(fw):
 
 
 @SUITE
+@given(lattice_windows(False))
+def test_height_builds_no_vertex_row_map(fw):
+    # height reads its component's rows; the vertex -> row dict stays unbuilt
+    for cid in range(len(components(fw))):
+        outcome(height, fw, cid)
+    assert "row" not in fw.__dict__
+
+
+@SUITE
 @given(st.one_of(lattice_windows(True), lattice_windows(False)),
        st.integers(100, 400), st.integers(0, 2**32))
 def test_cluster_frequency_equals_oracle(fw, walk_steps, seed):

@@ -6,7 +6,10 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtforest.errors import (
     BadDimension,
@@ -15,8 +18,9 @@ from cmtforest.errors import (
     DetailedBalanceViolated,
     MalformedJump,
     NotConnected,
+    TooLarge,
 )
-from cmtforest.forest import components, dump_forest, level_set
+from cmtforest.forest import EXIT, build_forest, components, dump_forest, level_set
 from cmtforest.graphs import (
     complete_graph,
     cycle_graph,
@@ -27,6 +31,7 @@ from cmtforest.graphs import (
 )
 from cmtforest.lattice import check_weak_aperiodicity, even_sublattice, uniform_jumps
 from cmtforest.models import (
+    _ROLE_CANOPY,
     SpaceTimeGraph,
     canopy_cmt,
     coalescing_mc,
@@ -38,6 +43,7 @@ from cmtforest.models import (
     variant_atoms,
     voter_stationary,
 )
+from cmtforest.seeds import rng_for
 
 
 def increments(fw):
@@ -346,3 +352,59 @@ def test_canopy_determinism():
     b, ib = canopy_cmt(6, seed=42)
     assert dump_forest(a) == dump_forest(b)
     assert ia == ib
+
+
+def oracle_canopy_cmt(depth, seed):
+    """canopy_cmt as it was: vertex tuples, one pair and one scalar draw per
+    vertex, and the pair form of build_forest."""
+    if depth < 1:
+        raise BadDimension("depth must be at least 1")
+    rng = rng_for(seed, _ROLE_CANOPY)
+    vertices = [
+        (lvl, j) for lvl in range(depth + 1) for j in range(2 ** (depth - lvl))
+    ]
+    pairs = []
+    for lvl, j in vertices:
+        if lvl == depth:
+            pairs.append(((lvl, j), EXIT))
+            continue
+        wants_double = rng.random() < 2.0 ** (-lvl - 1)
+        if wants_double and lvl + 2 <= depth:
+            pairs.append(((lvl, j), (lvl + 2, j // 4)))
+        else:
+            pairs.append(((lvl, j), (lvl + 1, j // 2)))
+    fw = build_forest(
+        vertices,
+        pairs,
+        interior=[v for v in vertices if v[0] <= depth - 2],
+        dimension=2,
+        metadata={"model": "canopy", "seed": int(seed), "depth": int(depth)},
+    )
+    invariant = dict(zip(fw.verts, (depth - fw.depth).tolist()))
+    return fw, invariant
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 10), st.one_of(st.integers(0, 2**64 - 1), st.integers(-2**63, -1)))
+def test_canopy_rows_equal_per_vertex_oracle(depth, seed):
+    got, got_inv = canopy_cmt(depth, seed)
+    want, want_inv = oracle_canopy_cmt(depth, seed)
+    for name in ("coords", "succ", "is_exit", "is_interior", "src", "pre", "ptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert list(got.jump.items()) == list(want.jump.items())
+    assert dump_forest(got) == dump_forest(want)
+    assert list(got_inv.items()) == list(want_inv.items())
+    assert got.metadata == want.metadata and got.dimension == want.dimension
+
+
+@pytest.mark.parametrize("depth, error, match", [
+    (2.5, ConfigError, "^depth must be an integer, got 2.5$"),
+    (True, ConfigError, "^depth must be an integer, got True$"),
+    ("3", ConfigError, "^depth must be an integer, got '3'$"),
+    (0, BadDimension, "^depth must be at least 1$"),
+    (62, TooLarge, "^depth 62 "),
+])
+def test_canopy_depth_is_checked_by_name(depth, error, match):
+    with pytest.raises(error, match=match):
+        canopy_cmt(depth, 1)

@@ -8,9 +8,18 @@ import math
 import numpy as np
 import pytest
 
+from cmtforest.analysis import level_set_bijection
 from cmtforest.errors import BadDimension, ConfigError, CyclicComponent
 from cmtforest.forest import build_forest
+from cmtforest.graphs import complete_graph, cycle_graph
 from cmtforest.lattice import JumpDistribution, integer_lattice, sample_lattice_cmt
+from cmtforest.models import (
+    SpaceTimeGraph,
+    canopy_cmt,
+    coalescing_mc,
+    coalescing_srw,
+    voter_stationary,
+)
 from cmtforest.points import (
     _ROLE_POISSON,
     PointCloud,
@@ -25,6 +34,7 @@ from cmtforest.points import (
     strip_point_map,
 )
 from cmtforest.seeds import rng_for
+from cmtforest.wusf import conditional_wilson, lerw, wilson_ust
 
 
 def band(freq, p, n, sigmas=4):
@@ -76,7 +86,19 @@ def test_non_finite_point_process_inputs_are_named(bad):
     lambda seed: howard_model(0.5, [(0, 3), (0, 3)], seed),
     lambda seed: sample_lattice_cmt(integer_lattice(1), JumpDistribution(((1,),), (1,)),
                                     [(0, 3)], seed),
-], ids=["poisson", "bernoulli", "discrete-strip", "howard", "lattice"])
+    lambda seed: wilson_ust(complete_graph(4), 0, seed),
+    lambda seed: conditional_wilson(complete_graph(4), [0, 1], seed),
+    lambda seed: lerw(cycle_graph(5), 0, {2}, seed),
+    lambda seed: coalescing_srw(SpaceTimeGraph(cycle_graph(4), (0, 3)), seed),
+    lambda seed: coalescing_mc(SpaceTimeGraph(cycle_graph(4), (0, 3)),
+                               {x: {(x - 1) % 4: 0.5, (x + 1) % 4: 0.5} for x in range(4)},
+                               {x: 1.0 for x in range(4)}, seed),
+    lambda seed: voter_stationary(complete_graph(3), 2, seed),
+    lambda seed: canopy_cmt(3, seed),
+    lambda seed: level_set_bijection(canopy_cmt(3, 1)[0], seed),
+], ids=["poisson", "bernoulli", "discrete-strip", "howard", "lattice", "wilson",
+        "conditional-wilson", "lerw", "coalescing-srw", "coalescing-mc", "voter", "canopy",
+        "level-set-bijection"])
 def test_sampler_seed_must_be_an_integer(sample, seed):
     with pytest.raises(ConfigError, match=f"^seed must be an integer, got {seed!r}$"):
         sample(seed)
@@ -97,6 +119,11 @@ def test_poisson_points_are_the_per_float_tuples(rectangle, seed):
 def test_poisson_rectangle_without_axes_raises_bad_dimension():
     with pytest.raises(BadDimension, match="^rectangle has no axes$"):
         sample_poisson(2.0, [], seed=0)
+
+
+def test_bernoulli_box_without_axes_raises_bad_dimension():
+    with pytest.raises(BadDimension, match="^box has no axes$"):
+        sample_bernoulli(0.5, [], seed=1)
 
 
 def test_poisson_mean_count():
@@ -194,6 +221,12 @@ def test_strip_time_axis_permutation():
     a = strip_point_map(straight, StripConfig(half_width=1.0))
     b = strip_point_map(swapped, StripConfig(half_width=1.0, time_axis=1))
     assert a.jump == b.jump and a.exits == b.exits
+
+
+@pytest.mark.parametrize("axis", [True, 1.5, "1", -1])
+def test_strip_time_axis_must_be_a_count(axis):
+    with pytest.raises(ConfigError, match=f"^time_axis must be an integer >= 0, got {axis!r}$"):
+        StripConfig(1.0, time_axis=axis)
 
 
 # -- slice nearest point ------------------------------------------------------------

@@ -286,6 +286,12 @@ def test_lerw_budget_and_reachability():
         lerw(path_graph(3), 0, set(), 3)
 
 
+@pytest.mark.parametrize("budget", [-1, 1.5, True])
+def test_lerw_budget_must_be_a_count(budget):
+    with pytest.raises(ConfigError, match=f"^budget must be an integer >= 0, got {budget!r}$"):
+        lerw(path_graph(60), 0, {59}, 3, budget=budget)
+
+
 def test_wired_ball_shapes():
     g, z = wired_ball(1, 1)
     assert z == BOUNDARY
