@@ -13,6 +13,7 @@ gives byte-identical reports.
 import hashlib
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .errors import (
     UnknownVertex,
     _check_steps,
 )
-from .forest import coords, level_set, vertex
+from .forest import level_set, vertex
 from .lattice import atom_cdf, check_cycle_free
 from .models import canopy_cmt
 from .seeds import derive_seed, rng_for
@@ -131,18 +132,6 @@ def _lattice_coords(forest, reader):
     return forest.coords
 
 
-def _jump_counts(forest, ids):
-    """The in-window jump increments of each listed component, with counts."""
-    xy, src = _lattice_coords(forest, "jump-frequency-vector"), forest.src
-    steps, inc = np.unique(xy[forest.succ[src]] - xy[src], axis=0, return_inverse=True)
-    keys, counts = np.unique(forest.comp[src] * len(steps) + inc.ravel(), return_counts=True)
-    steps = list(map(vertex, steps.tolist()))
-    per_comp = {cid: {} for cid in ids.tolist()}
-    for key, k in zip(keys.tolist(), counts.tolist()):  # a dropped component's counts go nowhere
-        per_comp.get(key // len(steps), {})[steps[key % len(steps)]] = k
-    return list(per_comp.values())
-
-
 def component_statistic_survey(forest, statistic, min_size):
     """Per-component values of one statistic, with their dispersion.
 
@@ -165,17 +154,20 @@ def component_statistic_survey(forest, statistic, min_size):
 
     details = {"statistic": statistic, "min_size": min_size, "component_count": len(ids)}
     if statistic == "jump-frequency-vector":
-        per_comp = _jump_counts(forest, ids)
-        alphabet = sorted({a for counts in per_comp for a in counts}, key=repr)
-        values = []
-        for counts in per_comp:
-            total = sum(counts.values())
-            values.append(
-                tuple(counts.get(a, 0) / total if total else 0.0 for a in alphabet)
-            )
-        cols = list(zip(*values)) if values else []
-        cvs = tuple(_coefficient_of_variation(col) for col in cols)
-        details["alphabet"] = [str(a) for a in alphabet]
+        # each kept component's frequency of each jump increment that the
+        # kept components make, sorted by repr (0.0 where one makes no jump)
+        xy, src = _lattice_coords(forest, statistic), forest.src
+        steps, inc = np.unique(xy[forest.succ[src]] - xy[src], axis=0, return_inverse=True)
+        counts = np.zeros((len(size), len(steps)), dtype=np.int64)
+        np.add.at(counts, (forest.comp[src], inc.ravel()), 1)
+        counts, steps = counts[ids], list(map(vertex, steps.tolist()))
+        cols = sorted(np.flatnonzero(counts.any(axis=0)).tolist(), key=lambda j: repr(steps[j]))
+        total = counts.sum(axis=1, keepdims=True)
+        freq = np.divide(counts[:, cols], total, out=np.zeros((len(ids), len(cols))),
+                         where=total > 0)
+        values = list(map(tuple, freq.tolist()))
+        cvs = tuple(_coefficient_of_variation(col) for col in zip(*values))
+        details["alphabet"] = [str(steps[j]) for j in cols]
         details["cv_vector"] = list(cvs)
         details["cv"] = max(cvs) if cvs else 0.0
     else:
@@ -234,9 +226,7 @@ def nested_level_average(forest, f, v, n_max):
         for _ in range(n):
             clean = clean and forest.is_interior[rows].all()
             rows = forest.preimages(rows)
-        level = forest.vertices_of(rows)
-        if not level:
-            break
+        level = forest.vertices_of(rows)  # never empty: v is in D_n(F^n v)
         value = math.fsum(float(f(w)) for w in level) / len(level)
         out.append(LevelAverage(n=n, value=value, count=len(level), truncated=not clean))
     return out
@@ -265,16 +255,17 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
     xy = _lattice_coords(forest, "cluster_frequency")
     if ((xy < lows) | (xy >= lows + lens)).any():
         raise NeedsTorus("a window vertex lies outside the torus box")
-    # each jump's increment, taken mod the box to the residue of least size
+    # the distinct jump increments mod the box (as cells of the box), each
+    # taken to the residue of least size, and their negatives
     step = (xy[forest.succ[forest.src]] - xy[forest.src]) % lens
-    incs = set(map(tuple, np.where(2 * step > lens, step - lens, step).tolist()))
-    moves = sorted(incs | {tuple(-c for c in inc) for inc in incs})
-    moves_arr = np.array(moves, dtype=np.int64)
+    step = np.stack(np.unravel_index(np.unique(np.ravel_multi_index(step.T, lens)), lens), -1)
+    inc = np.where(2 * step > lens, step - lens, step)
+    moves = np.unique(np.concatenate([inc, -inc]), axis=0)
 
     rng = rng_for(seed, _ROLE_WALK)
     hold = rng.random(walk_steps) < 0.5
     idx = rng.integers(0, len(moves), size=walk_steps)
-    disp = moves_arr[idx] * (~hold)[:, None]
+    disp = moves[idx] * (~hold)[:, None]
     cell = np.cumsum(np.vstack([xy[:1] - lows, disp]), axis=0) % lens
     # the row of each site of the box, as the lattice sampler numbers them
     rowmap = np.full(int(lens.prod()), -1, dtype=np.int64)
@@ -307,6 +298,8 @@ def in_degree_profile(forest, region=None):
     """Exact mean and histogram of in-window preimage counts."""
     indeg = np.diff(forest.ptr)
     if region is not None:
+        if not isinstance(region, Iterable):
+            raise ConfigError(f"region must be an iterable of vertices, got {region!r}")
         indeg = indeg[forest.rows_of(region)]
     if not len(indeg):
         raise ConfigError("region is empty: no vertex to average over")
@@ -540,9 +533,9 @@ def connectivity_decay_probe(model, origin, distance_list, trials, budget, seed)
     _check_steps("trials", trials, least=1)
     _check_steps("budget", budget)
     _check_steps("seed", seed, least=None)
+    for i, r in enumerate(distance_list):
+        _check_steps(f"distance_list[{i}]", r)
     model = _as_chain_model(model)
-    if any(r < 0 for r in distance_list):
-        raise ConfigError("distances must be nonnegative")
     values = []
     halves = []
     censored = 0
@@ -579,8 +572,7 @@ def connectivity_decay_probe(model, origin, distance_list, trials, budget, seed)
 def count_components_probe(model, k, budget, trials, seed, starts=None):
     """Frequency with which k coalescing chains remain in k distinct
     components at the end of the budget."""
-    if k < 1:
-        raise ConfigError("k must be positive")
+    _check_steps("k", k, least=1)
     _check_steps("trials", trials, least=1)
     _check_steps("budget", budget)
     _check_steps("seed", seed, least=None)
@@ -695,54 +687,49 @@ def level_set_bijection(forest, seed):
     vertices squeezed out at the window edge are surfaced as unmatched.
     """
     _check_steps("seed", seed, least=None)
-    domain = forest.vertices_of(np.flatnonzero(forest.is_interior))
+    succ, dom = forest.succ, np.flatnonzero(forest.is_interior)
     wrap = forest.metadata.get("wrap")
-    toroidal = bool(wrap) and all(w is not None for w in wrap)
-    if toroidal:
-        for x in domain:
-            if coords(forest.jump[x])[-1] == coords(x)[-1]:
-                raise CyclicComponent(f"jump of {x!r} stays on its own level")
-        level = {v: coords(v)[-1] for v in forest.verts}
+    if wrap and all(w is not None for w in wrap):
+        key = _lattice_coords(forest, "level_set_bijection")[:, -1]
+        flat = key[succ[dom]] == key[dom]
+        if flat.any():
+            x = forest.verts[dom[flat.argmax()]]
+            raise CyclicComponent(f"jump of {x!r} stays on its own level")
     else:
         # a component with a cycle has depth -1 on every row
-        if (forest.depth[forest.is_interior] < 0).any():
+        if (forest.depth[dom] < 0).any():
             raise CyclicComponent("bijection needs cycle-free components")
         # within a component, depth is height up to a constant, so
-        # (component, depth) keys and orders the height classes
-        level = dict(zip(forest.verts, zip(forest.comp.tolist(), forest.depth.tolist())))
+        # (component, depth) keys and orders the height classes; a radix of
+        # the largest depth + 2 keeps a cycle's depth -1 off the other keys
+        key = forest.comp * (int(forest.depth.max(initial=0)) + 2) + forest.depth
     rng = rng_for(seed, _ROLE_ORDER)
 
-    rows = {}
-    for v, key in level.items():
-        rows.setdefault(key, []).append(v)
-    for key in rows:
-        rows[key].sort()
+    # the rows level by level, each level in row order (so vertex order),
+    # and the children by their parents' places there, siblings in row order
+    order = np.argsort(key, kind="stable")
+    place = np.argsort(order)
+    at = place[succ[dom]]
+    by_parent = np.argsort(at, kind="stable")
+    kids, at = dom[by_parent], at[by_parent]
+    sibs = np.unique(at, return_index=True)[1].tolist() + [len(kids)]
+    for a, b in zip(sibs, sibs[1:]):
+        kids[a:b] = kids[a:b][rng.permutation(b - a)]
 
     # all children aiming at one parent row are allocated together, so
     # injectivity is global even when jumps skip levels at mixed depths
-    groups = {}
-    for x in domain:
-        groups.setdefault(level[forest.jump[x]], []).append(x)
-
-    matching = {}
-    unmatched = set()
-    for parent_key, childs in sorted(groups.items()):
-        parents = rows[parent_key]
-        pos = {p: i for i, p in enumerate(parents)}
-        by_parent = {}
-        for x in sorted(childs):
-            by_parent.setdefault(forest.jump[x], []).append(x)
-        ordered = []
-        for p in sorted(by_parent, key=lambda q: pos[q]):
-            sibs = by_parent[p]
-            order = rng.permutation(len(sibs))
-            ordered.extend(sibs[i] for i in order)
-        got, missed = right_stable_allocation(
-            ordered, parents, {x: forest.jump[x] for x in childs}
-        )
-        matching.update(got)
-        unmatched.update(missed)
-    return LevelBijection(matching=matching, unmatched=frozenset(unmatched))
+    levels = key[order]
+    keys, first = np.unique(levels[at], return_index=True)
+    groups = first.tolist() + [len(kids)]
+    lo, hi = (np.searchsorted(levels, keys, side).tolist() for side in ("left", "right"))
+    verts, parent_of = forest.verts, succ.tolist()
+    matching, unmatched = {}, []
+    for a, b, p, q in zip(groups, groups[1:], lo, hi):
+        got, missed = right_stable_allocation(kids[a:b].tolist(), order[p:q].tolist(), parent_of)
+        matching.update((verts[x], verts[t]) for x, t in got.items())
+        unmatched += missed
+    unmatched = frozenset(map(verts.__getitem__, unmatched))
+    return LevelBijection(matching=matching, unmatched=unmatched)
 
 
 # -- canopy negative control ---------------------------------------------------------
@@ -753,16 +740,9 @@ def canopy_distinguishability_demo(depth, seed):
     set of a canopy window yet varies across level sets, so level-set
     membership is detectable there."""
     forest, invariant = canopy_cmt(depth, seed)
-    constant = True
-    per_set = {}
-    for v in forest.verts:
-        for n in range(1, depth + 2):
-            members, _ = level_set(forest, v, n)
-            vals = {invariant[w] for w in members}
-            if len(vals) > 1:
-                constant = False
-            per_set[(min(members), n)] = vals
-    observed = sorted({v for vals in per_set.values() for v in vals})
+    constant = all(len({invariant[w] for w in level_set(forest, v, n)[0]}) == 1
+                   for v in forest.verts for n in range(1, depth + 2))
+    observed = sorted(set(invariant.values()))  # every vertex is in its own level sets
     return ProbeReport(
         probe="canopy-distinguishability",
         units=tuple(observed),

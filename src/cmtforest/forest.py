@@ -10,7 +10,8 @@ N x 1 object column of the vertices if they are not integer points, such as
 the rows with an in-window jump in the order their pairs were given (row
 order when rows were given), which fixes the preimage order. build_forest is
 the one constructor; it takes jump pairs, or the coordinates and successor
-rows from samplers that hold them as arrays. Components, heights, level
+rows from samplers that hold them as arrays. Every array a window holds is
+read-only, and build_forest copies its inputs. Components, heights, level
 sets and preimages are read from arrays kept on the window: CSR preimages
 (`pre`, `ptr`), pointer-doubling component labels and depths (`label`,
 `depth`), and, built on first read, component ids (`comp`), CSR rows per
@@ -97,6 +98,9 @@ class ForestWindow:
         self.ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=self.ptr[1:])
         self.label, self.depth = _line_labels(succ)
+        for a in (coords, succ, is_exit, is_interior, src, self.pre, self.ptr, self.label,
+                  self.depth):
+            _freeze(a)
 
     def __contains__(self, v):
         return v in self.row
@@ -151,17 +155,17 @@ class ForestWindow:
         labels, first, inverse = np.unique(self.label, return_index=True, return_inverse=True)
         rank = np.empty(len(labels), dtype=np.int64)
         rank[np.argsort(first)] = np.arange(len(labels))
-        return rank[inverse]
+        return _freeze(rank[inverse])
 
     @cached_property
     def comp_rows(self):
         """The rows grouped by component, in row order within each."""
-        return np.argsort(self.comp, kind="stable")
+        return _freeze(np.argsort(self.comp, kind="stable"))
 
     @cached_property
     def comp_ptr(self):
         """Component c's rows are comp_rows[comp_ptr[c]:comp_ptr[c + 1]]."""
-        return np.concatenate(([0], np.cumsum(np.bincount(self.comp))))
+        return _freeze(np.concatenate(([0], np.cumsum(np.bincount(self.comp)))))
 
     def component_rows(self, c):
         return self.comp_rows[self.comp_ptr[c]:self.comp_ptr[c + 1]]
@@ -184,6 +188,12 @@ class ForestWindow:
 
     def vertices_of(self, rows):
         return list(map(self.verts.__getitem__, rows.tolist()))
+
+
+def _freeze(a):
+    """a, made read-only: the window's cached facts are read from it."""
+    a.flags.writeable = False
+    return a
 
 
 def _line_labels(succ):

@@ -315,6 +315,8 @@ def _unimodular_span(vectors, d):
 
 
 def _atom_coordinates(jumps, lattice):
+    if not isinstance(lattice, LatticeSpec):
+        raise ConfigError(f"lattice must be a LatticeSpec, got {lattice!r}")
     if jumps.dimension != lattice.dimension:
         raise BadDimension(
             f"jumps in dimension {jumps.dimension}, lattice in {lattice.dimension}"

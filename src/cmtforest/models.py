@@ -13,6 +13,7 @@ import numpy as np
 from .errors import (
     BadDimension,
     BadGraph,
+    ConfigError,
     DetailedBalanceViolated,
     EmptyWindow,
     MalformedJump,
@@ -54,6 +55,7 @@ def nguyen_atoms(d):
 def nguyen_model(d, box, seed):
     """Uniform sideways step combined with a unit drop, on the even
     sublattice of Z^d."""
+    _check_steps("d", d, least=None)
     if d < 2:
         raise BadDimension("need at least two coordinates")
     jumps = uniform_jumps(nguyen_atoms(d))
@@ -77,12 +79,17 @@ def nguyen_variant(box, seed):
 
 def renewal_model(jumps, interval, seed):
     """One-dimensional forward chain with positive integer steps."""
+    interval = tuple(interval)
+    if len(interval) != 2:
+        raise ConfigError(f"interval must be a (lo, hi) pair, got {interval!r}")
+    for i, x in enumerate(interval):
+        _check_steps(f"interval[{i}]", x, least=None)
     if jumps.dimension != 1:
         raise BadDimension("renewal jumps live on the integers")
     if any(a[0] < 1 for a in jumps.atoms):
         raise MalformedJump("renewal steps must be positive")
     return sample_lattice_cmt(
-        integer_lattice(1), jumps, [tuple(interval)], seed, name="renewal"
+        integer_lattice(1), jumps, [interval], seed, name="renewal"
     )
 
 

@@ -224,8 +224,8 @@ def conditional_wilson(graph, path, seed):
 def wired_ball(radius, dimension):
     """Graph-distance ball of Z^d with its complement contracted to the
     single vertex BOUNDARY; edges to the outside keep their multiplicity."""
-    if radius < 0 or dimension < 1:
-        raise ConfigError("radius must be >= 0 and dimension positive")
+    _check_steps("radius", radius)
+    _check_steps("dimension", dimension, least=1)
     ball = {
         p
         for p in product(range(-radius, radius + 1), repeat=dimension)

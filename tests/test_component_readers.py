@@ -1,7 +1,7 @@
 """The component readers that take membership from a window's arrays
 (component ids `comp`, depths, and the rows-per-component CSR) against the
 bodies they replaced, which read the member frozensets of `components()`
-and are kept here as oracles.
+or vertex dicts, and are kept here as oracles.
 
 Each suite is deterministic and compares results, or the error type and
 message wherever the oracle raises, on random partial functional graphs
@@ -12,24 +12,35 @@ and on sampled lattice windows and tori.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_forest_core import windows
 
-from cmtforest import cli
+from cmtforest import analysis, cli, models
 from cmtforest.analysis import (
     _ROLE_ORDER,
     _ROLE_WALK,
     SURVEY_STATISTICS,
+    LevelAverage,
     LevelBijection,
     ProbeReport,
     _coefficient_of_variation,
+    canopy_distinguishability_demo,
     cluster_frequency,
     component_statistic_survey,
     level_set_bijection,
+    nested_level_average,
     right_stable_allocation,
 )
-from cmtforest.errors import ConfigError, CyclicComponent, Empty, NeedsTorus, UnknownVertex
+from cmtforest.errors import (
+    ConfigError,
+    CyclicComponent,
+    Empty,
+    NeedsTorus,
+    UnknownVertex,
+    _check_steps,
+)
 from cmtforest.forest import (
     EXIT,
     HeightAssignment,
@@ -40,9 +51,11 @@ from cmtforest.forest import (
     components,
     coords,
     height,
+    level_set,
     vertex,
 )
 from cmtforest.lattice import integer_lattice, sample_lattice_cmt, uniform_jumps
+from cmtforest.models import canopy_cmt
 from cmtforest.seeds import rng_for
 
 SUITE = settings(derandomize=True, max_examples=120, deadline=None, database=None)
@@ -236,6 +249,57 @@ def oracle_default_start(forest):
     return min(forest.interior or forest.vertices)
 
 
+def oracle_nested_level_average(forest, f, v, n_max):
+    _check_steps("n_max", n_max)
+    (r,) = forest.rows_of([v])
+    if forest.depth[r] < 0:
+        raise CyclicComponent("nested averages need a cycle-free component")
+    line = [r]
+    while len(line) <= n_max and forest.succ[line[-1]] >= 0:
+        line.append(int(forest.succ[line[-1]]))
+    out = []
+    for n, top in enumerate(line):
+        rows = np.array([top])
+        clean = forest.is_interior[top]
+        for _ in range(n):
+            clean = clean and forest.is_interior[rows].all()
+            rows = forest.preimages(rows)
+        level = forest.vertices_of(rows)
+        if not level:
+            break
+        value = math.fsum(float(f(w)) for w in level) / len(level)
+        out.append(LevelAverage(n=n, value=value, count=len(level), truncated=not clean))
+    return out
+
+
+def oracle_canopy_demo(depth, seed):
+    forest, invariant = analysis.canopy_cmt(depth, seed)  # the sampler the demo calls
+    constant = True
+    per_set = {}
+    for v in forest.verts:
+        for n in range(1, depth + 2):
+            members, _ = level_set(forest, v, n)
+            vals = {invariant[w] for w in members}
+            if len(vals) > 1:
+                constant = False
+            per_set[(min(members), n)] = vals
+    observed = sorted({v for vals in per_set.values() for v in vals})
+    return ProbeReport(
+        probe="canopy-distinguishability",
+        units=tuple(observed),
+        values=tuple(float(v) for v in observed),
+        half_widths=(0.0,) * len(observed),
+        trials=(1,) * len(observed),
+        truncation_fraction=0.0,
+        details={
+            "depth": depth,
+            "seed": seed,
+            "all_constant": constant,
+            "distinct_count": len(observed),
+        },
+    )
+
+
 # -- helpers ------------------------------------------------------------------------
 
 
@@ -326,7 +390,68 @@ def test_cluster_frequency_equals_oracle(fw, walk_steps, seed):
 @given(st.one_of(interior_windows(), lattice_windows(False), lattice_windows(True)),
        st.integers(0, 2**32))
 def test_level_set_bijection_equals_oracle(fw, seed):
-    same(level_set_bijection, oracle_level_set_bijection, fw, seed)
+    got = outcome(level_set_bijection, fw, seed)
+    want = outcome(oracle_level_set_bijection, fw, seed)
+    assert got == want
+    if isinstance(want, LevelBijection):  # dict equality ignores the matching's order
+        assert list(got.matching.items()) == list(want.matching.items())
+
+
+@SUITE
+@given(st.one_of(lattice_windows(False), lattice_windows(True)), st.integers(0, 2**32))
+def test_bijection_builds_no_vertex_dicts(fw, seed):
+    # the bijection reads rows; the jump view and the vertex -> row dict stay unbuilt
+    outcome(level_set_bijection, fw, seed)
+    assert "jump" not in fw.__dict__ and "row" not in fw.__dict__
+
+
+@st.composite
+def canopy_windows(draw):
+    """A canopy window, whose lines are long and whose backward sets grow,
+    with its interior redrawn row by row or kept."""
+    fw, _ = canopy_cmt(draw(st.integers(1, 6)), draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        return fw
+    keep = draw(st.lists(st.booleans(), min_size=len(fw), max_size=len(fw)))
+    return build_forest(fw.coords, fw.succ, interior=np.array(keep), dimension=2,
+                        metadata=fw.metadata)
+
+
+@st.composite
+def nested_calls(draw):
+    """A window, a start (a window vertex, or one it lacks) and an n_max."""
+    fw = draw(st.one_of(interior_windows(), lattice_windows(False), canopy_windows()))
+    start = draw(st.sampled_from(list(fw.verts) + [(99, 99), 99]))
+    return fw, start, draw(st.integers(0, 6) | st.sampled_from([-1, True, 2.0]))
+
+
+@settings(SUITE, max_examples=300)
+@given(nested_calls())
+def test_nested_level_average_equals_oracle(call):
+    fw, start, n_max = call
+    f = lambda w: 0.1 * sum(coords(w)) + 1  # noqa: E731
+    same(nested_level_average, oracle_nested_level_average, fw, f, start, n_max)
+
+
+@pytest.mark.parametrize("depth", range(1, 5))
+def test_canopy_demo_equals_oracle_on_a_varying_invariant(depth, monkeypatch):
+    # the canopy invariant is constant on level sets; numbering the rows
+    # instead makes some level set of two or more rows see two values
+    def numbered(depth, seed):
+        fw, _ = models.canopy_cmt(depth, seed)
+        return fw, dict(zip(fw.verts, range(len(fw))))
+
+    monkeypatch.setattr(analysis, "canopy_cmt", numbered)
+    got = canopy_distinguishability_demo(depth, 7)
+    assert got == oracle_canopy_demo(depth, 7)
+    assert got.details["all_constant"] is False
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+@settings(SUITE, max_examples=3)
+@given(st.integers(0, 2**64 - 1))
+def test_canopy_demo_equals_oracle(depth, seed):
+    same(canopy_distinguishability_demo, oracle_canopy_demo, depth, seed)
 
 
 @SUITE

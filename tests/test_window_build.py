@@ -35,7 +35,7 @@ from cmtforest.forest import (
     reverse_jump,
 )
 from cmtforest.graphs import torus_graph
-from cmtforest.models import SpaceTimeGraph, coalescing_srw
+from cmtforest.models import SpaceTimeGraph, coalescing_srw, nguyen_model
 
 SUITE = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -176,6 +176,34 @@ def test_views_are_read_only():
     with pytest.raises(TypeError):
         fw.jump[2] = 0
     assert isinstance(fw.vertices, frozenset) and isinstance(fw.exits, frozenset)
+
+
+WINDOW_ARRAYS = ("coords", "succ", "is_exit", "is_interior", "src", "pre", "ptr", "label",
+                 "depth", "comp", "comp_rows", "comp_ptr")
+
+
+@pytest.mark.parametrize("form", ["rows", "pairs", "object column"])
+def test_window_arrays_are_read_only(form):
+    # cached facts are read from these arrays: on the Nguyen window below,
+    # succ[:] = -1 once left components() at 8 where the written rows give 33
+    fw = nguyen_model(2, [(-5, 5), (-5, 0)], 1)
+    if form == "pairs":
+        fw = build_forest(fw.verts, dict(fw.jump))
+    elif form == "object column":
+        fw = coalescing_srw(SpaceTimeGraph(torus_graph(3, 2), (0, 3)), 1)
+    for name in WINDOW_ARRAYS:
+        a = getattr(fw, name)
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] = a[:1]
+
+
+def test_build_forest_leaves_its_inputs_writable():
+    fw = nguyen_model(2, [(-5, 5), (-5, 0)], 1)
+    xy, succ, inner = fw.coords.copy(), fw.succ.copy(), fw.is_interior.copy()
+    built = build_forest(xy, succ, interior=inner)
+    assert all(a.flags.writeable for a in (xy, succ, inner))
+    succ[:] = -1
+    assert len(components(built)) == len(components(fw)) == 8
 
 
 def test_rows_of_names_the_first_absent_vertex():
