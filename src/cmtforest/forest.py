@@ -38,6 +38,7 @@ without it, vertices that legitimately carry no jump could not round-trip.
 """
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -118,10 +119,13 @@ class ForestWindow:
 
     def rows_of(self, vertices):
         """The rows of vertices, or UnknownVertex naming the first absent one."""
+        return list(map(self._row_of, vertices))
+
+    def _row_of(self, v):
         try:
-            return [self.row[v] for v in vertices]
-        except KeyError as e:
-            raise UnknownVertex(repr(e.args[0])) from None
+            return self.row[v]
+        except (KeyError, TypeError):  # an unhashable v, such as a list, is absent
+            raise UnknownVertex(repr(v)) from None
 
     @cached_property
     def vertices(self):
@@ -253,7 +257,7 @@ class HeightAssignment:
 def build_forest(vertices, jump_pairs, interior=None, dimension=1, metadata=None):
     """Assemble a ForestWindow from jump pairs or from successor rows.
 
-    Pairs: a dict or an iterable of (source, target) pairs, read in one
+    Pairs: a mapping or an iterable of (source, target) pairs, read in one
     pass. A target equal to EXIT, or outside `vertices`, flags the source as
     a boundary exit; `interior` is an iterable of vertices. Raises
     UnknownVertex for a source outside the window, MalformedJump for a
@@ -316,7 +320,7 @@ def _pair_rows(row, jump_pairs, interior):
     n, get = len(row), row.get
     succ = [-1] * n  # -2 marks an exit until the mask is split off
     src = []
-    for s, t in jump_pairs.items() if isinstance(jump_pairs, dict) else jump_pairs:
+    for s, t in jump_pairs.items() if isinstance(jump_pairs, Mapping) else jump_pairs:
         r = get(s)
         if r is None:
             raise UnknownVertex(f"jump source {s!r} not in window")

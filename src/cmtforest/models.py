@@ -6,6 +6,7 @@ the seeded stream in a fixed vertex order, so equal inputs give equal
 windows.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
 from .forest import build_forest
 from .graphs import FiniteGraph
 from .lattice import (
+    atom_cdf,
     even_sublattice,
     integer_lattice,
     sample_lattice_cmt,
@@ -178,14 +180,11 @@ def coalescing_mc(space_time, kernel, base_weights, seed):
             if abs(base_weights[x] * q - base_weights[y] * float(back)) > 1e-9:
                 raise DetailedBalanceViolated(f"between {x!r} and {y!r}")
 
+    # bisect_right is np.searchsorted(side="right") for one draw, without numpy's call cost
+    cdf = {x: atom_cdf([q for _, q in row]).tolist() for x, row in rows.items()}
+
     def draw(rng, x):
-        u = rng.random()
-        acc = 0.0
-        for target, q in rows[x]:
-            acc += q
-            if u < acc:
-                return target
-        return rows[x][-1][0]
+        return rows[x][bisect_right(cdf[x], rng.random())][0]
 
     return _space_time_window(space_time, seed, "coalescing-mc", draw)
 

@@ -16,11 +16,12 @@ times break lexicographically on the other coordinates, then by point id.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BadDimension, ConfigError, CyclicComponent, EmptyWindow, _check_steps
-from .forest import EXIT, box_grid, build_forest
+from .forest import _freeze, box_grid, build_forest
 from .seeds import derive_seed, rng_for, vertex_stream
 
 _ROLE_BERNOULLI = 0xD1
@@ -30,43 +31,61 @@ _ROLE_STRIP_FIELD = 0xD5
 _ROLE_STRIP_TIES = 0xD6
 
 _CELL_AXES = 2  # the strip sweep cuts cells on at most this many space axes
-_STEP_BLOCK = 1 << 18  # candidates one step of the strip sweep may read
+_STEP_BLOCK = 1 << 18  # candidate pairs one step of the strip sweep or of Howard may read
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """A finite set of points in a box window.
 
     kind records the generating process ("bernoulli" or "poisson"),
-    parameter its retention probability or intensity. Points are integer
-    tuples for discrete processes, float tuples otherwise, listed in the
-    order sampled (lexicographic for Bernoulli)."""
+    parameter its retention probability or intensity. The points, given as
+    equal-length number sequences or an N x d array, are the rows of
+    `coords`, a read-only int64 array if every coordinate is an integer and
+    float64 otherwise, in the order sampled (lexicographic for Bernoulli).
+    `points` views them as tuples. Clouds compare and hash by identity."""
 
-    points: tuple
+    coords: np.ndarray
     window: tuple
     kind: str
     parameter: float
     seed: int
 
     def __post_init__(self):
-        points = tuple(tuple(c) for c in self.points)
         window = tuple((lo, hi) for lo, hi in self.window)
-        for p in points:
-            if len(p) != len(window):
-                raise BadDimension(f"point {p!r} does not match the window")
-            if any(not lo <= c <= hi for c, (lo, hi) in zip(p, window)):
-                raise ConfigError(f"point {p!r} outside the window")
-        if self.kind == "poisson" and len(set(points)) != len(points):
-            raise ConfigError("coincident continuous points")
-        object.__setattr__(self, "points", points)
+        try:  # rows of unequal lengths raise ValueError too
+            c = np.asarray(self.coords)
+            c = c.reshape(0, len(window)) if c.shape == (0,) else c
+            if c.ndim != 2 or c.shape[1] != len(window) or c.dtype.kind not in "if":
+                raise ValueError(f"got shape {c.shape} of {c.dtype}")
+        except ValueError as e:
+            raise BadDimension(f"points must be N x {len(window)} ints or floats: {e}") from None
+        c = _freeze(c.astype(np.int64 if c.dtype.kind == "i" else np.float64))
+        inside = np.True_
+        for col, (lo, hi) in zip(c.T, window):
+            if c.dtype.kind == "i":  # in [lo, hi] iff in [ceil lo, floor hi]: no float cast
+                lo, hi = (r(b) if isinstance(b, float) and math.isfinite(b) else b
+                          for r, b in ((math.ceil, lo), (math.floor, hi)))
+            inside = inside & (lo <= col) & (col <= hi)
+        if not inside.all():
+            raise ConfigError(f"point {tuple(c[inside.argmin()].tolist())!r} outside the window")
+        if self.kind == "poisson" and len(c) > 1:  # once sorted, equal rows are neighbours
+            s = c[np.lexsort(c.T[::-1])]
+            if (s[1:] == s[:-1]).all(axis=1).any():
+                raise ConfigError("coincident continuous points")
         object.__setattr__(self, "window", window)
+        object.__setattr__(self, "coords", c)
+
+    @cached_property
+    def points(self):
+        return tuple(map(tuple, self.coords.tolist()))
 
     @property
     def dimension(self):
         return len(self.window)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.coords)
 
 
 def sample_bernoulli(p, box, seed):
@@ -79,8 +98,7 @@ def sample_bernoulli(p, box, seed):
         raise EmptyWindow("box has an empty axis")
     rng = rng_for(seed, _ROLE_BERNOULLI)
     keep = rng.random(len(grid)) < p
-    pts = tuple(tuple(int(c) for c in row) for row in grid[keep])
-    return PointCloud(pts, tuple(box), "bernoulli", float(p), int(seed))
+    return PointCloud(grid[keep], tuple(box), "bernoulli", float(p), int(seed))
 
 
 def sample_poisson(intensity, rectangle, seed):
@@ -98,9 +116,8 @@ def sample_poisson(intensity, rectangle, seed):
         vol *= hi - lo
     rng = rng_for(seed, _ROLE_POISSON)
     n = int(rng.poisson(intensity * vol))
-    coords = [rng.uniform(lo, hi, size=n) for lo, hi in rectangle]
-    pts = tuple(zip(*(c.tolist() for c in coords)))
-    return PointCloud(pts, tuple(rectangle), "poisson", float(intensity), int(seed))
+    coords = np.array([rng.uniform(lo, hi, size=n) for lo, hi in rectangle]).T
+    return PointCloud(coords, tuple(rectangle), "poisson", float(intensity), int(seed))
 
 
 def dump_cloud(cloud):
@@ -110,10 +127,14 @@ def dump_cloud(cloud):
         f"window={win} kind={cloud.kind} parameter={cloud.parameter!r} "
         f"seed={cloud.seed}"
     ]
-    for p in cloud.points:
-        lines.append(" ".join(repr(c) if isinstance(c, float) else str(c)
-                              for c in p))
+    lines.extend(_rows_text(cloud.coords))
     return "\n".join(lines) + "\n"
+
+
+def _rows_text(a):
+    """Each row of a as its entries' str joined by spaces."""
+    cols = [map(str, c) for c in a.T.tolist()]
+    return map(" ".join, zip(*cols)) if cols else itertools.repeat("", len(a))
 
 
 # -- continuous strip ----------------------------------------------------------
@@ -217,7 +238,7 @@ def strip_point_map(cloud, config):
     (_strip_successors), about n log n for a Poisson cloud."""
     d = cloud.dimension
     order = _axis_order(d, config.time_axis)
-    pts = np.array(cloud.points, dtype=float).reshape(len(cloud), d)[:, order]
+    pts = cloud.coords[:, order].astype(float)
     win = [cloud.window[a] for a in order]
     w = config.half_width
     n = len(cloud)
@@ -241,38 +262,34 @@ def strip_point_map(cloud, config):
 def _howard_forest(cloud, seed):
     """Point-map of a discrete cloud: jump to the retained point of the
     next time slice nearest in l1 base distance, ties drawn uniformly
-    from the source's own randomness stream."""
-    slices = {}
-    for p in cloud.points:
-        slices.setdefault(p[0], []).append(p[1:])
-    t_hi = cloud.window[0][1]
-    space = cloud.window[1:]
-
-    pairs = []
-    interior = []
-    for p in sorted(cloud.points):
-        t, x = p[0], p[1:]
-        cand = slices.get(t + 1)
-        if not cand:
-            pairs.append((p, EXIT))
+    from the source's own randomness stream. Rows are sorted, so the ties
+    come in the order the draw indexes; a source with no next slice exits."""
+    c = cloud.coords[np.lexsort(cloud.coords.T[::-1])]
+    t, x = c[:, 0], c[:, 1:]
+    cuts = [0, *(np.flatnonzero(t[1:] != t[:-1]) + 1).tolist(), len(c)]
+    succ = np.full(len(c), -1, dtype=np.int64)
+    best = np.zeros(len(c), dtype=np.int64)
+    for a, b, e in zip(cuts, cuts[1:], cuts[2:]):
+        if t[b] != t[a] + 1:
             continue
-        dists = [sum(abs(a - b) for a, b in zip(x, y)) for y in cand]
-        best = min(dists)
-        tied = sorted(y for y, dd in zip(cand, dists) if dd == best)
-        if len(tied) == 1:
-            y = tied[0]
-        else:
-            y = tied[int(vertex_stream(seed, p).integers(len(tied)))]
-        pairs.append((p, (t + 1,) + tuple(y)))
-        ball_inside = all(
-            lo <= xa - best and xa + best <= hi
-            for xa, (lo, hi) in zip(x, space)
-        )
-        if ball_inside:
-            interior.append(p)
+        step = max(1, _STEP_BLOCK // (e - b))
+        for r in range(a, b, step):
+            src = slice(r, min(r + step, b))
+            dist = np.abs(x[src, None] - x[None, b:e]).sum(axis=2)
+            best[src] = near = dist.min(axis=1)
+            tie = dist == near[:, None]
+            pick = tie.argmax(axis=1)
+            ties = tie.sum(axis=1)
+            for i in np.flatnonzero(ties > 1).tolist():
+                k = vertex_stream(seed, tuple(c[r + i].tolist())).integers(int(ties[i]))
+                pick[i] = np.flatnonzero(tie[i])[k]
+            succ[src] = b + pick
+    space = np.array(cloud.window[1:]).reshape(-1, 2)
+    ball = best[:, None]
+    interior = ((x - ball >= space[:, 0]) & (x + ball <= space[:, 1])).all(axis=1)
     return build_forest(
-        sorted(cloud.points),
-        pairs,
+        c,
+        succ,
         interior=interior,
         dimension=cloud.dimension,
         metadata={
@@ -325,10 +342,11 @@ def discrete_strip(p, box, seed):
     marks = rng_for(seed, _ROLE_STRIP_TIES).random((rows, length))
 
     near = retained | np.roll(retained, 1, axis=1) | np.roll(retained, -1, axis=1)
-    # next_hit[s, x] = smallest row index r >= s with near[r, x], else rows
-    next_hit = np.full((rows + 1, length), rows, dtype=np.int64)
-    for s in range(rows - 1, -1, -1):
-        next_hit[s] = np.where(near[s], s, next_hit[s + 1])
+    # next_hit[s, x] = smallest row index r >= s with near[r, x], else rows;
+    # the sentinel row s = rows is near everywhere
+    next_hit = np.where(np.vstack([near, np.ones(length, dtype=bool)]),
+                        np.arange(rows + 1)[:, None], rows)
+    np.minimum.accumulate(next_hit[::-1], axis=0, out=next_hit[::-1])
 
     # the source in row r, column x scans rows r+1 on; the top row finds none
     hit = next_hit[1:].ravel()
@@ -362,9 +380,11 @@ def level_csv(cloud, forest):
     cyclic = forest.comp[forest.depth < 0]
     if len(cyclic):
         raise CyclicComponent(f"component {cyclic.min()} contains a cycle")
+    if forest.coords.shape[1] != 1:
+        raise BadDimension("level_csv needs a forest whose vertices are point ids")
+    ids = forest.coords[:, 0]
+    pts = cloud.coords[ids]
     lines = ["point_id,t,x,level_index,component_id"]
-    for i, level, cid in zip(forest.verts, forest.depth.tolist(), forest.comp.tolist()):
-        p = cloud.points[i]
-        x = " ".join(str(c) for c in p[1:])
-        lines.append(f"{i},{p[0]},{x},{level},{cid}")
+    lines.extend(map("{},{},{},{},{}".format, ids.tolist(), _rows_text(pts[:, :1]),
+                     _rows_text(pts[:, 1:]), forest.depth.tolist(), forest.comp.tolist()))
     return "\n".join(lines) + "\n"

@@ -3,8 +3,9 @@ voter partition against an exact absorption oracle, and the canopy
 invariant."""
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import product
+from itertools import cycle, product
 
 import numpy as np
 import pytest
@@ -29,10 +30,13 @@ from cmtforest.graphs import (
     regular_tree,
     torus_graph,
 )
-from cmtforest.lattice import check_weak_aperiodicity, even_sublattice, uniform_jumps
+from cmtforest import models
+from cmtforest.lattice import atom_cdf, check_weak_aperiodicity, even_sublattice, uniform_jumps
 from cmtforest.models import (
     _ROLE_CANOPY,
     SpaceTimeGraph,
+    _space_time_window,
+    _stochastic_rows,
     canopy_cmt,
     coalescing_mc,
     coalescing_srw,
@@ -246,6 +250,105 @@ def test_mc_matches_srw_distribution_shape():
     fw = coalescing_mc(stg, kernel, {x: 2.0 for x in base.vertices}, seed=6)
     for (x, t), (y, s) in fw.jump.items():
         assert s == t + 1 and y in ((x - 1) % 3, (x + 1) % 3)
+
+
+# The target search coalescing_mc had before it drew with atom_cdf: a running
+# float sum per draw, with the last target when u passes the rounded total.
+
+
+def cumulative_loop(weights, u):
+    acc = 0.0
+    for i, q in enumerate(weights):
+        acc += q
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
+def oracle_coalescing_mc(space_time, kernel, seed):
+    rows = _stochastic_rows(space_time.base, kernel)
+
+    def draw(rng, x):
+        return rows[x][cumulative_loop([q for _, q in rows[x]], rng.random())][0]
+
+    return _space_time_window(space_time, seed, "coalescing-mc", draw)
+
+
+@pytest.mark.parametrize("weights", [[0.1] * 10, [0.5, 0.5], [1 / 3] * 3, [0.7, 0.2, 0.1],
+                                     [1e-17, 1.0], [1.0]])
+def test_cdf_search_equals_the_cumulative_loop_at_its_edges(weights):
+    cdf = atom_cdf(weights)
+    edges = [0.0, float(np.nextafter(1.0, 0.0))]
+    for acc in np.cumsum(weights).tolist():
+        edges += [acc, float(np.nextafter(acc, 0.0)), float(np.nextafter(acc, 2.0))]
+    for u in (u for u in edges if u < 1.0):
+        assert np.searchsorted(cdf, u, side="right") == cumulative_loop(weights, u), u
+        assert bisect_right(cdf.tolist(), u) == cumulative_loop(weights, u), u
+    if weights == [0.1] * 10:  # the sum rounds to 1 - 2**-53: the loop's fallback
+        assert cumulative_loop(weights, float(np.nextafter(1.0, 0.0))) == 9
+
+
+class EdgeDraws:
+    """Stands in for the space-time generator: random() steps through us."""
+
+    def __init__(self, us):
+        self.us = cycle(us)
+
+    def random(self):
+        return next(self.us)
+
+
+def test_mc_draws_on_the_cdf_edges_equal_the_cumulative_loop(monkeypatch):
+    edges = [0.0, float(np.nextafter(1.0, 0.0))]
+    for acc in np.cumsum([0.1] * 10).tolist():
+        edges += [acc, float(np.nextafter(acc, 0.0)), float(np.nextafter(acc, 2.0))]
+    monkeypatch.setattr(models, "rng_for", lambda *keys: EdgeDraws([u for u in edges if u < 1]))
+    space_time = SpaceTimeGraph(complete_graph(10), (0, 9))
+    kernel = {x: {y: 0.1 for y in range(10)} for x in range(10)}
+    fw = coalescing_mc(space_time, kernel, {x: 1.0 for x in range(10)}, 5)
+    assert dump_forest(fw) == dump_forest(oracle_coalescing_mc(space_time, kernel, 5))
+
+
+@st.composite
+def reversible_chains(draw):
+    """(space_time, kernel, weights): symmetric conductances c(x, y) (self
+    loops and zeros included) on a small base graph, the kernel c(x, y) /
+    C(x) and its stationary weights C(x); or the uniform kernel on K10 with
+    self loops, whose ten 0.1 weights sum below 1."""
+    if draw(st.booleans()):
+        base = complete_graph(10)
+        kernel = {x: {y: 0.1 for y in range(10)} for x in range(10)}
+        weights = {x: 1.0 for x in range(10)}
+    else:
+        base = draw(st.sampled_from([cycle_graph(3), cycle_graph(5), path_graph(4),
+                                     complete_graph(4), torus_graph(3, 2)]))
+        vs = list(base.vertices)
+        cond = {}
+        for i, x in enumerate(vs):
+            for y in vs[i:]:
+                c = draw(st.sampled_from([0, 0, 1, 3, 0.1, 7]))
+                if c:
+                    cond[x, y] = cond[y, x] = c
+        total = {x: sum(c for (a, _), c in cond.items() if a == x) for x in vs}
+        for x in vs:
+            if not total[x]:
+                cond[x, x] = total[x] = 1
+        kernel = {x: {} for x in vs}
+        for (x, y), c in cond.items():
+            kernel[x][y] = c / total[x]
+        weights = {x: float(total[x]) for x in vs}
+    return SpaceTimeGraph(base, (0, draw(st.integers(1, 6)))), kernel, weights
+
+
+@settings(max_examples=120)
+@given(reversible_chains(), st.integers(0, 2**32))
+def test_mc_cdf_draws_equal_the_cumulative_loop(chain, seed):
+    space_time, kernel, weights = chain
+    fw = coalescing_mc(space_time, kernel, weights, seed)
+    want = oracle_coalescing_mc(space_time, kernel, seed)
+    assert dump_forest(fw) == dump_forest(want)
+    assert list(fw.jump.items()) == list(want.jump.items())
+    assert (fw.interior, fw.exits, fw.metadata) == (want.interior, want.exits, want.metadata)
 
 
 # -- voter model ----------------------------------------------------------------

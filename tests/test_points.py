@@ -10,7 +10,7 @@ import pytest
 
 from cmtforest.analysis import level_set_bijection
 from cmtforest.errors import BadDimension, ConfigError, CyclicComponent
-from cmtforest.forest import build_forest
+from cmtforest.forest import box_grid, build_forest
 from cmtforest.graphs import complete_graph, cycle_graph
 from cmtforest.lattice import JumpDistribution, integer_lattice, sample_lattice_cmt
 from cmtforest.models import (
@@ -21,6 +21,7 @@ from cmtforest.models import (
     voter_stationary,
 )
 from cmtforest.points import (
+    _ROLE_BERNOULLI,
     _ROLE_POISSON,
     PointCloud,
     StripConfig,
@@ -114,6 +115,61 @@ def test_poisson_points_are_the_per_float_tuples(rectangle, seed):
     want = tuple(tuple(float(c[i]) for c in coords) for i in range(n))
     got = sample_poisson(2.0, rectangle, seed).points
     assert got == want and all(type(c) is float for p in got for c in p)
+
+
+@pytest.mark.parametrize("box", [[(0, 9), (-3, 4)], [(2, 2)], [(0, 3), (0, 2), (-1, 1)]])
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_bernoulli_points_are_the_per_int_tuples(box, seed):
+    grid = box_grid(box)
+    keep = rng_for(seed, _ROLE_BERNOULLI).random(len(grid)) < 0.5
+    want = tuple(tuple(int(c) for c in row) for row in grid[keep])
+    got = sample_bernoulli(0.5, box, seed).points
+    assert got == want and all(type(c) is int for p in got for c in p)
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: sample_bernoulli(0.5, [(0, 3), (0, 3)], 1),
+    lambda: sample_poisson(3.0, [(0.0, 2.0), (0.0, 1.0)], 1),
+], ids=["bernoulli", "poisson"])
+def test_cloud_coords_are_read_only(sample):
+    cloud = sample()
+    assert cloud.coords.dtype == (np.int64 if cloud.kind == "bernoulli" else np.float64)
+    with pytest.raises(ValueError, match="read-only"):
+        cloud.coords[0, 0] = 1
+
+
+def test_cloud_does_not_freeze_the_callers_array():
+    rows = np.array([[0, 1], [1, 0]])
+    cloud = PointCloud(rows, ((0, 1), (0, 1)), "bernoulli", 0.5, 0)
+    rows[0, 0] = 1
+    assert rows.flags.writeable and cloud.points == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("points, window, kind, error, match", [
+    (((0, 1), (2,)), ((0, 3), (0, 3)), "bernoulli", BadDimension, "must be N x 2 ints or floats"),
+    (((0, 1, 2),), ((0, 3), (0, 3)), "bernoulli", BadDimension, r"shape \(1, 3\)"),
+    ((0, 1), ((0, 3), (0, 3)), "bernoulli", BadDimension, r"shape \(2,\)"),
+    (((0, "1"),), ((0, 3), (0, 3)), "bernoulli", BadDimension, "of <U21"),
+    (((0, None),), ((0, 3), (0, 3)), "bernoulli", BadDimension, "of object"),
+    (((True, False),), ((0, 3), (0, 3)), "bernoulli", BadDimension, "of bool"),
+    (((0, 1), (2, 5), (4, 9)), ((0, 3), (0, 3)), "bernoulli", ConfigError,
+     r"^point \(2, 5\) outside the window$"),
+    (((0.5, math.nan),), ((0.0, 1.0), (0.0, 1.0)), "poisson", ConfigError, "outside the window"),
+    (((2**53 + 1,),), ((0, 2.0**53),), "bernoulli", ConfigError,
+     r"^point \(9007199254740993,\) outside the window$"),
+    (((0.5, 0.0), (0.1, 0.2), (0.5, -0.0)), ((0.0, 1.0), (-1.0, 1.0)), "poisson", ConfigError,
+     "coincident continuous points"),
+])
+def test_cloud_faults_are_named(points, window, kind, error, match):
+    with pytest.raises(error, match=match):
+        PointCloud(points, window, kind, 1.0, 0)
+
+
+def test_integer_cloud_meets_float_bounds_exactly():
+    cloud = PointCloud(((2**53 - 1,), (2**53,)), ((-0.5, 2.0**53),), "bernoulli", 1.0, 0)
+    assert cloud.coords.dtype == np.int64 and cloud.points == ((2**53 - 1,), (2**53,))
+    cloud = PointCloud(((0, 0), (1, 2)), ((-math.inf, 1.5), (0, math.inf)), "bernoulli", 1.0, 0)
+    assert cloud.points == ((0, 0), (1, 2))
 
 
 def test_poisson_rectangle_without_axes_raises_bad_dimension():

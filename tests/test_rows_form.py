@@ -1,9 +1,9 @@
-"""The rows form of build_forest. The three samplers that hold a window's
+"""The rows form of build_forest. The four samplers that hold a window's
 coordinates and successor array in numpy (the lattice sampler, the discrete
-strip and the strip point-map) hand build_forest those arrays. The
-pair-building bodies they had before, which encoded the same rows as vertex
-pairs with EXIT sentinels and an interior vertex list, are kept here as the
-oracles. Both must give equal windows: the same coordinates and sorted
+strip, the strip point-map and Howard's nearest-point model) hand
+build_forest those arrays. The pair-building bodies they had before, which
+encoded the same rows as vertex pairs with EXIT sentinels and an interior
+vertex list, are kept here as the oracles. Both must give equal windows: the same coordinates and sorted
 vertices, row arrays, set and dict views, reverse map order and dump bytes.
 Random coordinate arrays, given as N ints, N x 1 or N x d arrays or lists
 of tuples, must build the same windows as their pairs, and the vertex
@@ -14,6 +14,7 @@ number of examples.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import compress
 
@@ -53,11 +54,14 @@ from cmtforest.points import (
     PointCloud,
     StripConfig,
     _axis_order,
+    _howard_forest,
     discrete_strip,
+    howard_model,
+    sample_bernoulli,
     sample_poisson,
     strip_point_map,
 )
-from cmtforest.seeds import rng_for
+from cmtforest.seeds import rng_for, vertex_stream
 
 SUITE = settings(max_examples=120)
 
@@ -172,6 +176,36 @@ def oracle_strip_point_map(cloud, config):
     return build_forest(
         range(n), jump_pairs, interior=interior, dimension=d,
         metadata={"model": "strip", "seed": cloud.seed, "half_width": w,
+                  "window": cloud.window},
+    )
+
+
+def oracle_howard(cloud, seed):
+    slices = {}
+    for p in cloud.points:
+        slices.setdefault(p[0], []).append(p[1:])
+    space = cloud.window[1:]
+    pairs = []
+    interior = []
+    for p in sorted(cloud.points):
+        t, x = p[0], p[1:]
+        cand = slices.get(t + 1)
+        if not cand:
+            pairs.append((p, EXIT))
+            continue
+        dists = [sum(abs(a - b) for a, b in zip(x, y)) for y in cand]
+        best = min(dists)
+        tied = sorted(y for y, dd in zip(cand, dists) if dd == best)
+        if len(tied) == 1:
+            y = tied[0]
+        else:
+            y = tied[int(vertex_stream(seed, p).integers(len(tied)))]
+        pairs.append((p, (t + 1,) + tuple(y)))
+        if all(lo <= xa - best and xa + best <= hi for xa, (lo, hi) in zip(x, space)):
+            interior.append(p)
+    return build_forest(
+        sorted(cloud.points), pairs, interior=interior, dimension=cloud.dimension,
+        metadata={"model": "howard", "seed": int(seed), "p": cloud.parameter,
                   "window": cloud.window},
     )
 
@@ -309,6 +343,53 @@ def test_strip_point_map_edge_clouds_equal_scan(case):
     assert_same_window(strip_point_map(cloud, config), oracle_strip_point_map(cloud, config))
 
 
+# -- Howard's nearest-point model ------------------------------------------------------
+
+
+@st.composite
+def howard_clouds(draw):
+    """(cloud, seed): a Bernoulli cloud on a box of d = 2-4 axes, one to six
+    time slices, with p in (0, 1]; some clouds lose a whole time slice, so
+    their sources below it find no next slice."""
+    d = draw(st.integers(2, 4))
+    side = {2: 9, 3: 5, 4: 3}[d]
+    t_lo = draw(st.integers(-3, 3))
+    box = [(t_lo, t_lo + draw(st.integers(0, 5)))]
+    for _ in range(d - 1):
+        lo = draw(st.integers(-4, 2))
+        box.append((lo, lo + draw(st.integers(0, side))))
+    p = draw(st.sampled_from([0.05, 0.3, 0.5, 0.8, 1.0]))
+    cloud = sample_bernoulli(p, box, draw(st.integers(0, 2**32)))
+    gap = draw(st.one_of(st.none(), st.integers(*box[0])))
+    if gap is not None:
+        cloud = PointCloud(cloud.coords[cloud.coords[:, 0] != gap], box, "bernoulli", p,
+                           cloud.seed)
+    return cloud, draw(st.integers(0, 2**32))
+
+
+@SUITE
+@given(howard_clouds())
+def test_howard_rows_equal_pairs(case):
+    cloud, seed = case
+    fw, want = _howard_forest(cloud, seed), oracle_howard(cloud, seed)
+    if len(cloud):
+        assert_same_window(fw, want)
+    else:  # the pair form gives an empty window one coordinate column
+        assert dump_forest(fw) == dump_forest(want) and fw.metadata == want.metadata
+
+
+def test_howard_distances_are_taken_in_blocks():
+    cloud = sample_bernoulli(1.0, [(0, 1), (0, 5000)], 3)
+    tracemalloc.start()
+    try:
+        fw = _howard_forest(cloud, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20  # one 5,001 x 5,001 int64 distance array is 191 MiB
+    assert fw.succ[:5001].tolist() == list(range(5001, 10002))
+
+
 # -- the rows form's named errors ------------------------------------------------------
 
 
@@ -431,6 +512,7 @@ TORUS = (integer_lattice(2), JumpDistribution(((1, 0), (0, 1), (-1, 1)), (Fracti
     pytest.param(lambda: discrete_strip(0.4, [(0, 9), (0, 7)], 4), id="discrete-strip"),
     pytest.param(lambda: strip_point_map(sample_poisson(3.0, [(0.0, 4.0), (0.0, 2.0)], 4),
                                          StripConfig(0.5)), id="strip"),
+    pytest.param(lambda: howard_model(0.5, [(0, 9), (0, 7)], 4), id="howard"),
 ])
 def test_array_readers_build_no_vertex_objects(sample):
     fw = sample()

@@ -16,21 +16,26 @@ outside the window, and dict and pair input, on int and on tuple vertices.
 
 import re
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtforest.analysis import component_statistic_survey
+from cmtforest.analysis import component_statistic_survey, in_degree_profile, nested_level_average
 from cmtforest.errors import BadDimension, MalformedJump, UnknownVertex
 from cmtforest.forest import (
     EXIT,
     _fmt_vertex,
     _line_labels,
+    ancestral_line,
     build_forest,
+    component_heights,
     components,
+    descendants,
     dump_forest,
+    level_set,
     load_forest,
     reverse_jump,
 )
@@ -212,6 +217,32 @@ def test_rows_of_names_the_first_absent_vertex():
     with pytest.raises(UnknownVertex) as e:
         fw.rows_of(iter([1, 7, 8]))
     assert e.value.args == ("7",)
+
+
+@pytest.mark.parametrize("read", [
+    lambda w, v: ancestral_line(w, v, 3),
+    lambda w, v: descendants(w, v, 1),
+    lambda w, v: level_set(w, v, 2),
+    lambda w, v: component_heights(w, v),
+    lambda w, v: nested_level_average(w, lambda u: u[0], v, 3),
+    lambda w, v: in_degree_profile(w, [v]),
+], ids=["ancestral_line", "descendants", "level_set", "component_heights",
+        "nested_level_average", "in_degree_profile"])
+def test_unhashable_vertex_is_named_unknown(read):
+    fw = nguyen_model(2, [(-5, 5), (-5, 0)], 1)
+    assert (0, 0) in fw
+    with pytest.raises(UnknownVertex) as e:
+        read(fw, [0, 0])
+    assert e.value.args == ("[0, 0]",)
+
+
+def test_build_forest_reads_a_window_jump_view_as_a_mapping():
+    fw = nguyen_model(2, [(-5, 5), (-5, 0)], 1)
+    rebuilt = build_forest(fw.verts, fw.jump, dimension=2, metadata=fw.metadata)
+    assert list(rebuilt.jump.items()) == list(fw.jump.items()) and not rebuilt.exits
+    pairs = MappingProxyType({**fw.jump, **dict.fromkeys(fw.exits, EXIT)})
+    rebuilt = build_forest(fw.verts, pairs, dimension=2, metadata=fw.metadata)
+    assert dump_forest(rebuilt) == dump_forest(fw)
 
 
 def test_object_column_window_keeps_its_vertices():
