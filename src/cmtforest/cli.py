@@ -18,10 +18,14 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+if __name__ == "__main__":  # the CLI is the program: set its process default before numpy loads
+    from . import _cli_process
+    _cli_process()
+
+from . import wusf  # noqa: F401  (unused here; loaded so that span tracing finds it)
 from .errors import ConfigError, CyclicComponent, Empty
 from .analysis import (
     SURVEY_STATISTICS, LatticeChainModel, ProbeReport, canopy_distinguishability_demo,
@@ -408,6 +412,8 @@ def _cmd_run(args):
         if workers == 1:
             batches = [_replicate_artifacts(run, r) for r in reps]
         else:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 batches = list(pool.map(lambda r: _replicate_artifacts(run, r), reps))
     except ConfigError:

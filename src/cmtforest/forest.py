@@ -16,8 +16,8 @@ sets and preimages are read from arrays kept on the window: CSR preimages
 (`pre`, `ptr`), pointer-doubling component labels and depths (`label`,
 `depth`), and, built on first read, component ids (`comp`), CSR rows per
 component (`comp_rows`, `comp_ptr`) and the reverse map (`rev`). Vertex
-objects are built on first read too: the list `verts`, its inverse `row`,
-and the read-only views `vertices`, `jump`, `exits` and `interior`; member
+objects are built on first read too: the list `verts` and the read-only
+views `row` (its inverse), `vertices`, `jump`, `exits` and `interior`; member
 frozensets only in `components` summaries. A window is never mutated after
 construction and is safe to share across workers.
 
@@ -92,7 +92,7 @@ class ForestWindow:
         self.is_exit, self.is_interior, self.src = is_exit, is_interior, src
         self.dimension, self.metadata = dimension, metadata
         if verts is not None:  # the pair form has built both views already
-            self.verts, self.row = verts, row
+            self.verts, self._row = verts, row
         # the preimages of row r are pre[ptr[r]:ptr[r + 1]], in src order
         n, dst = len(succ), succ[src]
         self.pre = src[np.argsort(dst, kind="stable")]
@@ -104,7 +104,10 @@ class ForestWindow:
             _freeze(a)
 
     def __contains__(self, v):
-        return v in self.row
+        try:
+            return v in self._row
+        except TypeError:  # an unhashable v, such as a list, is absent
+            return False
 
     def __len__(self):
         return len(self.succ)
@@ -114,8 +117,12 @@ class ForestWindow:
         return array_vertices(self.coords)
 
     @cached_property
-    def row(self):
+    def _row(self):
         return dict(zip(self.verts, range(len(self.succ))))
+
+    @property
+    def row(self):  # a fresh view, so a window that was read still pickles
+        return MappingProxyType(self._row)
 
     def rows_of(self, vertices):
         """The rows of vertices, or UnknownVertex naming the first absent one."""
@@ -123,7 +130,7 @@ class ForestWindow:
 
     def _row_of(self, v):
         try:
-            return self.row[v]
+            return self._row[v]
         except (KeyError, TypeError):  # an unhashable v, such as a list, is absent
             raise UnknownVertex(repr(v)) from None
 

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -144,14 +145,115 @@ def test_single_chain_count_needs_no_level_grading(tmp_path):
     assert rc == 0
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    code = "import sys, cmtforest.cli; print('networkx' in sys.modules)"
-    # the child imports the same cmtforest as this process, installed or not
+def child(argv, blas=None, cwd=None):
+    """Standard output of a fresh interpreter run with argv, importing the
+    same cmtforest as this process, installed or not; OPENBLAS_NUM_THREADS
+    is `blas`, or unset."""
     here = str(Path(cmtforest.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "False"
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update({} if blas is None else {"OPENBLAS_NUM_THREADS": blas})
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          check=True, env=env, cwd=cwd).stdout
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    code = "import sys, cmtforest.cli; print('networkx' in sys.modules)"
+    assert child(["-c", code]).strip() == "False"
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    code = ("import sys, cmtforest; "
+            "print([m for m in sys.modules if m == 'numpy' or m.startswith('cmtforest.')])")
+    assert child(["-c", code]).strip() == "[]"
+
+
+def test_unknown_package_name_raises_attribute_error():
+    code = """
+import cmtforest
+for name in ("no_such_name", "_private", "__wrapped__"):
+    try:
+        getattr(cmtforest, name)
+    except AttributeError as e:
+        print(type(e).__name__, e)
+print(hasattr(cmtforest, "no_such_name"), cmtforest.height.__module__)
+"""
+    assert child(["-c", code]).splitlines() == [
+        "AttributeError module 'cmtforest' has no attribute 'no_such_name'",
+        "AttributeError module 'cmtforest' has no attribute '_private'",
+        "AttributeError module 'cmtforest' has no attribute '__wrapped__'",
+        "False cmtforest.forest",
+    ]
+
+
+@pytest.mark.parametrize("blas", [None, "3"])
+def test_cli_import_leaves_blas_threads_as_found(blas):
+    code = "import os, cmtforest.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert child(["-c", code], blas).strip() == str(blas)
+
+
+def console_script_target():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (target,) = re.findall(r'^cmtforest = "(.+)"$', pyproject, re.M)
+    return target.split(":")
+
+
+# Each entry runs check-kernel and prints whether numpy was loaded when the
+# CLI's process default was set, and OPENBLAS_NUM_THREADS after the run.
+ENTRY = """
+import os, sys, cmtforest
+loaded, default = [], cmtforest._cli_process
+def spy():
+    loaded.append("numpy" in sys.modules)
+    default()
+cmtforest._cli_process = spy
+sys.argv = ["cmtforest", "check-kernel", "--support", "1,1;-1,1"]
+{run}
+print(loaded, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+ENTRIES = {
+    "python -m": """
+import runpy
+try:
+    runpy.run_module("cmtforest.cli", run_name="__main__")
+except SystemExit as e:
+    assert e.code == 0, e.code
+""",
+    "console script": """
+import importlib
+module, name = {target!r}
+assert getattr(importlib.import_module(module), name)() == 0
+""",
+}
+
+
+@pytest.mark.parametrize("blas, want", [(None, "1"), ("3", "3")])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_cli_entry_runs_one_blas_thread_unless_set(entry, blas, want):
+    run = ENTRIES[entry].format(target=console_script_target())
+    out = child(["-c", ENTRY.format(run=run)], blas)
+    assert "cycle_free: true" in out
+    assert out.splitlines()[-1] == f"[False] {want}"
+
+
+def test_cli_output_is_independent_of_threads_and_blas_setting(tmp_path):
+    payload = {
+        "model": {"model": "nguyen", "dimension": 2, "box": [[-6, 6], [-6, 6]]},
+        "probes": [{"probe": "component-survey"}, {"probe": "in-degree-profile"},
+                   {"probe": "count-components", "k": 2, "budget": 200, "trials": 20}],
+        "seed": 5,
+        "replicates": 2,
+    }
+    config = write_config(tmp_path, payload)
+    trees = []
+    for threads in ("1", "2"):
+        for blas in (None, "2"):
+            out = tmp_path / f"t{threads}-{blas}"
+            child(["-m", "cmtforest.cli", "run", str(config), "--out-dir", str(out),
+                   "--threads", threads], blas, cwd=tmp_path)
+            trees.append(read_tree(out))
+    assert len(trees[0]) == 13 and all(tree == trees[0] for tree in trees)
 
 
 def test_probe_runtime_error_exit_1_names_probe(tmp_path, capsys):

@@ -14,6 +14,7 @@ targets outside the window, repeated vertices, interior lists that reach
 outside the window, and dict and pair input, on int and on tuple vertices.
 """
 
+import pickle
 import re
 from itertools import chain
 from types import MappingProxyType
@@ -234,6 +235,29 @@ def test_unhashable_vertex_is_named_unknown(read):
     with pytest.raises(UnknownVertex) as e:
         read(fw, [0, 0])
     assert e.value.args == ("[0, 0]",)
+
+
+@pytest.mark.parametrize("form", ["rows", "pairs"])
+def test_unhashable_vertex_is_not_in_the_window(form):
+    fw = nguyen_model(2, [(-5, 5), (-5, 0)], 1)
+    if form == "pairs":
+        fw = build_forest(fw.verts, dict(fw.jump))
+    assert (0, 0) in fw and [0, 0] not in fw and {} not in fw
+
+
+@pytest.mark.parametrize("form", ["rows", "pairs"])
+def test_row_map_is_read_only(form):
+    # a written row was read back by rows_of: after row[v] = 7 it returned [7]
+    fw = nguyen_model(2, [(-5, 5), (-5, 0)], 1)
+    if form == "pairs":
+        fw = build_forest(fw.verts, dict(fw.jump))
+    v = fw.verts[3]
+    with pytest.raises(TypeError):
+        fw.row[v] = 7
+    with pytest.raises(TypeError):
+        del fw.row[v]
+    assert fw.rows_of([v]) == [3] and fw.row[v] == 3 and len(fw.row) == len(fw)
+    assert pickle.loads(pickle.dumps(fw)).rows_of([v]) == [3]  # a read window still pickles
 
 
 def test_build_forest_reads_a_window_jump_view_as_a_mapping():
