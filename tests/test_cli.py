@@ -5,11 +5,8 @@ import contextlib
 import copy
 import io
 import json
-import os
 import pickle
 import re
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -17,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cmtforest
 from cmtforest import cli
 from cmtforest.cli import MODELS, PROBES, main
 from cmtforest.points import StripConfig, sample_poisson, strip_point_map
@@ -145,31 +141,18 @@ def test_single_chain_count_needs_no_level_grading(tmp_path):
     assert rc == 0
 
 
-def child(argv, blas=None, cwd=None):
-    """Standard output of a fresh interpreter run with argv, importing the
-    same cmtforest as this process, installed or not; OPENBLAS_NUM_THREADS
-    is `blas`, or unset."""
-    here = str(Path(cmtforest.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    env.update({} if blas is None else {"OPENBLAS_NUM_THREADS": blas})
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          check=True, env=env, cwd=cwd).stdout
-
-
-def test_cli_import_leaves_networkx_unloaded():
+def test_cli_import_leaves_networkx_unloaded(child):
     code = "import sys, cmtforest.cli; print('networkx' in sys.modules)"
     assert child(["-c", code]).strip() == "False"
 
 
-def test_package_import_loads_no_submodule_and_no_numpy():
+def test_package_import_loads_no_submodule_and_no_numpy(child):
     code = ("import sys, cmtforest; "
             "print([m for m in sys.modules if m == 'numpy' or m.startswith('cmtforest.')])")
     assert child(["-c", code]).strip() == "[]"
 
 
-def test_unknown_package_name_raises_attribute_error():
+def test_unknown_package_name_raises_attribute_error(child):
     code = """
 import cmtforest
 for name in ("no_such_name", "_private", "__wrapped__"):
@@ -188,7 +171,7 @@ print(hasattr(cmtforest, "no_such_name"), cmtforest.height.__module__)
 
 
 @pytest.mark.parametrize("blas", [None, "3"])
-def test_cli_import_leaves_blas_threads_as_found(blas):
+def test_cli_import_leaves_blas_threads_as_found(child, blas):
     code = "import os, cmtforest.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert child(["-c", code], blas).strip() == str(blas)
 
@@ -230,14 +213,14 @@ assert getattr(importlib.import_module(module), name)() == 0
 
 @pytest.mark.parametrize("blas, want", [(None, "1"), ("3", "3")])
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
-def test_cli_entry_runs_one_blas_thread_unless_set(entry, blas, want):
+def test_cli_entry_runs_one_blas_thread_unless_set(child, entry, blas, want):
     run = ENTRIES[entry].format(target=console_script_target())
     out = child(["-c", ENTRY.format(run=run)], blas)
     assert "cycle_free: true" in out
     assert out.splitlines()[-1] == f"[False] {want}"
 
 
-def test_cli_output_is_independent_of_threads_and_blas_setting(tmp_path):
+def test_cli_output_is_independent_of_threads_and_blas_setting(child, tmp_path):
     payload = {
         "model": {"model": "nguyen", "dimension": 2, "box": [[-6, 6], [-6, 6]]},
         "probes": [{"probe": "component-survey"}, {"probe": "in-degree-profile"},

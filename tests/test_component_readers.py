@@ -375,7 +375,7 @@ def test_height_builds_no_vertex_row_map(fw):
     # height reads its component's rows; the vertex -> row dict stays unbuilt
     for cid in range(len(components(fw))):
         outcome(height, fw, cid)
-    assert "row" not in fw.__dict__
+    assert "_row" not in fw.__dict__
 
 
 @SUITE
@@ -402,7 +402,7 @@ def test_level_set_bijection_equals_oracle(fw, seed):
 def test_bijection_builds_no_vertex_dicts(fw, seed):
     # the bijection reads rows; the jump view and the vertex -> row dict stay unbuilt
     outcome(level_set_bijection, fw, seed)
-    assert "jump" not in fw.__dict__ and "row" not in fw.__dict__
+    assert "jump" not in fw.__dict__ and "_row" not in fw.__dict__
 
 
 @st.composite

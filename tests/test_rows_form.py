@@ -524,4 +524,4 @@ def test_array_readers_build_no_vertex_objects(sample):
     in_degree_profile(fw)
     if fw.metadata.get("wrap"):
         cluster_frequency(fw, 0, 200, 4)
-    assert "verts" not in fw.__dict__ and "row" not in fw.__dict__
+    assert "verts" not in fw.__dict__ and "_row" not in fw.__dict__

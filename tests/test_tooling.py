@@ -11,8 +11,6 @@ must load every module the table names.
 import importlib
 import importlib.util
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -44,14 +42,9 @@ def test_every_traced_name_resolves_to_a_callable():
         assert callable(target), f"{name}: {module}.{path} is not callable"
 
 
-def test_cli_import_loads_every_traced_module():
+def test_cli_import_loads_every_traced_module(child):
     code = "import json, sys, cmtforest.cli; print(json.dumps(sorted(sys.modules)))"
-    # the child imports the same cmtforest as this process, installed or not
-    here = str(Path(cmtforest.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=path))
-    loaded = set(json.loads(out.stdout))
+    loaded = set(json.loads(child(["-c", code])))
     missing = {module for module, _ in load_spans().TRACED.values()} - loaded
     assert not missing, f"import cmtforest.cli leaves {sorted(missing)} unloaded"
 
