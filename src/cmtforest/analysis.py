@@ -93,9 +93,10 @@ class LevelBijection:
             raise BadGraph("a vertex cannot be both matched and unmatched")
 
 
-def _config_hash(details):
-    blob = json.dumps(details, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+def _config_digest(config):
+    """The full SHA-256 hex of config as sorted-key JSON; callers cut their length."""
+    blob = json.dumps(config, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def probe_csv(report):
@@ -109,7 +110,7 @@ def probe_csv(report):
 def probe_json(report):
     payload = {
         "probe": report.probe,
-        "config_hash": _config_hash(report.details),
+        "config_hash": _config_digest(report.details)[:12],
         "estimates": {str(u): _plain(v) for u, v in zip(report.units, report.values)},
         "bands": {str(u): h for u, h in zip(report.units, report.half_widths)},
         "truncation_fraction": report.truncation_fraction,

@@ -28,10 +28,10 @@ if __name__ == "__main__":  # the CLI is the program: set its process default be
 from . import wusf  # noqa: F401  (unused here; loaded so that span tracing finds it)
 from .errors import ConfigError, CyclicComponent, Empty
 from .analysis import (
-    SURVEY_STATISTICS, LatticeChainModel, ProbeReport, canopy_distinguishability_demo,
-    cluster_frequency, component_statistic_survey, connectivity_decay_probe,
-    count_components_probe, in_degree_profile, nested_level_average, one_endedness_probe,
-    probe_csv, probe_json,
+    SURVEY_STATISTICS, LatticeChainModel, ProbeReport, _config_digest,
+    canopy_distinguishability_demo, cluster_frequency, component_statistic_survey,
+    connectivity_decay_probe, count_components_probe, in_degree_profile, nested_level_average,
+    one_endedness_probe, probe_csv, probe_json,
 )
 from .forest import coords, vertex
 from .lattice import (
@@ -355,11 +355,6 @@ def _validate_run(raw, seed_override):
     return run
 
 
-def _config_digest(config):
-    blob = json.dumps(config, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def _load_json(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -426,7 +421,7 @@ def _cmd_run(args):
         return 1
 
     files = [f for batch in batches for f in batch]
-    digest = _config_digest(dict(raw, seed=run["seed"], replicates=run["replicates"]))
+    digest = _config_digest(dict(raw, seed=run["seed"], replicates=run["replicates"]))[:16]
     manifest = [f"config-hash: {digest}"]
     for fname, text in sorted(files):
         (out_dir / fname).write_text(text)

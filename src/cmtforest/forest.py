@@ -1,25 +1,25 @@
 """Finite windows of oriented forests (graphs of point-maps).
 
-A point-map assigns to each vertex at most one out-neighbor, its jump. A
-ForestWindow is stored as rows, which number its vertices in sorted order:
-`coords`, their coordinates as an N x d int array in lexicographic order (an
-N x 1 object column of the vertices if they are not integer points, such as
+A point-map assigns to each vertex at most one out-neighbor, its jump, so a
+window is fixed by its jump map and has one order, its rows, which number
+its vertices in sorted order. A ForestWindow is four row arrays: `coords`,
+their coordinates as an N x d int array in lexicographic order (an N x 1
+object column of the vertices if they are not integer points, such as
 ((x, y), t)), the successor array `succ` (the row of each in-window jump, or
--1), the row masks `is_exit` (the sampled jump left the window) and
-`is_interior` (the jump is guaranteed unaffected by truncation), and `src`,
-the rows with an in-window jump in the order their pairs were given (row
-order when rows were given), which fixes the preimage order. build_forest is
-the one constructor; it takes jump pairs, or the coordinates and successor
-rows from samplers that hold them as arrays. Every array a window holds is
-read-only, and build_forest copies its inputs. Components, heights, level
-sets and preimages are read from arrays kept on the window: CSR preimages
-(`pre`, `ptr`), pointer-doubling component labels and depths (`label`,
-`depth`), and, built on first read, component ids (`comp`), CSR rows per
-component (`comp_rows`, `comp_ptr`) and the reverse map (`rev`). Vertex
-objects are built on first read too: the list `verts` and the read-only
-views `row` (its inverse), `vertices`, `jump`, `exits` and `interior`; member
-frozensets only in `components` summaries. A window is never mutated after
-construction and is safe to share across workers.
+-1), and the row masks `is_exit` (the sampled jump left the window) and
+`is_interior` (the jump is guaranteed unaffected by truncation).
+build_forest is the one constructor; it takes jump pairs in any order, or
+the coordinates and successor rows from samplers that hold them as arrays.
+Every array a window holds is read-only, and build_forest copies its
+inputs. Components, heights, level sets and preimages are read from arrays
+derived from the rows: `src`, the rows with an in-window jump, CSR
+preimages (`pre`, `ptr`) in row order, pointer-doubling component labels
+and depths (`label`, `depth`), and, built on first read, component ids
+(`comp`) and CSR rows per component (`comp_rows`, `comp_ptr`). Vertex
+objects are built on first read too: the tuple `verts` and the read-only
+views `row` (its inverse), `vertices`, `jump`, `exits` and `interior`;
+member frozensets only in `components` summaries. A window is never
+mutated after construction and is safe to share across workers.
 
 Vertex representation is uniform within a window: integer tuples (lattice
 coordinates), plain ints (abstract vertices or point-ids), never mixed.
@@ -41,7 +41,6 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -86,20 +85,18 @@ def box_grid(box):
 class ForestWindow:
     """A window as rows (see the module docstring); made by build_forest."""
 
-    def __init__(self, coords, succ, is_exit, is_interior, src, dimension, metadata,
-                 verts=None, row=None):
+    def __init__(self, coords, succ, is_exit, is_interior, dimension, metadata):
         self.coords, self.succ = coords, succ
-        self.is_exit, self.is_interior, self.src = is_exit, is_interior, src
+        self.is_exit, self.is_interior = is_exit, is_interior
         self.dimension, self.metadata = dimension, metadata
-        if verts is not None:  # the pair form has built both views already
-            self.verts, self._row = verts, row
-        # the preimages of row r are pre[ptr[r]:ptr[r + 1]], in src order
-        n, dst = len(succ), succ[src]
-        self.pre = src[np.argsort(dst, kind="stable")]
+        # the preimages of row r are pre[ptr[r]:ptr[r + 1]], in row order
+        self.src = np.flatnonzero(succ >= 0)
+        n, dst = len(succ), succ[self.src]
+        self.pre = self.src[np.argsort(dst, kind="stable")]
         self.ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=self.ptr[1:])
         self.label, self.depth = _line_labels(succ)
-        for a in (coords, succ, is_exit, is_interior, src, self.pre, self.ptr, self.label,
+        for a in (coords, succ, is_exit, is_interior, self.src, self.pre, self.ptr, self.label,
                   self.depth):
             _freeze(a)
 
@@ -114,7 +111,7 @@ class ForestWindow:
 
     @cached_property
     def verts(self):
-        return array_vertices(self.coords)
+        return tuple(array_vertices(self.coords))
 
     @cached_property
     def _row(self):
@@ -140,7 +137,7 @@ class ForestWindow:
 
     @cached_property
     def jump(self):
-        """The in-window jumps, keyed in the order their pairs were given."""
+        """The in-window jumps, keyed in row order."""
         pairs = zip(self.vertices_of(self.src), self.vertices_of(self.succ[self.src]))
         return MappingProxyType(dict(pairs))
 
@@ -151,14 +148,6 @@ class ForestWindow:
     @cached_property
     def interior(self):
         return frozenset(self.vertices_of(np.flatnonzero(self.is_interior)))
-
-    @cached_property
-    def rev(self):
-        """reverse_jump's map, keyed in order of first appearance as a target."""
-        pre, ptr = self.vertices_of(self.pre), self.ptr.tolist()
-        rows, first = np.unique(self.succ[self.src], return_index=True)
-        return {self.verts[t]: tuple(pre[ptr[t]:ptr[t + 1]])
-                for t in rows[np.argsort(first)].tolist()}
 
     @cached_property
     def comp(self):
@@ -264,36 +253,31 @@ class HeightAssignment:
 def build_forest(vertices, jump_pairs, interior=None, dimension=1, metadata=None):
     """Assemble a ForestWindow from jump pairs or from successor rows.
 
-    Pairs: a mapping or an iterable of (source, target) pairs, read in one
-    pass. A target equal to EXIT, or outside `vertices`, flags the source as
-    a boundary exit; `interior` is an iterable of vertices. Raises
-    UnknownVertex for a source outside the window, MalformedJump for a
-    repeated source and BadDimension for vertices that cannot be ordered.
+    Pairs: a mapping or an iterable of (source, target) pairs in any order,
+    read in one pass. A target equal to EXIT, or outside `vertices`, flags
+    the source as a boundary exit; `interior` is an iterable of vertices.
+    Raises UnknownVertex for a source outside the window or a list-spelled
+    vertex in a pair or the interior, MalformedJump for a repeated source
+    and BadDimension for vertices that cannot be ordered or hashed.
 
     Rows: an int ndarray, the target row of each vertex, or -1 for a jump
-    that left the window; every vertex has a jump, and the jumps are kept in
-    row order. `vertices` is their sorted and distinct coordinates: an N x d
+    that left the window; every vertex has a jump. `vertices` is their sorted and distinct coordinates: an N x d
     int array, or N ints (int vertices). `interior` is a bool mask over the
     rows. Raises BadDimension or MalformedJump naming the fault.
 
     The interior is intersected with the vertices whose jump stayed in the
     window.
     """
-    verts = row = None
     if isinstance(jump_pairs, np.ndarray):
         coords = _checked_coords(vertices)
         succ, interior = _checked_rows(jump_pairs, interior, len(coords))
-        is_exit, src = succ < 0, np.flatnonzero(succ >= 0)
+        is_exit = succ < 0
     else:
         try:
-            verts = sorted(vertices)
+            verts = list(dict.fromkeys(sorted(vertices)))  # sorted and distinct
         except TypeError as e:
-            raise BadDimension(f"window vertices cannot be ordered: {e}") from None
-        row = dict(zip(verts, range(len(verts))))
-        if len(row) < len(verts):  # a repeated vertex; the keys are sorted and distinct
-            verts = list(row)
-            row = dict(zip(verts, range(len(verts))))
-        succ, is_exit, src, interior = _pair_rows(row, jump_pairs, interior)
+            raise BadDimension(f"window vertices cannot be ordered or hashed: {e}") from None
+        succ, is_exit, interior = _pair_rows(verts, jump_pairs, interior)
         try:
             coords = _checked_coords(verts)
         except BadDimension:  # not integer points: a column of the vertices
@@ -301,8 +285,7 @@ def build_forest(vertices, jump_pairs, interior=None, dimension=1, metadata=None
     is_interior = succ >= 0
     if interior is not None:
         is_interior &= interior
-    return ForestWindow(coords, succ, is_exit, is_interior, src, dimension,
-                        dict(metadata or {}), verts, row)
+    return ForestWindow(coords, succ, is_exit, is_interior, dimension, dict(metadata or {}))
 
 
 def _checked_coords(vertices):
@@ -322,31 +305,36 @@ def _checked_coords(vertices):
     return c
 
 
-def _pair_rows(row, jump_pairs, interior):
-    """succ, the exit mask, src and the interior mask of a pair list."""
-    n, get = len(row), row.get
+def _pair_rows(verts, jump_pairs, interior):
+    """succ, the exit mask and the interior mask of a pair list over the
+    sorted and distinct verts. A vertex spelled as a list is the caller's
+    fault, never one outside the window."""
+    n, get = len(verts), dict(zip(verts, range(len(verts)))).get
     succ = [-1] * n  # -2 marks an exit until the mask is split off
-    src = []
     for s, t in jump_pairs.items() if isinstance(jump_pairs, Mapping) else jump_pairs:
-        r = get(s)
+        try:
+            r, t = get(s), get(t)
+        except TypeError:
+            raise UnknownVertex(f"jump pair {(s, t)!r} has an unhashable vertex") from None
         if r is None:
             raise UnknownVertex(f"jump source {s!r} not in window")
         if succ[r] != -1:
             raise MalformedJump(f"duplicate jump source {s!r}")
-        t = get(t)
-        if t is None:
-            succ[r] = -2
-        else:
-            succ[r] = t
-            src.append(r)
+        succ[r] = -2 if t is None else t
     succ = np.array(succ, dtype=np.int64)
     is_exit = succ == -2
     succ[is_exit] = -1
     if interior is not None:
         listed = np.zeros(n + 1, dtype=bool)
-        listed[np.fromiter(map(get, interior, repeat(n)), np.int64)] = True
+        rows = []
+        for v in interior:
+            try:
+                rows.append(get(v, n))
+            except TypeError:
+                raise UnknownVertex(f"interior vertex {v!r} is unhashable") from None
+        listed[rows] = True
         interior = listed[:n]
-    return succ, is_exit, np.array(src, dtype=np.int64), interior
+    return succ, is_exit, interior
 
 
 def _checked_rows(succ, interior, n):
@@ -386,8 +374,11 @@ def ancestral_line(forest, v, max_steps):
 
 
 def reverse_jump(forest):
-    """Map each vertex to the tuple of its in-window preimages."""
-    return dict(forest.rev)
+    """Map each vertex to the tuple of its in-window preimages, in row order;
+    keyed in order of first appearance as a target."""
+    pre, ptr = forest.vertices_of(forest.pre), forest.ptr.tolist()
+    return {forest.verts[t]: tuple(pre[ptr[t]:ptr[t + 1]])
+            for t in dict.fromkeys(forest.succ[forest.src].tolist())}
 
 
 def _summary(cid, members, dangling):

@@ -298,9 +298,9 @@ def test_mean_in_degree_is_one_on_every_valid_torus(data):
 
 
 def test_core_built_lazily_by_racing_threads_reads_the_same():
-    # component ids, the component CSR and the reverse map are cached on first read;
-    # threads that race to build them on one shared window must all read
-    # what a serial reader reads
+    # component ids, the component CSR and the vertices that reverse_jump reads
+    # are cached on first read; threads that race to build them on one shared
+    # window must all read what a serial reader reads
     def read(fw):
         return ([(c.members, c.label) for c in components(fw)], reverse_jump(fw),
                 [level_set(fw, v, 5) for v in sorted(fw.vertices)[:40]])

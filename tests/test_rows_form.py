@@ -458,7 +458,7 @@ def test_rows_form_does_not_alias_the_callers_array():
 
 def test_rows_form_one_tuples_give_int_vertices():
     fw = build_forest([(0,), (2,)], rows(1, -1))
-    assert fw.verts == [0, 2] and dict(fw.jump) == {0: 2}
+    assert fw.verts == (0, 2) and dict(fw.jump) == {0: 2}
 
 
 # -- coordinate arrays ------------------------------------------------------------------

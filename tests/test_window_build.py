@@ -164,8 +164,9 @@ def test_rows_build_equals_dict_build(case):
     if err:
         return
     vset, jump, exits, inner = want
+    jump = dict(sorted(jump.items()))  # a window keeps its jumps in row order
     rows = oracle_rows(vset, jump)
-    assert fw.verts == rows["verts"]
+    assert fw.verts == tuple(rows["verts"])
     want = np.array(rows["verts"], dtype=np.int64)
     assert fw.coords.dtype == want.dtype
     assert np.array_equal(fw.coords, want[:, None] if want.ndim == 1 else want)
@@ -175,6 +176,27 @@ def test_rows_build_equals_dict_build(case):
     assert list(fw.jump.items()) == list(jump.items())
     assert list(reverse_jump(fw).items()) == list(oracle_reverse(jump).items())
     assert dump_forest(fw) == oracle_dump(vset, jump, exits, 2, meta)
+
+
+def window_facts(fw):
+    arrays = [getattr(fw, name).tolist()
+              for name in ("src", "succ", "pre", "ptr", "label", "depth", "comp")]
+    return arrays, list(fw.jump.items()), list(reverse_jump(fw).items()), dump_forest(fw)
+
+
+@SUITE
+@given(builds(), st.data())
+def test_pair_order_does_not_change_the_window(case, data):
+    # a window is fixed by its jump map: its shuffles, and its dict and list
+    # forms, build the same rows, views and dump, all in row order
+    verts, pairs, interior = case
+    items = list(pairs.items()) if isinstance(pairs, dict) else pairs
+    fw, err = outcome(lambda: build_forest(verts, items, interior=interior))
+    if err:
+        return
+    shuffled = data.draw(st.permutations(items))
+    for form in (items[::-1], shuffled, dict(shuffled), iter(shuffled)):
+        assert window_facts(build_forest(verts, form, interior=interior)) == window_facts(fw)
 
 
 def test_views_are_read_only():
@@ -246,6 +268,18 @@ def test_unhashable_vertex_is_not_in_the_window(form):
 
 
 @pytest.mark.parametrize("form", ["rows", "pairs"])
+def test_verts_is_read_only(form):
+    # a written verts was read back: after verts.append("junk"), len(verts)
+    # was 34 and len(w) 33
+    fw = nguyen_model(2, [(-5, 5), (-5, 0)], 1)
+    if form == "pairs":
+        fw = build_forest(fw.verts, dict(fw.jump))
+    with pytest.raises(AttributeError):
+        fw.verts.append("junk")
+    assert len(fw.verts) == len(fw) == 33 and isinstance(fw.verts, tuple)
+
+
+@pytest.mark.parametrize("form", ["rows", "pairs"])
 def test_row_map_is_read_only(form):
     # a written row was read back by rows_of: after row[v] = 7 it returned [7]
     fw = nguyen_model(2, [(-5, 5), (-5, 0)], 1)
@@ -272,8 +306,8 @@ def test_build_forest_reads_a_window_jump_view_as_a_mapping():
 def test_object_column_window_keeps_its_vertices():
     space_time = SpaceTimeGraph(torus_graph(3, 2), (0, 3))
     fw = coalescing_srw(space_time, 1)
-    assert fw.coords.dtype == object and fw.coords[:, 0].tolist() == fw.verts
-    assert fw.verts == sorted(space_time.vertices())
+    assert fw.coords.dtype == object and tuple(fw.coords[:, 0].tolist()) == fw.verts
+    assert fw.verts == tuple(sorted(space_time.vertices()))
     assert all(t[1] == s[1] + 1 for s, t in fw.jump.items())
     assert len(fw.jump) == 27 and not fw.exits
     assert frozenset().union(*(c.members for c in components(fw))) == fw.vertices
@@ -291,6 +325,23 @@ def test_object_column_window_keeps_its_vertices():
 def test_unorderable_vertices_raise_bad_dimension():
     with pytest.raises(BadDimension):
         build_forest([0, (1, 2)], [])
+
+
+@pytest.mark.parametrize("build, error, named", [
+    (lambda: build_forest([[0, 0], [0, 1]], []), BadDimension, "unhashable"),
+    (lambda: build_forest([(0, 0)], [([0, 0], EXIT)]), UnknownVertex, "[0, 0]"),
+    (lambda: build_forest([(0, 0), (0, 1)], [((0, 0), [0, 1])]), UnknownVertex, "[0, 1]"),
+    (lambda: build_forest([(0, 0)], [((0, 0), EXIT)], [[0, 0]]), UnknownVertex, "[0, 0]"),
+], ids=["vertex", "jump source", "jump target", "interior"])
+def test_list_spelled_vertex_is_named(build, error, named):
+    # each raised a bare TypeError: unhashable type: 'list'
+    with pytest.raises(error, match=re.escape(named)):
+        build()
+
+
+def test_absent_tuple_target_still_exits():
+    fw = build_forest([(0, 0), (0, 1)], [((0, 0), (5, 5)), ((0, 1), (0, 0))])
+    assert fw.exits == {(0, 0)} and dict(fw.jump) == {(0, 1): (0, 0)}
 
 
 @pytest.mark.parametrize("text", [
