@@ -339,11 +339,6 @@ def test_list_spelled_vertex_is_named(build, error, named):
         build()
 
 
-def test_absent_tuple_target_still_exits():
-    fw = build_forest([(0, 0), (0, 1)], [((0, 0), (5, 5)), ((0, 1), (0, 0))])
-    assert fw.exits == {(0, 0)} and dict(fw.jump) == {(0, 1): (0, 0)}
-
-
 @pytest.mark.parametrize("text", [
     "",
     "dim=1 model=m\n0 -> 1\n1\n",
