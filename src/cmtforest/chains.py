@@ -392,7 +392,6 @@ def _cross_collision_once(jumps, x0, y0, budget, rng, min_index):
     Earliest-index tables on both paths make the answer well defined;
     indices below min_index are excluded (min_index 1 drops the sources).
     """
-    d = jumps.dimension
     atoms = jumps.atoms
     cum = atom_cdf(jumps.weights)
     seen_a = {x0: 0} if min_index == 0 else {}

@@ -257,7 +257,8 @@ def build_forest(vertices, jump_pairs, interior=None, dimension=1, metadata=None
     read in one pass. A target equal to EXIT, or outside `vertices`, flags
     the source as a boundary exit; `interior` is an iterable of vertices.
     Raises UnknownVertex for a source outside the window or a list-spelled
-    vertex in a pair or the interior, MalformedJump for a repeated source
+    vertex in a pair or the interior, MalformedJump for a repeated source, a
+    pair that is not (source, target) or an interior that is not iterable,
     and BadDimension for vertices that cannot be ordered or hashed.
 
     Rows: an int ndarray, the target row of each vertex, or -1 for a jump
@@ -311,7 +312,11 @@ def _pair_rows(verts, jump_pairs, interior):
     fault, never one outside the window."""
     n, get = len(verts), dict(zip(verts, range(len(verts)))).get
     succ = [-1] * n  # -2 marks an exit until the mask is split off
-    for s, t in jump_pairs.items() if isinstance(jump_pairs, Mapping) else jump_pairs:
+    for pair in jump_pairs.items() if isinstance(jump_pairs, Mapping) else jump_pairs:
+        try:
+            s, t = pair
+        except (TypeError, ValueError):
+            raise MalformedJump(f"jump pair {pair!r} is not a (source, target) pair") from None
         try:
             r, t = get(s), get(t)
         except TypeError:
@@ -325,9 +330,13 @@ def _pair_rows(verts, jump_pairs, interior):
     is_exit = succ == -2
     succ[is_exit] = -1
     if interior is not None:
+        try:
+            items = iter(interior)
+        except TypeError:
+            raise MalformedJump(f"interior {interior!r} is not an iterable of vertices") from None
         listed = np.zeros(n + 1, dtype=bool)
         rows = []
-        for v in interior:
+        for v in items:
             try:
                 rows.append(get(v, n))
             except TypeError:

@@ -24,12 +24,10 @@ class FiniteGraph:
         if not adj:
             raise BadGraph("no vertices")
         for v, ns in adj.items():
-            for u in ns:
+            for u, k in Counter(ns).items():
                 if u not in adj:
                     raise BadGraph(f"edge endpoint {u!r} is not a vertex")
-        for v, ns in adj.items():
-            for u, k in Counter(ns).items():
-                if u != v and Counter(adj[u])[v] != k:
+                if u != v and adj[u].count(v) != k:
                     raise BadGraph(f"asymmetric multiplicity between {v!r} and {u!r}")
         object.__setattr__(self, "adjacency", adj)
 

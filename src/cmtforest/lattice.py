@@ -315,6 +315,7 @@ def _unimodular_span(vectors, d):
 
 
 def _atom_coordinates(jumps, lattice):
+    lattice = lattice or integer_lattice(jumps.dimension)
     if not isinstance(lattice, LatticeSpec):
         raise ConfigError(f"lattice must be a LatticeSpec, got {lattice!r}")
     if jumps.dimension != lattice.dimension:
@@ -332,30 +333,21 @@ def _atom_coordinates(jumps, lattice):
 
 def check_weak_irreducibility(jumps, lattice=None):
     """Integer span of the atoms equals the lattice."""
-    lattice = lattice or integer_lattice(jumps.dimension)
     coords = _atom_coordinates(jumps, lattice)
-    holds, cert, detail = _unimodular_span(coords, lattice.dimension)
+    holds, cert, detail = _unimodular_span(coords, jumps.dimension)
     return ConditionCheck("weak-irreducibility", holds, cert, detail)
 
 
 def check_weak_aperiodicity(jumps, lattice=None):
     """Integer span of pairwise atom differences equals the lattice."""
-    lattice = lattice or integer_lattice(jumps.dimension)
     coords = _atom_coordinates(jumps, lattice)
-    base = coords[0]
-    diffs = [tuple(a - b for a, b in zip(c, base)) for c in coords[1:]]
-    diffs = [v for v in diffs if any(v)]
-    if not diffs:
-        return ConditionCheck(
-            "weak-aperiodicity", False, (), "all atoms coincide modulo nothing"
-        )
-    holds, cert, detail = _unimodular_span(diffs, lattice.dimension)
+    diffs = [tuple(a - b for a, b in zip(c, coords[0])) for c in coords[1:]]
+    holds, cert, detail = _unimodular_span(diffs, jumps.dimension)
     return ConditionCheck("weak-aperiodicity", holds, cert, detail)
 
 
 def check_model_conditions(jumps, lattice=None):
     """Combined report over the three conditions, witnesses by name."""
-    lattice = lattice or integer_lattice(jumps.dimension)
     cf = check_cycle_free(jumps, lattice)
     wi = check_weak_irreducibility(jumps, lattice)
     wa = check_weak_aperiodicity(jumps, lattice)

@@ -126,13 +126,11 @@ def _space_time_window(space_time, seed, name, draw):
     _check_steps("seed", seed, least=None)
     lo, hi = space_time.time_range
     rng = rng_for(seed, _ROLE_SPACE_TIME)
-    vertices = space_time.vertices()
     pairs = [((x, t), (draw(rng, x), t + 1))
              for t in range(lo, hi) for x in space_time.base.vertices]
     return build_forest(
-        vertices,
+        space_time.vertices(),
         pairs,
-        interior=[v for v in vertices if v[1] < hi],
         dimension=2,
         metadata={"model": name, "seed": int(seed), "time_range": (lo, hi)},
     )

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
+import numpy as np
+
 from .errors import (
     BadGraph,
     BadPath,
@@ -22,7 +24,7 @@ from .errors import (
     UnknownVertex,
     _check_steps,
 )
-from .forest import _fmt_vertex
+from .forest import _fmt_vertex, _line_labels
 from .graphs import FiniteGraph
 from .seeds import rng_for
 
@@ -44,21 +46,13 @@ class OrientedTreeOrForest:
         roots = frozenset(self.roots)
         if set(parent) & roots:
             raise BadGraph("a root cannot also have a parent")
-        state = {}  # 1 = on current walk, 2 = known to reach a root
-        for v0 in parent:
-            trail = []
-            v = v0
-            while v in parent and state.get(v) is None:
-                state[v] = 1
-                trail.append(v)
-                v = parent[v]
-            if state.get(v) == 1:
-                raise BadGraph("parent map has a cycle")
-            if v not in parent and v not in roots and v not in state:
-                raise BadGraph(f"parent chain leaves the structure at {v!r}")
-            for w in trail:
-                state[w] = 2
-            state[v] = 2
+        for p in parent.values():
+            if p not in parent and p not in roots:
+                raise BadGraph(f"parent chain leaves the structure at {p!r}")
+        row = dict(zip(parent, range(len(parent))))  # place in the map; a root's is -1
+        succ = np.array([row.get(p, -1) for p in parent.values()], dtype=np.int64)
+        if (_line_labels(succ)[1] < 0).any():
+            raise BadGraph("parent map has a cycle")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "roots", roots)
 
@@ -340,7 +334,5 @@ def covering_coupling_check(graph, s_edges, i1, i2):
                 net.add_edge(("a", ia), ("b", ib))
     for ib in range(len(t2)):
         net.add_edge(("b", ib), "snk", capacity=len(t1))
-    if "src" not in net or "snk" not in net:
-        return False
     flow = nx.maximum_flow_value(net, "src", "snk")
     return flow == len(t1) * len(t2)

@@ -1,4 +1,4 @@
-"""Frozen SHA-256 digests of windows at fixed seeds: the determinism
+"""Frozen SHA-256 digests of windows, trees and verdicts: the determinism
 contract as a test. Each entry is one output, and must keep every byte.
 
 A change that moves an output on purpose edits its digest here by hand and
@@ -8,13 +8,25 @@ the numpy version the digests were made with and the one running.
 """
 
 import hashlib
+import io
+from contextlib import redirect_stdout
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from cmtforest.cli import main
+from cmtforest.errors import Unconditionable
 from cmtforest.forest import dump_forest, load_forest, reverse_jump
-from cmtforest.graphs import cycle_graph, torus_graph
+from cmtforest.graphs import complete_graph, cycle_graph, torus_graph
 from cmtforest.models import SpaceTimeGraph, coalescing_mc, coalescing_srw, nguyen_model
+from cmtforest.wusf import (
+    conditional_wilson,
+    covering_coupling_check,
+    dump_tree,
+    wilson_ust,
+    wusf_window,
+)
 
 MADE_WITH_NUMPY = "2.4.6"
 
@@ -37,7 +49,51 @@ def _outputs(seed):
         "load_forest cycle": lambda: dump_forest(load_forest(
             dump_forest(coalescing_srw(cycle, seed)))),
         "reverse_jump lattice": lambda: repr(list(reverse_jump(lattice).items())),
+        "dump_tree wilson_ust": lambda: dump_tree(wilson_ust(torus_graph(3, 2), (0, 0), seed)),
+        "dump_tree conditional_wilson": lambda: dump_tree(
+            conditional_wilson(cycle_graph(7), [0, 1, 2], seed)),
+        "dump_tree wusf_window": lambda: dump_tree(wusf_window(3, seed, dimension=2)),
     }
+
+
+def _check_kernel(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["check-kernel", *argv]) == 0
+    return out.getvalue()
+
+
+def _coupling_verdicts(graph):
+    # every pair of conditionings of the triangle on 0, 1 and 2
+    s = [(0, 1), (1, 2), (2, 0)]
+    subsets = [list(c) for k in range(4) for c in combinations(s, k)]
+    verdicts = []
+    for i1 in subsets:
+        for i2 in subsets:
+            try:
+                verdicts.append(covering_coupling_check(graph, s, i1, i2))
+            except Unconditionable:
+                verdicts.append("Unconditionable")
+    return repr(verdicts)
+
+
+# outputs that take no seed; each check-kernel entry is its stdout
+UNSEEDED = {
+    "check-kernel integer one atom": lambda: _check_kernel("--support=3,-2"),
+    "check-kernel integer pm one": lambda: _check_kernel("--support=1;-1", "--weights=0.5,0.5"),
+    "check-kernel integer steps 2 and 3": lambda: _check_kernel("--support=2;3"),
+    "check-kernel integer basis": lambda: _check_kernel("--support=1,0;0,1"),
+    "check-kernel integer diagonals": lambda: _check_kernel("--support=1,1;-1,1"),
+    "check-kernel integer triangle": lambda: _check_kernel("--support=1,0;0,1;-1,-1"),
+    "check-kernel even one atom": lambda: _check_kernel("--support=1,1", "--lattice=even"),
+    "check-kernel even nguyen": lambda: _check_kernel("--support=1,-1;-1,-1", "--lattice=even"),
+    "check-kernel even variant": lambda: _check_kernel("--support=-1,-1;1,-1;0,-2",
+                                                       "--lattice=even"),
+    "check-kernel even doubled": lambda: _check_kernel("--support=2,0;0,2", "--lattice=even"),
+    "covering_coupling_check C3": lambda: _coupling_verdicts(cycle_graph(3)),
+    "covering_coupling_check K4": lambda: _coupling_verdicts(complete_graph(4)),
+    "covering_coupling_check K5": lambda: _coupling_verdicts(complete_graph(5)),
+}
 
 
 DIGESTS = {
@@ -65,6 +121,48 @@ DIGESTS = {
         "004c4064a200168ca55faa041df2a55371ace25d8f4c56962ccd79b48ac833e2",
     ("reverse_jump lattice", 11):
         "f03f7bba7b4bfddd174b92a2a72f934d2056d1b75a0ff2d18a04f921b24f1973",
+    ("dump_tree wilson_ust", 3):
+        "d53e4369717c680e659e87b221735547a268c97cd1f7ab5c26e954fa0694441a",
+    ("dump_tree wilson_ust", 11):
+        "d9ffa520fa1580ae042a9fe63f809d61b4b439f2688822cae00ee9e214566324",
+    ("dump_tree conditional_wilson", 3):
+        "96e996aac99136faf18837c40e5ccfb4af5434547b43e121c308a476962f6843",
+    ("dump_tree conditional_wilson", 11):
+        "053c1434dd85eb69b19eaf46ecca423bc001698d614e15949af1d17668464c62",
+    ("dump_tree wusf_window", 3):
+        "08ab5f3cebe0b1a1b62b4dde4bb1296a77018904dfb543dac02d11fafc71914e",
+    ("dump_tree wusf_window", 11):
+        "1e6fc9832d5f088ebc315fb7e154ebb7d59c0ce767f57e2ee637739ed151dfff",
+}
+
+
+UNSEEDED_DIGESTS = {
+    "check-kernel integer one atom":
+        "caccf193e8f2c34850d8b5f42da4dd4327a59c2d2af3992a0db034d0cd20e080",
+    "check-kernel integer pm one":
+        "4e2e86eb4bdf8254017d9583124cf1a2c2b89b9605ea3bd080dee66bc1f347c3",
+    "check-kernel integer steps 2 and 3":
+        "a0ba5976b36569193bda699a2b14de73d0bc009e5fdc9f4976f9e53730f4e761",
+    "check-kernel integer basis":
+        "82954b7a2f595abb7526066c74918e57bac368dd95fd106bc17009ae0e30da5b",
+    "check-kernel integer diagonals":
+        "3d8599fc736e7d811926cb4f10d6dbb9d6021fc5ccbb8975bc93e6237c9b6e97",
+    "check-kernel integer triangle":
+        "a7b68a800532d48d51f5bc7a06c6433df5eaedefa705138869b23de8d1b4fea4",
+    "check-kernel even one atom":
+        "de34f1782eae4b03e4297f376b2544cdc9ede00d9cedd9b1565ed2d5b21c31f0",
+    "check-kernel even nguyen":
+        "c3ba8df08223c0c66aad8d6073525364e738fba76caf4bb745f7960cec5e424a",
+    "check-kernel even variant":
+        "54b6a9aff11bcc84c1a011493f6843f9d49371802c0c0fb7f2883cb0b97ee0ec",
+    "check-kernel even doubled":
+        "6670183fe5311c3d2aa7b5400c27a7d1f3d80c6ed2fa98823f3aa431eea9ca74",
+    "covering_coupling_check C3":
+        "86244bb7c1fc5e61df5cf23fd2533d7d61a9e686859fa131f3e7239d6bfc5224",
+    "covering_coupling_check K4":
+        "db5f07635c0b2a43c95f7b13c91ad2d8917b3a556f0a3ba720f28cf9348c8602",
+    "covering_coupling_check K5":
+        "db5f07635c0b2a43c95f7b13c91ad2d8917b3a556f0a3ba720f28cf9348c8602",
 }
 
 
@@ -75,3 +173,9 @@ def test_output_keeps_its_digest(entry):
     assert got == DIGESTS[entry], (
         f"{name} at seed {seed} changed: digest {got}; the digests were made with "
         f"numpy {MADE_WITH_NUMPY}, this run has numpy {np.__version__}")
+
+
+@pytest.mark.parametrize("name", sorted(UNSEEDED))
+def test_unseeded_output_keeps_its_digest(name):
+    got = hashlib.sha256(UNSEEDED[name]().encode()).hexdigest()
+    assert got == UNSEEDED_DIGESTS[name], f"{name} changed: digest {got}"

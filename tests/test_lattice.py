@@ -100,6 +100,16 @@ def test_two_jump_parity_model_verdicts():
     assert not check_weak_aperiodicity(jd, lat).holds
 
 
+@pytest.mark.parametrize("atom, lattice", [
+    ((3,), None),
+    ((3, -2), integer_lattice(2)),
+    ((1, 1), even_sublattice(2)),
+])
+def test_one_atom_kernel_is_not_weakly_aperiodic(atom, lattice):
+    check = check_weak_aperiodicity(uniform_jumps([atom]), lattice)
+    assert (check.holds, check.witness) == (False, ())
+
+
 def test_three_jump_variant_verdicts():
     lat = even_sublattice(2)
     report = check_model_conditions(variant_jumps(), lat)

@@ -95,6 +95,23 @@ def test_graph_validation():
     assert loop.degree(0) == 1 and loop.is_connected()
 
 
+@pytest.mark.parametrize("adjacency, named", [
+    ({0: (2,), 1: ()}, "edge endpoint 2 is not a vertex"),
+    ({0: (1,), 1: ()}, "asymmetric multiplicity between 0 and 1"),
+    ({0: (1, 1), 1: (0,)}, "asymmetric multiplicity between 0 and 1"),
+    ({0: (1,), 1: (0, 0)}, "asymmetric multiplicity between 0 and 1"),
+])
+def test_graph_validation_names_the_fault(adjacency, named):
+    with pytest.raises(BadGraph, match=f"^{named}$"):
+        finite_graph(adjacency)
+
+
+def test_graph_with_two_faults_names_the_first_in_vertex_order():
+    # vertex 0's asymmetric edge comes before vertex 2's unknown endpoint
+    with pytest.raises(BadGraph, match="^asymmetric multiplicity between 0 and 1$"):
+        finite_graph({0: (1,), 1: (), 2: (5,)})
+
+
 def test_graph_facts_components_and_self_loops():
     split = finite_graph({0: (1,), 1: (0,), 2: (2, 3), 3: (2, 4, 4), 4: (3, 3, 4)})
     assert split.component == {0: 0, 1: 0, 2: 1, 3: 1, 4: 1}
@@ -207,6 +224,19 @@ def test_srw_bipartite_parity_constant_on_level_sets():
         members, _ = level_set(fw, v, 4)
         marks = {(x + t) % 2 for x, t in members}
         assert len(marks) == 1
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("base", [cycle_graph(7), torus_graph(3, 2)], ids=["cycle", "torus"])
+@pytest.mark.parametrize("sampler", ["srw", "mc"])
+def test_space_time_interior_is_every_vertex_below_the_top(sampler, base, seed):
+    space_time = SpaceTimeGraph(base, (-2, 3))
+    if sampler == "srw":
+        fw = coalescing_srw(space_time, seed)
+    else:  # the uniform-neighbor kernel of a regular graph is symmetric
+        kernel = {x: {y: ns.count(y) / len(ns) for y in ns} for x, ns in base.adjacency.items()}
+        fw = coalescing_mc(space_time, kernel, dict.fromkeys(base.vertices, 1.0), seed)
+    assert fw.is_interior.tolist() == [t < 3 for _, t in fw.verts]
 
 
 def test_mc_identity_kernel_gives_vertical_chains():

@@ -339,6 +339,17 @@ def test_list_spelled_vertex_is_named(build, error, named):
         build()
 
 
+@pytest.mark.parametrize("build, named", [
+    (lambda: build_forest([0, 1], [0]), "jump pair 0 "),
+    (lambda: build_forest([0, 1], [(0, 1, 2)]), "jump pair (0, 1, 2) "),
+    (lambda: build_forest([0, 1], [(0, 1)], interior=5), "interior 5 "),
+], ids=["not a pair", "three items", "interior"])
+def test_malformed_pair_form_is_named(build, named):
+    # each raised a bare TypeError or ValueError
+    with pytest.raises(MalformedJump, match=re.escape(named)):
+        build()
+
+
 @pytest.mark.parametrize("text", [
     "",
     "dim=1 model=m\n0 -> 1\n1\n",

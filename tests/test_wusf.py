@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from cmtforest.errors import (
@@ -154,6 +156,100 @@ def test_tree_type_validation():
 def test_caller_built_tree_is_still_checked(parent, roots, message):
     # the library's own builders skip the walk; a caller's map never does
     with pytest.raises(BadGraph, match=message):
+        OrientedTreeOrForest(parent, frozenset(roots))
+
+
+def walk_check(parent, roots):
+    """The three-state walk OrientedTreeOrForest used to validate a caller's
+    parent map, kept as the oracle: BadGraph naming the first fault it meets."""
+    if set(parent) & roots:
+        raise BadGraph("a root cannot also have a parent")
+    state = {}  # 1 = on current walk, 2 = known to reach a root
+    for v0 in parent:
+        trail = []
+        v = v0
+        while v in parent and state.get(v) is None:
+            state[v] = 1
+            trail.append(v)
+            v = parent[v]
+        if state.get(v) == 1:
+            raise BadGraph("parent map has a cycle")
+        if v not in parent and v not in roots and v not in state:
+            raise BadGraph(f"parent chain leaves the structure at {v!r}")
+        for w in trail:
+            state[w] = 2
+        state[v] = 2
+
+
+def fault_count(parent, roots):
+    """Roots with a parent count as one fault; otherwise each parent that is
+    neither a vertex nor a root, and each cycle, is one."""
+    if set(parent) & roots:
+        return 1
+    cycles = set()
+    for v in parent:
+        line = [v]
+        while line[-1] in parent and parent[line[-1]] not in line:
+            line.append(parent[line[-1]])
+        if line[-1] in parent:
+            cycles.add(frozenset(line[line.index(parent[line[-1]]):]))
+    return len(set(parent.values()) - set(parent) - roots) + len(cycles)
+
+
+def message(check, parent, roots):
+    try:
+        check(parent, roots)
+    except BadGraph as e:
+        return str(e)
+    return None
+
+
+# wired_ball trees mix the string vertex BOUNDARY with tuples
+VERTEX = st.sampled_from([0, 1, 2, 3, 4, (0, 0), (0, 1), (1, 0), BOUNDARY, "x"])
+
+
+@st.composite
+def parent_maps(draw):
+    """Any map over a small mixed vertex pool (self-loops, cycles, chains
+    that leave, roots with a parent, the empty map), or a forest built
+    toward its roots, with one fault sometimes planted in it."""
+    if draw(st.booleans()):
+        parent = draw(st.dictionaries(VERTEX, VERTEX, max_size=8))
+        return parent, frozenset(draw(st.sets(VERTEX, max_size=3)))
+    order = draw(st.lists(VERTEX, unique=True, min_size=1, max_size=10))
+    k = draw(st.integers(1, len(order)))
+    roots, parent = order[:k], {}
+    for i, v in enumerate(order[k:], start=k):
+        parent[v] = order[draw(st.integers(0, i - 1))]
+    if parent and draw(st.booleans()):  # itself or a later vertex may close a cycle
+        v = draw(st.sampled_from(sorted(parent, key=repr)))
+        parent[v] = draw(st.one_of(st.sampled_from(order), VERTEX))
+    return parent, frozenset(roots)
+
+
+@settings(max_examples=600)
+@given(parent_maps())
+@example(({}, frozenset([0])))  # a lone root
+@example(({0: 0}, frozenset()))
+@example(({(0, 0): BOUNDARY, (0, 1): (0, 0)}, frozenset([BOUNDARY])))  # as wired_ball trees
+def test_parent_map_check_equals_the_walk(case):
+    parent, roots = case
+    want = message(walk_check, parent, roots)
+    got = message(OrientedTreeOrForest, parent, roots)
+    assert (got is None) == (want is None), (parent, roots, got, want)
+    if fault_count(parent, roots) == 1:
+        assert got == want, (parent, roots)
+
+
+@pytest.mark.parametrize("parent, roots, message", [
+    ({0: 1, 2: "y", 1: "x"}, [], "parent chain leaves the structure at 'y'"),
+    ({0: 0, 1: "x"}, [], "parent chain leaves the structure at 'x'"),
+    ({0: 0, 1: 2}, [1], "a root cannot also have a parent"),
+])
+def test_parent_map_with_several_faults_names_one(parent, roots, message):
+    # a root with a parent first, then the first parent in map order that
+    # is neither a vertex nor a root, then a cycle
+    with pytest.raises(BadGraph, match=f"^{message}$"):
         OrientedTreeOrForest(parent, frozenset(roots))
 
 
