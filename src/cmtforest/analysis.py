@@ -111,15 +111,11 @@ def probe_json(report):
     payload = {
         "probe": report.probe,
         "config_hash": _config_digest(report.details)[:12],
-        "estimates": {str(u): _plain(v) for u, v in zip(report.units, report.values)},
+        "estimates": {str(u): v for u, v in zip(report.units, report.values)},
         "bands": {str(u): h for u, h in zip(report.units, report.half_widths)},
         "truncation_fraction": report.truncation_fraction,
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def _plain(v):
-    return list(v) if isinstance(v, tuple) else v
 
 
 # -- component statistics ------------------------------------------------------------

@@ -13,7 +13,6 @@ does) reaches every call.
 """
 
 import argparse
-import copyreg
 import hashlib
 import json
 import math
@@ -51,12 +50,7 @@ _ROLE_PROBE = 0xC11
 
 
 class ProbeFailure(Exception):
-    def __init__(self, probe, cause):
-        super().__init__(f"probe '{probe}' failed: {type(cause).__name__}: {cause}")
-
-    def __reduce__(self):
-        # rebuilt from its message alone, so a worker process can send it back
-        return copyreg.__newobj__, (type(self), *self.args)
+    """A probe raised; the message names the probe and the error."""
 
 
 # -- field kinds: (test, description) -----------------------------------------------
@@ -387,7 +381,7 @@ def _replicate_artifacts(run, rep):
         except ConfigError:
             raise
         except Exception as e:
-            raise ProbeFailure(pname, e)
+            raise ProbeFailure(f"probe '{pname}' failed: {type(e).__name__}: {e}")
         stem = f"{i:02d}-{pname}-r{rep:03d}"
         files.append((f"{stem}.csv", probe_csv(report)))
         files.append((f"{stem}.json", probe_json(report) + "\n"))

@@ -39,7 +39,7 @@ without it, vertices that legitimately carry no jump could not round-trip.
 
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
@@ -240,7 +240,6 @@ class ComponentSummary:
     boundary_arc_count: int
     label: str
     members: frozenset
-    statistics: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -258,8 +257,8 @@ def build_forest(vertices, jump_pairs, interior=None, dimension=1, metadata=None
     the source as a boundary exit; `interior` is an iterable of vertices.
     Raises UnknownVertex for a source outside the window or a list-spelled
     vertex in a pair or the interior, MalformedJump for a repeated source, a
-    pair that is not (source, target) or an interior that is not iterable,
-    and BadDimension for vertices that cannot be ordered or hashed.
+    pair that is not (source, target) or pairs or an interior that are not
+    iterable, and BadDimension for vertices that cannot be ordered or hashed.
 
     Rows: an int ndarray, the target row of each vertex, or -1 for a jump
     that left the window; every vertex has a jump. `vertices` is their sorted and distinct coordinates: an N x d
@@ -312,7 +311,11 @@ def _pair_rows(verts, jump_pairs, interior):
     fault, never one outside the window."""
     n, get = len(verts), dict(zip(verts, range(len(verts)))).get
     succ = [-1] * n  # -2 marks an exit until the mask is split off
-    for pair in jump_pairs.items() if isinstance(jump_pairs, Mapping) else jump_pairs:
+    try:
+        pairs = iter(jump_pairs.items() if isinstance(jump_pairs, Mapping) else jump_pairs)
+    except TypeError:
+        raise MalformedJump(f"jump_pairs {jump_pairs!r} is not an iterable of pairs") from None
+    for pair in pairs:
         try:
             s, t = pair
         except (TypeError, ValueError):

@@ -73,8 +73,11 @@ class FiniteGraph:
         return not any(self.component.values())
 
 
-def finite_graph(adjacency):
-    return FiniteGraph({v: tuple(ns) for v, ns in adjacency.items()})
+def lattice_steps(v):
+    """The 2d nearest neighbours of the integer point v, axis by axis, down
+    then up. A walk draws its step by place in this order, so the order
+    fixes every walk stream on lattice-built graphs."""
+    return [v[:a] + (v[a] + step,) + v[a + 1:] for a in range(len(v)) for step in (-1, 1)]
 
 
 def complete_graph(n):
@@ -102,16 +105,8 @@ def torus_graph(side, dimension=1):
     parallel edges, which the multiset representation keeps."""
     if side < 2 or dimension < 1:
         raise BadGraph("side must be >= 2 and dimension positive")
-    adj = {}
-    for v in product(range(side), repeat=dimension):
-        ns = []
-        for axis in range(dimension):
-            for step in (-1, 1):
-                w = list(v)
-                w[axis] = (w[axis] + step) % side
-                ns.append(tuple(w))
-        adj[v] = tuple(ns)
-    return FiniteGraph(adj)
+    return FiniteGraph({v: [tuple(x % side for x in w) for w in lattice_steps(v)]
+                        for v in product(range(side), repeat=dimension)})
 
 
 def regular_tree(degree, depth):
@@ -132,4 +127,4 @@ def regular_tree(degree, depth):
                 adj[w] = [v]
                 nxt.append(w)
         frontier = nxt
-    return FiniteGraph({v: tuple(ns) for v, ns in adj.items()})
+    return FiniteGraph(adj)

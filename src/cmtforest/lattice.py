@@ -243,18 +243,14 @@ def _fourier_motzkin(rows):
 
 
 def check_cycle_free(jumps, lattice=None):
-    """No zero convex combination of atoms, i.e. atoms fit a half-space."""
-    rows = jumps.atoms
-    feasible, witness = _fourier_motzkin(rows)
-    if feasible:
-        return ConditionCheck(
-            "cycle-free", True, witness,
-            "direction with strictly positive dot product on every atom",
-        )
-    return ConditionCheck(
-        "cycle-free", False, witness,
-        "convex combination of atoms equal to zero",
-    )
+    """No zero convex combination of atoms, i.e. atoms fit a half-space.
+    A lattice, if given, is checked to hold every atom, as the span checks do."""
+    if lattice is not None:  # every atom is a point of the default, the integer lattice
+        _atom_coordinates(jumps, lattice)
+    holds, witness = _fourier_motzkin(jumps.atoms)
+    detail = ("direction with strictly positive dot product on every atom" if holds
+              else "convex combination of atoms equal to zero")
+    return ConditionCheck("cycle-free", holds, witness, detail)
 
 
 # -- span conditions: tracked integer column reduction -------------------------
@@ -375,10 +371,10 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
     Vertices are coordinate tuples, or plain ints in dimension one.
     """
     _check_steps("seed", seed, least=None)
+    _atom_coordinates(jumps, lattice)  # checks the lattice, its dimension and the atoms on it
     d = lattice.dimension
-    if jumps.dimension != d or len(box) != d:
+    if len(box) != d:
         raise BadDimension("box/jump dimension mismatch")
-    _atom_coordinates(jumps, lattice)  # validates atoms against the lattice
 
     det, adj = _det_and_adjugate(lattice.basis)
     wrap = tuple(wrap) if wrap is not None else (None,) * d

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadDimension, ConfigError, CyclicComponent, EmptyWindow, _check_steps
 from .forest import _freeze, box_grid, build_forest
-from .seeds import derive_seed, rng_for, vertex_stream
+from .seeds import derive_seed, rng_for
 
 _ROLE_BERNOULLI = 0xD1
 _ROLE_POISSON = 0xD2
@@ -281,7 +281,7 @@ def _howard_forest(cloud, seed):
             pick = tie.argmax(axis=1)
             ties = tie.sum(axis=1)
             for i in np.flatnonzero(ties > 1).tolist():
-                k = vertex_stream(seed, tuple(c[r + i].tolist())).integers(int(ties[i]))
+                k = rng_for(seed, c.shape[1], *c[r + i].tolist()).integers(int(ties[i]))
                 pick[i] = np.flatnonzero(tie[i])[k]
             succ[src] = b + pick
     space = np.array(cloud.window[1:]).reshape(-1, 2)

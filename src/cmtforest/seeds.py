@@ -30,14 +30,3 @@ def derive_seed(master, *keys):
 def rng_for(master, *keys):
     """PCG64 generator seeded by derive_seed(master, *keys)."""
     return np.random.Generator(np.random.PCG64(derive_seed(master, *keys)))
-
-
-def vertex_stream(master, vertex):
-    """Per-source randomness stream keyed by a vertex.
-
-    Used for tie-breaking marks that must be i.i.d. across sources and
-    independent of the sampling order.
-    """
-    if isinstance(vertex, tuple):
-        return rng_for(master, len(vertex), *vertex)
-    return rng_for(master, 1, vertex)

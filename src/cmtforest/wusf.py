@@ -25,7 +25,7 @@ from .errors import (
     _check_steps,
 )
 from .forest import _fmt_vertex, _line_labels
-from .graphs import FiniteGraph
+from .graphs import FiniteGraph, lattice_steps
 from .seeds import rng_for
 
 _ROLE_WILSON = 0xE1
@@ -47,7 +47,11 @@ class OrientedTreeOrForest:
         if set(parent) & roots:
             raise BadGraph("a root cannot also have a parent")
         for p in parent.values():
-            if p not in parent and p not in roots:
+            try:
+                known = p in parent or p in roots
+            except TypeError:  # an unhashable parent is no vertex
+                known = False
+            if not known:
                 raise BadGraph(f"parent chain leaves the structure at {p!r}")
         row = dict(zip(parent, range(len(parent))))  # place in the map; a root's is -1
         succ = np.array([row.get(p, -1) for p in parent.values()], dtype=np.int64)
@@ -225,19 +229,9 @@ def wired_ball(radius, dimension):
         for p in product(range(-radius, radius + 1), repeat=dimension)
         if sum(map(abs, p)) <= radius
     }
-    adj = {v: [] for v in sorted(ball)}
-    adj[BOUNDARY] = []
-    for v in sorted(ball):
-        for axis in range(dimension):
-            for step in (-1, 1):
-                w = list(v)
-                w[axis] += step
-                w = tuple(w)
-                if w in ball:
-                    adj[v].append(w)
-                else:
-                    adj[v].append(BOUNDARY)
-                    adj[BOUNDARY].append(v)
+    adj = {v: [w if w in ball else BOUNDARY for w in lattice_steps(v)] for v in sorted(ball)}
+    # the boundary lists each ball vertex once per edge that leaves the ball
+    adj[BOUNDARY] = [v for v, ns in adj.items() for w in ns if w == BOUNDARY]
     return FiniteGraph(adj), BOUNDARY
 
 

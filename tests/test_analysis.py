@@ -383,6 +383,18 @@ def test_connectivity_tree_decreasing():
     assert rep.values[0] > rep.values[1] > rep.values[2]
 
 
+def test_graph_chain_model_names_bad_starts_and_distances():
+    model = GraphChainModel(regular_tree(3, 2), starts=((0,), (1,)))
+    with pytest.raises(UnknownVertex, match="7"):
+        model.run([(0,), 7], 10, 2, seed=1)
+    with pytest.raises(UnknownVertex, match="7"):
+        model.at_distance(7, 1)
+    with pytest.raises(ConfigError, match="no vertex at distance 5"):
+        model.at_distance((), 5)
+    with pytest.raises(ConfigError, match="only 2 starts"):
+        model.default_starts(3)
+
+
 def test_connectivity_rejects_negative_distance():
     model = LatticeChainModel(uniform_jumps(nguyen_atoms(2)))
     with pytest.raises(ConfigError):

@@ -29,7 +29,7 @@ from cmtforest.analysis import (
     count_components_probe,
 )
 from cmtforest.errors import BadGraph
-from cmtforest.graphs import finite_graph, regular_tree
+from cmtforest.graphs import FiniteGraph, regular_tree
 from cmtforest.lattice import JumpDistribution, atom_cdf, uniform_jumps
 from cmtforest.models import nguyen_atoms
 from cmtforest.seeds import rng_for
@@ -166,7 +166,7 @@ def connected_graph(rnd):
         adj[a].append(b)
         if a != b:
             adj[b].append(a)
-    return finite_graph(adj)
+    return FiniteGraph(adj)
 
 
 # -- the block-stepped runs against the oracles -------------------------------------
@@ -233,7 +233,7 @@ def test_two_sites_meeting_at_one_time_both_merge():
 
 
 def test_graph_chain_model_rejects_isolated_vertex():
-    graph = finite_graph({0: (1,), 1: (0,), 2: ()})
+    graph = FiniteGraph({0: (1,), 1: (0,), 2: ()})
     with pytest.raises(BadGraph, match="2"):
         GraphChainModel(graph, starts=(2, 1))
 

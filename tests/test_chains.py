@@ -23,9 +23,9 @@ from cmtforest.chains import (
     tv_consecutive,
     tv_profile,
 )
-from cmtforest.errors import ConfigError, CyclicComponent
+from cmtforest.errors import ConfigError, CyclicComponent, UnknownVertex
 from cmtforest.forest import coords, vertex
-from cmtforest.lattice import JumpDistribution, integer_lattice, uniform_jumps
+from cmtforest.lattice import JumpDistribution, even_sublattice, integer_lattice, uniform_jumps
 from cmtforest.seeds import derive_seed, rng_for
 
 
@@ -409,6 +409,12 @@ def test_shift_coupling_deterministic_kernel():
 def test_shift_coupling_equal_sources():
     res = shift_coupling(renewal_jumps(), None, 5, 5, budget=10, seed=3)
     assert res.success and res.shift == 0 and res.coupling_time == 0
+
+
+def test_shift_coupling_names_a_source_off_the_lattice():
+    with pytest.raises(UnknownVertex, match=r"source \(1, 0\) not in lattice"):
+        shift_coupling(uniform_jumps([(1, 1), (1, -1)]), even_sublattice(2), (0, 0), (1, 0),
+                       budget=10, seed=1)
 
 
 def test_shift_coupling_renewal_frequency():

@@ -68,7 +68,7 @@ def test_unreadable_config_exit_2_names_path(tmp_path, capsys, command, kind):
 
 
 def test_probe_failure_survives_pickling():
-    e = cli.ProbeFailure("nested-parity", ValueError("boom"))
+    e = cli.ProbeFailure("probe 'nested-parity' failed: ValueError: boom")
     back = pickle.loads(pickle.dumps(e))
     assert type(back) is cli.ProbeFailure
     assert str(back) == str(e) == "probe 'nested-parity' failed: ValueError: boom"
@@ -264,6 +264,16 @@ def test_nested_parity_start_of_wrong_length_exit_2(tmp_path, capsys, model, sta
     rc, _ = run_into(tmp_path, payload, "a")
     assert rc == 2
     assert "'start'" in capsys.readouterr().err
+
+
+def test_empty_model_window_exit_1_names_it(tmp_path, capsys):
+    # one odd point, so the even lattice of the nguyen model has no site in the box
+    model = {"model": "nguyen", "dimension": 2, "box": [[0, 0], [1, 1]]}
+    payload = {"model": model, "probes": [{"probe": "in-degree-profile"}], "seed": 1}
+    rc, out = run_into(tmp_path, payload, "a")
+    assert rc == 1
+    assert "model build failed: EmptyWindow" in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
 
 
 def test_nested_parity_on_an_empty_window_names_it(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Frozen SHA-256 digests of windows, trees and verdicts: the determinism
-contract as a test. Each entry is one output, and must keep every byte.
+"""Frozen SHA-256 digests of windows, trees, clouds, paths, verdicts and
+`cmtforest run` artifacts: the determinism contract as a test. Each entry
+is one output, and must keep every byte.
 
 A change that moves an output on purpose edits its digest here by hand and
 declares the entry as changed; no flag rewrites them. The space-time
@@ -9,21 +10,30 @@ the numpy version the digests were made with and the one running.
 
 import hashlib
 import io
+import json
 from contextlib import redirect_stdout
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from cmtforest.cli import main
+from cmtforest.cli import MODELS, PROBES, main
 from cmtforest.errors import Unconditionable
 from cmtforest.forest import dump_forest, load_forest, reverse_jump
 from cmtforest.graphs import complete_graph, cycle_graph, torus_graph
-from cmtforest.models import SpaceTimeGraph, coalescing_mc, coalescing_srw, nguyen_model
+from cmtforest.models import (
+    SpaceTimeGraph,
+    coalescing_mc,
+    coalescing_srw,
+    nguyen_model,
+    voter_stationary,
+)
+from cmtforest.points import dump_cloud, howard_model, sample_bernoulli, sample_poisson
 from cmtforest.wusf import (
     conditional_wilson,
     covering_coupling_check,
     dump_tree,
+    lerw,
     wilson_ust,
     wusf_window,
 )
@@ -53,6 +63,14 @@ def _outputs(seed):
         "dump_tree conditional_wilson": lambda: dump_tree(
             conditional_wilson(cycle_graph(7), [0, 1, 2], seed)),
         "dump_tree wusf_window": lambda: dump_tree(wusf_window(3, seed, dimension=2)),
+        # with two space axes most sources have tied nearest points, so ties are drawn
+        "dump_forest howard": lambda: dump_forest(
+            howard_model(0.5, [(0, 4), (0, 3), (0, 3)], seed)),
+        "dump_cloud bernoulli": lambda: dump_cloud(sample_bernoulli(0.5, [(0, 4), (0, 3)], seed)),
+        "dump_cloud poisson": lambda: dump_cloud(sample_poisson(1.0, [(0, 4), (0, 3)], seed)),
+        "lerw torus": lambda: repr([lerw(torus_graph(4, 2), (2, 2), {(0, 0)}, seed + i)
+                                    for i in range(3)]),
+        "voter_stationary torus": lambda: repr(voter_stationary(torus_graph(4, 2), 6, seed)),
     }
 
 
@@ -96,6 +114,55 @@ UNSEEDED = {
 }
 
 
+# one small `cmtforest run` config per model, every probe used at least once;
+# each is run with 2 replicates and its digest covers the manifest and every artifact
+RUNS = {
+    "nguyen": {"model": {"model": "nguyen", "dimension": 2, "box": [[-3, 3], [-3, 0]]},
+               "probes": [{"probe": "count-components", "k": 2, "budget": 50, "trials": 10},
+                          {"probe": "component-survey", "statistic": "jump-frequency-vector"}]},
+    "variant": {"model": {"model": "variant", "box": [[-3, 3], [-6, 0]]},
+                "probes": [{"probe": "one-endedness", "n_list": [2, 4], "trials": 10},
+                           {"probe": "component-survey", "statistic": "mean-in-degree"}]},
+    "renewal": {"model": {"model": "renewal", "support": [1, 2], "weights": ["1/3", "2/3"],
+                          "box": [[0, 20]]},
+                "probes": [{"probe": "nested-parity", "start": 0, "n_max": 3},
+                           {"probe": "one-endedness", "n_list": [3], "trials": 10}]},
+    "lattice": {"model": {"model": "lattice", "support": [[1, 1], [1, -1]], "lattice": "even",
+                          "box": [[0, 5], [0, 5]], "wrap": [6, 6]},
+                "probes": [{"probe": "cluster-frequency", "walk_steps": 200},
+                           {"probe": "connectivity-decay", "distances": [0, 1, 2], "trials": 10,
+                            "budget": 50}]},
+    "strip": {"model": {"model": "strip", "intensity": 1.0, "half_width": 1.0,
+                        "box": [[0, 8], [0, 4]]},
+              "probes": [{"probe": "component-survey", "statistic": "height-range-per-size"},
+                         {"probe": "nested-parity"}]},
+    "discrete-strip": {"model": {"model": "discrete-strip", "p": 0.5, "box": [[0, 8], [0, 4]]},
+                       "probes": [{"probe": "in-degree-profile"},
+                                  {"probe": "component-survey"}]},
+    "howard": {"model": {"model": "howard", "p": 0.5, "box": [[0, 6], [0, 4]]},
+               "probes": [{"probe": "in-degree-profile"}, {"probe": "component-survey"}]},
+    "canopy": {"model": {"model": "canopy", "depth": 3},
+               "probes": [{"probe": "canopy-demo"}, {"probe": "in-degree-profile"}]},
+}
+
+
+def test_runs_cover_every_model_and_probe():
+    assert {c["model"]["model"] for c in RUNS.values()} == set(RUNS) == set(MODELS)
+    assert {p["probe"] for c in RUNS.values() for p in c["probes"]} == set(PROBES)
+
+
+RUN_DIGESTS = {
+    "nguyen": "169c06ae9dad786c17bee59ca893d0fdaa3d246694728829b9fd1b4a20fc8e30",
+    "variant": "f69d6b46757c91cd4d7cb8369013ec68d1176f356c8a58c9ec414a2de1b0e9c3",
+    "renewal": "f89c055ae5b2edda8aba8c2f9482ab3fe8ac3a00d8f376531705edc9f464c701",
+    "lattice": "cb39653557ef97cafcc1231dbd628e884e39db093843085838d87d0cf6bbcef7",
+    "strip": "0d1fdc9309114256430282369d1bd569fc2e465c1d11f7ae5758d3e79c05e862",
+    "discrete-strip": "87d69aad004115e2487b4fb787d48fcfe0b0f746c4e1766e41a179a482e86248",
+    "howard": "167e52674e09d623e9d2d5a282cce15863fd35ba6a339961bf364ed6e17b2454",
+    "canopy": "072ae760a065f65db916eb0ce3f60851feeb7e002e92131a84afd0f485ca33f1",
+}
+
+
 DIGESTS = {
     ("coalescing_srw cycle", 3):
         "4c9ac9790bf13781c2aad09612d6726c2fb4312b8a330584f02bb5867fbd9d00",
@@ -133,6 +200,26 @@ DIGESTS = {
         "08ab5f3cebe0b1a1b62b4dde4bb1296a77018904dfb543dac02d11fafc71914e",
     ("dump_tree wusf_window", 11):
         "1e6fc9832d5f088ebc315fb7e154ebb7d59c0ce767f57e2ee637739ed151dfff",
+    ("dump_forest howard", 3):
+        "e01746223e4656e1a513262e169ba112285d0c0bffff39063b5612df189746de",
+    ("dump_forest howard", 11):
+        "916f9d37c16285dae75299c5a65e9b6849ea82d259c9ce33afd6a4dd1bc20eb4",
+    ("dump_cloud bernoulli", 3):
+        "30b44076dd44c43c0eefc532a098639f1d42925252b9acd6e9bc6221a9e87f41",
+    ("dump_cloud bernoulli", 11):
+        "b26ff8f97f8c7fc7447a97eed6613f8ff6be4db58824eedacc0f7ae34f937769",
+    ("dump_cloud poisson", 3):
+        "6d3dfab8843e569f967a29e14f2dc2a2749554d0f0826a1e4455c82b723067a8",
+    ("dump_cloud poisson", 11):
+        "5a85a1e2b73e56cd327b587ae91ea4519bf01c62d93c2c47d4e23f762cbbc447",
+    ("lerw torus", 3):
+        "63381123383e9e8dffedb123fbf9d0fcb58f2dc0f321a67ad866208c59751702",
+    ("lerw torus", 11):
+        "8914424f716608915cb530300d520ed48008ebd86a3d9b9e46cfb6fe65736197",
+    ("voter_stationary torus", 3):
+        "d8012037a675258a69e3b258e4aa2b4a7218ac3da881971f858978e3135bb382",
+    ("voter_stationary torus", 11):
+        "c6950d79114cb4a1a8177ac980963ecc956ab895e050db5e51587244524fd667",
 }
 
 
@@ -179,3 +266,20 @@ def test_output_keeps_its_digest(entry):
 def test_unseeded_output_keeps_its_digest(name):
     got = hashlib.sha256(UNSEEDED[name]().encode()).hexdigest()
     assert got == UNSEEDED_DIGESTS[name], f"{name} changed: digest {got}"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_keeps_its_digest(tmp_path, name, threads):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(RUNS[name], seed=5, replicates=2)))
+    out = tmp_path / "out"
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", str(config), "--out-dir", str(out), "--threads", str(threads)]) == 0
+    tree = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        tree.update(f"{path.name}\0{len(path.read_bytes())}\0".encode() + path.read_bytes())
+    got = tree.hexdigest()
+    assert got == RUN_DIGESTS[name], (
+        f"cmtforest run {name} at --threads {threads} changed: digest {got}; the digests "
+        f"were made with numpy {MADE_WITH_NUMPY}, this run has numpy {np.__version__}")

@@ -10,6 +10,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from cmtforest.errors import BadDimension, ConfigError, EmptyWindow, MalformedJump
 from cmtforest.lattice import (
     JumpDistribution,
+    LatticeSpec,
     check_cycle_free,
     check_model_conditions,
     check_weak_aperiodicity,
@@ -222,6 +223,11 @@ def test_even_sublattice_coordinates():
     assert lattice_coordinates(lat, (1, 0)) is None
 
 
+def test_swapped_basis_coordinates():
+    # the first basis row has a zero pivot, so the elimination swaps rows
+    assert lattice_coordinates(LatticeSpec(2, ((0, 1), (1, 0))), (3, 5)) == (5, 3)
+
+
 def test_even_sublattice_is_parity():
     lat = even_sublattice(3)
     rng = rng_for(5, 0x1B)
@@ -239,6 +245,15 @@ def test_validation_errors():
         check_weak_irreducibility(uniform_jumps([(1, 0)]), even_sublattice(2))
     with pytest.raises(BadDimension):
         check_weak_irreducibility(uniform_jumps([(1, 0)]), integer_lattice(3))
+
+
+@pytest.mark.parametrize(
+    "check", [check_cycle_free, check_weak_irreducibility, check_weak_aperiodicity])
+def test_every_check_reads_the_atoms_on_its_lattice(check):
+    with pytest.raises(MalformedJump, match="not a lattice point"):
+        check(uniform_jumps([(1, 0)]), even_sublattice(2))
+    with pytest.raises(BadDimension, match="lattice in 5"):
+        check(uniform_jumps([(1, 0)]), integer_lattice(5))
 
 
 def test_float_weights_normalised_exactly():
@@ -312,6 +327,11 @@ def test_sample_window_rejects_bad_wrap(lattice, box, wrap):
     jd = uniform_jumps([(1, 1), (1, -1)])
     with pytest.raises(ConfigError, match="wrap"):
         sample_lattice_cmt(lattice, jd, box, seed=1, wrap=wrap)
+
+
+def test_sample_window_names_a_lattice_that_is_not_one():
+    with pytest.raises(ConfigError, match="LatticeSpec"):
+        sample_lattice_cmt("x", uniform_jumps([(1,)]), [(0, 3)], seed=0)
 
 
 def test_sample_window_dimension_one_uses_ints():

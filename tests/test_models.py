@@ -23,9 +23,9 @@ from cmtforest.errors import (
 )
 from cmtforest.forest import EXIT, build_forest, components, dump_forest, level_set
 from cmtforest.graphs import (
+    FiniteGraph,
     complete_graph,
     cycle_graph,
-    finite_graph,
     path_graph,
     regular_tree,
     torus_graph,
@@ -86,12 +86,12 @@ def test_graph_builders_shapes():
 
 def test_graph_validation():
     with pytest.raises(BadGraph):
-        finite_graph({0: (1,), 1: ()})  # asymmetric
+        FiniteGraph({0: (1,), 1: ()})  # asymmetric
     with pytest.raises(BadGraph):
-        finite_graph({0: (2,), 1: ()})  # unknown endpoint
+        FiniteGraph({0: (2,), 1: ()})  # unknown endpoint
     with pytest.raises(BadGraph):
         cycle_graph(2)
-    loop = finite_graph({0: (0,)})
+    loop = FiniteGraph({0: (0,)})
     assert loop.degree(0) == 1 and loop.is_connected()
 
 
@@ -103,17 +103,17 @@ def test_graph_validation():
 ])
 def test_graph_validation_names_the_fault(adjacency, named):
     with pytest.raises(BadGraph, match=f"^{named}$"):
-        finite_graph(adjacency)
+        FiniteGraph(adjacency)
 
 
 def test_graph_with_two_faults_names_the_first_in_vertex_order():
     # vertex 0's asymmetric edge comes before vertex 2's unknown endpoint
     with pytest.raises(BadGraph, match="^asymmetric multiplicity between 0 and 1$"):
-        finite_graph({0: (1,), 1: (), 2: (5,)})
+        FiniteGraph({0: (1,), 1: (), 2: (5,)})
 
 
 def test_graph_facts_components_and_self_loops():
-    split = finite_graph({0: (1,), 1: (0,), 2: (2, 3), 3: (2, 4, 4), 4: (3, 3, 4)})
+    split = FiniteGraph({0: (1,), 1: (0,), 2: (2, 3), 3: (2, 4, 4), 4: (3, 3, 4)})
     assert split.component == {0: 0, 1: 0, 2: 1, 3: 1, 4: 1}
     assert not split.is_connected()
     assert split.self_loops == (2, 4)
@@ -186,14 +186,14 @@ def test_renewal_rejects_bad_steps():
 
 
 def test_srw_self_loop_gives_time_chain():
-    stg = SpaceTimeGraph(finite_graph({0: (0,)}), (0, 6))
+    stg = SpaceTimeGraph(FiniteGraph({0: (0,)}), (0, 6))
     fw = coalescing_srw(stg, seed=3)
     assert fw.jump == {(0, t): (0, t + 1) for t in range(6)}
     assert len(components(fw)) == 1
 
 
 def test_srw_edge_swaps_deterministically():
-    stg = SpaceTimeGraph(finite_graph({0: (1,), 1: (0,)}), (0, 5))
+    stg = SpaceTimeGraph(FiniteGraph({0: (1,), 1: (0,)}), (0, 5))
     fw = coalescing_srw(stg, seed=11)
     for (x, t), (y, s) in fw.jump.items():
         assert s == t + 1 and y == 1 - x
@@ -211,9 +211,9 @@ def test_srw_time_increases_and_top_slice_dangles():
 
 def test_srw_rejects_isolated_vertex():
     with pytest.raises(BadGraph):
-        coalescing_srw(SpaceTimeGraph(finite_graph({0: ()}), (0, 3)), seed=0)
+        coalescing_srw(SpaceTimeGraph(FiniteGraph({0: ()}), (0, 3)), seed=0)
     with pytest.raises(NotConnected):
-        SpaceTimeGraph(finite_graph({0: (), 1: (1,)}), (0, 3))
+        SpaceTimeGraph(FiniteGraph({0: (), 1: (1,)}), (0, 3))
 
 
 def test_srw_bipartite_parity_constant_on_level_sets():
@@ -249,7 +249,7 @@ def test_mc_identity_kernel_gives_vertical_chains():
 
 
 def test_mc_detailed_balance_gate():
-    base = finite_graph({0: (1,), 1: (0,)})
+    base = FiniteGraph({0: (1,), 1: (0,)})
     stg = SpaceTimeGraph(base, (0, 3))
     lazy = {0: {0: 0.5, 1: 0.5}, 1: {0: 0.5, 1: 0.5}}
     coalescing_mc(stg, lazy, {0: 1.0, 1: 1.0}, seed=4)  # accepted
@@ -261,7 +261,7 @@ def test_mc_detailed_balance_gate():
 
 
 def test_mc_per_site_law_matches_kernel():
-    base = finite_graph({0: (1,), 1: (0,)})
+    base = FiniteGraph({0: (1,), 1: (0,)})
     stg = SpaceTimeGraph(base, (0, 4000))
     lazy = {0: {0: 0.5, 1: 0.5}, 1: {0: 0.5, 1: 0.5}}
     fw = coalescing_mc(stg, lazy, {0: 1.0, 1: 1.0}, seed=31)

@@ -61,7 +61,7 @@ from cmtforest.points import (
     sample_poisson,
     strip_point_map,
 )
-from cmtforest.seeds import rng_for, vertex_stream
+from cmtforest.seeds import rng_for
 
 SUITE = settings(max_examples=120)
 
@@ -199,7 +199,7 @@ def oracle_howard(cloud, seed):
         if len(tied) == 1:
             y = tied[0]
         else:
-            y = tied[int(vertex_stream(seed, p).integers(len(tied)))]
+            y = tied[int(rng_for(seed, len(p), *p).integers(len(tied)))]
         pairs.append((p, (t + 1,) + tuple(y)))
         if all(lo <= xa - best and xa + best <= hi for xa, (lo, hi) in zip(x, space)):
             interior.append(p)

@@ -11,6 +11,7 @@ must load every module the table names.
 import importlib
 import importlib.util
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -74,3 +75,17 @@ def test_public_names_are_pinned_and_resolve():
     exec("from cmtforest import *", star)
     assert set(PUBLIC) <= set(star)
     assert cmtforest.forest.build_forest is cmtforest.build_forest
+
+
+def test_stream_roles_are_distinct():
+    # two samplers seeded with one role would draw correlated streams
+    roles = {}
+    for info in pkgutil.iter_modules(cmtforest.__path__):
+        module = importlib.import_module(f"cmtforest.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("_ROLE_"):
+                roles.setdefault(value, []).append(f"{info.name}.{name}")
+    seeding = {"analysis", "chains", "cli", "lattice", "models", "points", "wusf"}
+    assert {n.split(".")[0] for names in roles.values() for n in names} == seeding
+    shared = {hex(v): names for v, names in roles.items() if len(names) > 1}
+    assert not shared, f"stream roles used twice: {shared}"

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cmtforest import wusf
 from cmtforest.errors import BudgetExhausted
-from cmtforest.graphs import finite_graph, path_graph, regular_tree, torus_graph
+from cmtforest.graphs import FiniteGraph, path_graph, regular_tree, torus_graph
 from cmtforest.seeds import rng_for
 from cmtforest.wusf import conditional_wilson, lerw, wilson_ust, wired_ball
 
@@ -103,7 +103,7 @@ def multigraphs(draw):
         if len(adj[a]) < 12 and len(adj[b]) < 12:
             adj[a].append(b)
             adj[b].append(a)
-    return finite_graph(adj)
+    return FiniteGraph(adj)
 
 
 seeds = st.integers(0, 2**64 - 2)
@@ -163,7 +163,7 @@ def reading_first(seed, word):
 
 
 def star(deg):
-    return finite_graph({"c": tuple(range(deg)), **{i: ("c",) for i in range(deg)}})
+    return FiniteGraph({"c": tuple(range(deg)), **{i: ("c",) for i in range(deg)}})
 
 
 @pytest.mark.parametrize("deg", [2, 3, 4, 5, 6, 7, 12, 100, 1000, 1024])

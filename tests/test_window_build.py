@@ -343,7 +343,8 @@ def test_list_spelled_vertex_is_named(build, error, named):
     (lambda: build_forest([0, 1], [0]), "jump pair 0 "),
     (lambda: build_forest([0, 1], [(0, 1, 2)]), "jump pair (0, 1, 2) "),
     (lambda: build_forest([0, 1], [(0, 1)], interior=5), "interior 5 "),
-], ids=["not a pair", "three items", "interior"])
+    (lambda: build_forest([0, 1], 5), "jump_pairs 5 "),
+], ids=["not a pair", "three items", "interior", "jump pairs"])
 def test_malformed_pair_form_is_named(build, named):
     # each raised a bare TypeError or ValueError
     with pytest.raises(MalformedJump, match=re.escape(named)):

@@ -17,9 +17,9 @@ from cmtforest.errors import (
     UnknownVertex,
 )
 from cmtforest.graphs import (
+    FiniteGraph,
     complete_graph,
     cycle_graph,
-    finite_graph,
     path_graph,
     regular_tree,
 )
@@ -152,6 +152,7 @@ def test_tree_type_validation():
     ({0: 1}, [2], "parent chain leaves the structure at 1"),
     ({(0, 0): (0, 1), (0, 1): (0, 2)}, [(0, 3)], r"leaves the structure at \(0, 2\)"),
     ({0: 1}, [0], "a root cannot also have a parent"),
+    ({0: [1]}, [1], r"leaves the structure at \[1\]"),
 ])
 def test_caller_built_tree_is_still_checked(parent, roots, message):
     # the library's own builders skip the walk; a caller's map never does
@@ -318,10 +319,10 @@ def test_wilson_tree_respects_graph_edges():
 
 
 def test_wilson_errors():
-    split = finite_graph({0: [1], 1: [0], 2: [3], 3: [2]})
+    split = FiniteGraph({0: [1], 1: [0], 2: [3], 3: [2]})
     with pytest.raises(NotConnected):
         wilson_ust(split, 0, 1)
-    loop = finite_graph({0: [0, 1], 1: [0]})
+    loop = FiniteGraph({0: [0, 1], 1: [0]})
     with pytest.raises(BadGraph):
         wilson_ust(loop, 0, 1)
     with pytest.raises(UnknownVertex):
@@ -374,7 +375,7 @@ def test_lerw_k3_matches_exact_law():
 def test_lerw_budget_and_reachability():
     with pytest.raises(BudgetExhausted):
         lerw(path_graph(60), 0, {59}, 3, budget=10)
-    split = finite_graph({0: [1], 1: [0], 2: [3], 3: [2]})
+    split = FiniteGraph({0: [1], 1: [0], 2: [3], 3: [2]})
     with pytest.raises(NotConnected):
         lerw(split, 0, {2}, 3)
     assert lerw(split, 0, {1, 2}, 3) == [0, 1]  # one reachable stop vertex is enough
@@ -470,7 +471,7 @@ def test_conditional_wilson_unknown_vertices():
 
 
 def test_self_loop_error_names_first_loop():
-    loops = finite_graph({0: [1], 1: [0, 1, 2], 2: [1, 2]})
+    loops = FiniteGraph({0: [1], 1: [0, 1, 2], 2: [1, 2]})
     with pytest.raises(BadGraph, match="self-loop at 1"):
         wilson_ust(loops, 0, 1)
     with pytest.raises(BadGraph, match="self-loop at 1"):
