@@ -86,6 +86,6 @@ def test_stream_roles_are_distinct():
             if name.startswith("_ROLE_"):
                 roles.setdefault(value, []).append(f"{info.name}.{name}")
     seeding = {"analysis", "chains", "cli", "lattice", "models", "points", "wusf"}
-    assert {n.split(".")[0] for names in roles.values() for n in names} == seeding
+    assert seeding <= {n.split(".")[0] for names in roles.values() for n in names}
     shared = {hex(v): names for v, names in roles.items() if len(names) > 1}
     assert not shared, f"stream roles used twice: {shared}"
