@@ -13,13 +13,15 @@ every verdict carries a witness that the decider re-checks by substitution
 before returning.
 """
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BadDimension, ConfigError, EmptyWindow, MalformedJump, _check_steps
-from .forest import box_grid, build_forest
+from .forest import box_grid, build_forest, coords
 from .seeds import rng_for
 
 _ROLE_LATTICE = 0xA1
@@ -27,28 +29,35 @@ _ROLE_LATTICE = 0xA1
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """A full-rank sublattice of Z^d, given by integer basis columns."""
+    """A full-rank sublattice of Z^d, given by integer basis columns. The
+    basis is checked and inverted once, here: frame is (det, adj), adj = det
+    times the inverse, and every lattice question reads it."""
 
     dimension: int
     basis: tuple = None
+    frame: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise BadDimension(str(self.dimension))
+        d = self.dimension
+        _check_steps("dimension", d, least=None)
+        if d < 1:
+            raise BadDimension(str(d))
         if self.basis is None:
-            ident = tuple(
-                tuple(1 if i == j else 0 for i in range(self.dimension))
-                for j in range(self.dimension)
-            )
+            ident = tuple(tuple(int(i == j) for i in range(d)) for j in range(d))
             object.__setattr__(self, "basis", ident)
-        if len(self.basis) != self.dimension or any(
-            len(c) != self.dimension for c in self.basis
-        ):
+        if len(self.basis) != d or any(len(c) != d for c in self.basis):
             raise BadDimension("basis shape does not match dimension")
+        for j, col in enumerate(self.basis):
+            for i, x in enumerate(col):
+                _check_steps(f"basis[{j}][{i}]", x, least=None)
+        object.__setattr__(self, "frame", _det_and_adjugate(self.basis))  # raises if singular
 
 
 def integer_lattice(d):
     return LatticeSpec(d)
+
+
+_default_lattice = functools.cache(integer_lattice)  # Z^d, read for a None lattice
 
 
 def even_sublattice(d):
@@ -150,19 +159,19 @@ def _det_and_adjugate(basis):
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
                 inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    det_int = int(det)
-    adj = [[int(inv[i][j] * det) for j in range(d)] for i in range(d)]
-    return det_int, adj
+    return int(det), tuple(tuple(int(inv[i][j] * det) for j in range(d)) for i in range(d))
 
 
 def lattice_coordinates(lattice, vec):
-    """Integer coordinates of vec in the lattice basis, or None."""
-    det, adj = _det_and_adjugate(lattice.basis)
-    num = [sum(adj[i][j] * vec[j] for j in range(lattice.dimension))
-           for i in range(lattice.dimension)]
-    if any(n % det for n in num):
-        return None
-    return tuple(n // det for n in num)
+    """Integer coordinates of vec in the lattice basis, or None; a bare int
+    is a point of Z^1. Exact for integers of any size."""
+    vec = coords(vec)
+    if len(vec) != lattice.dimension:
+        raise BadDimension(f"point {vec!r} has {len(vec)} coordinates; "
+                           f"the lattice has dimension {lattice.dimension}")
+    det, adj = lattice.frame
+    q, r = zip(*[divmod(sum(map(operator.mul, row, vec)), det) for row in adj])
+    return None if any(r) else q
 
 
 def in_lattice(lattice, vec):
@@ -245,8 +254,7 @@ def _fourier_motzkin(rows):
 def check_cycle_free(jumps, lattice=None):
     """No zero convex combination of atoms, i.e. atoms fit a half-space.
     A lattice, if given, is checked to hold every atom, as the span checks do."""
-    if lattice is not None:  # every atom is a point of the default, the integer lattice
-        _atom_coordinates(jumps, lattice)
+    _atom_coordinates(jumps, lattice)
     holds, witness = _fourier_motzkin(jumps.atoms)
     detail = ("direction with strictly positive dot product on every atom" if holds
               else "convex combination of atoms equal to zero")
@@ -311,32 +319,30 @@ def _unimodular_span(vectors, d):
 
 
 def _atom_coordinates(jumps, lattice):
-    lattice = lattice or integer_lattice(jumps.dimension)
+    """The lattice, None read as Z^d, and the atoms' coordinates on it."""
+    lattice = _default_lattice(jumps.dimension) if lattice is None else lattice
     if not isinstance(lattice, LatticeSpec):
         raise ConfigError(f"lattice must be a LatticeSpec, got {lattice!r}")
     if jumps.dimension != lattice.dimension:
         raise BadDimension(
             f"jumps in dimension {jumps.dimension}, lattice in {lattice.dimension}"
         )
-    coords = []
-    for a in jumps.atoms:
-        z = lattice_coordinates(lattice, a)
-        if z is None:
-            raise MalformedJump(f"atom {a} is not a lattice point")
-        coords.append(z)
-    return coords
+    coords = [lattice_coordinates(lattice, a) for a in jumps.atoms]
+    if None in coords:
+        raise MalformedJump(f"atom {jumps.atoms[coords.index(None)]} is not a lattice point")
+    return lattice, coords
 
 
 def check_weak_irreducibility(jumps, lattice=None):
     """Integer span of the atoms equals the lattice."""
-    coords = _atom_coordinates(jumps, lattice)
+    _, coords = _atom_coordinates(jumps, lattice)
     holds, cert, detail = _unimodular_span(coords, jumps.dimension)
     return ConditionCheck("weak-irreducibility", holds, cert, detail)
 
 
 def check_weak_aperiodicity(jumps, lattice=None):
     """Integer span of pairwise atom differences equals the lattice."""
-    coords = _atom_coordinates(jumps, lattice)
+    _, coords = _atom_coordinates(jumps, lattice)
     diffs = [tuple(a - b for a, b in zip(c, coords[0])) for c in coords[1:]]
     holds, cert, detail = _unimodular_span(diffs, jumps.dimension)
     return ConditionCheck("weak-aperiodicity", holds, cert, detail)
@@ -371,21 +377,22 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
     Vertices are coordinate tuples, or plain ints in dimension one.
     """
     _check_steps("seed", seed, least=None)
-    _atom_coordinates(jumps, lattice)  # checks the lattice, its dimension and the atoms on it
+    lattice, _ = _atom_coordinates(jumps, lattice)
     d = lattice.dimension
     if len(box) != d:
         raise BadDimension("box/jump dimension mismatch")
 
-    det, adj = _det_and_adjugate(lattice.basis)
     wrap = tuple(wrap) if wrap is not None else (None,) * d
     if len(wrap) != d:
         raise ConfigError(f"wrap has {len(wrap)} entries for {d} axes")
-    for a, m in enumerate(wrap):  # m*e_a is in the lattice iff adj @ (m*e_a) = 0 mod det
-        if m is not None and (tuple(box[a]) != (0, m - 1) or any(m * r[a] % det for r in adj)):
+    for a, m in enumerate(wrap):
+        if m is not None and (tuple(box[a]) != (0, m - 1) or not in_lattice(
+                lattice, tuple(m * (i == a) for i in range(d)))):
             raise ConfigError(f"wrap[{a}] = {m} needs box[{a}] = (0, {m - 1}) "
                               f"and {m}*e_{a} in the lattice")
 
     grid = box_grid(box)
+    det, adj = lattice.frame  # lattice_coordinates row by row: det divides adj @ p
     num = grid @ np.array(adj, dtype=np.int64).T
     mask = (num % det == 0).all(axis=1)
     pts = grid[mask]

@@ -11,21 +11,34 @@ the numpy version the digests were made with and the one running.
 import hashlib
 import io
 import json
+import tempfile
 from contextlib import redirect_stdout
+from pathlib import Path
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from cmtforest.analysis import green_table
+from cmtforest.chains import kernel_power, meet_and_stick_coupling, shift_coupling, tv_profile
 from cmtforest.cli import MODELS, PROBES, main
 from cmtforest.errors import Unconditionable
 from cmtforest.forest import dump_forest, load_forest, reverse_jump
 from cmtforest.graphs import complete_graph, cycle_graph, torus_graph
+from cmtforest.lattice import (
+    JumpDistribution,
+    check_model_conditions,
+    even_sublattice,
+    integer_lattice,
+    uniform_jumps,
+)
 from cmtforest.models import (
     SpaceTimeGraph,
     coalescing_mc,
     coalescing_srw,
+    nguyen_atoms,
     nguyen_model,
+    variant_atoms,
     voter_stationary,
 )
 from cmtforest.points import dump_cloud, howard_model, sample_bernoulli, sample_poisson
@@ -44,6 +57,22 @@ MADE_WITH_NUMPY = "2.4.6"
 def _cycle_kernel(n):
     # symmetric, so detailed balance holds for uniform weights
     return {x: {x: 0.2, (x + 1) % n: 0.4, (x - 1) % n: 0.4} for x in range(n)}
+
+
+RENEWAL = JumpDistribution(((1,), (2,)), ("1/3", "2/3"))
+VARIANT = uniform_jumps(variant_atoms())
+
+
+def _export_levels(seed):
+    # levels.csv of `cmtforest export-levels` on a Poisson strip
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"model": {"model": "strip", "intensity": 1.0,
+                                                "half_width": 1.0, "box": [[0, 10], [0, 5]]},
+                                      "seed": seed}))
+        with redirect_stdout(io.StringIO()):
+            assert main(["export-levels", str(config), "--out-dir", tmp]) == 0
+        return (Path(tmp) / "levels.csv").read_text()
 
 
 def _outputs(seed):
@@ -71,6 +100,14 @@ def _outputs(seed):
         "lerw torus": lambda: repr([lerw(torus_graph(4, 2), (2, 2), {(0, 0)}, seed + i)
                                     for i in range(3)]),
         "voter_stationary torus": lambda: repr(voter_stationary(torus_graph(4, 2), 6, seed)),
+        "export-levels strip": lambda: _export_levels(seed),
+        "meet_and_stick_coupling renewal": lambda: repr(
+            meet_and_stick_coupling(RENEWAL, 0, 7, 200, seed)),
+        "meet_and_stick_coupling variant traced": lambda: repr(
+            meet_and_stick_coupling(VARIANT, (0, 0), (2, 0), 30, seed, record_trace=True)),
+        "shift_coupling no lattice": lambda: repr(shift_coupling(RENEWAL, None, 0, 7, 200, seed)),
+        "shift_coupling integer lattice": lambda: repr(
+            shift_coupling(RENEWAL, integer_lattice(1), 0, 7, 200, seed)),
     }
 
 
@@ -111,6 +148,13 @@ UNSEEDED = {
     "covering_coupling_check C3": lambda: _coupling_verdicts(cycle_graph(3)),
     "covering_coupling_check K4": lambda: _coupling_verdicts(complete_graph(4)),
     "covering_coupling_check K5": lambda: _coupling_verdicts(complete_graph(5)),
+    "tv_profile renewal": lambda: repr(tv_profile(RENEWAL, 12)),
+    "tv_profile variant k 2": lambda: repr(tv_profile(VARIANT, 6, k=2)),
+    "green_table renewal": lambda: repr(green_table(RENEWAL, [0, 1, (5,), 12])),
+    "green_table variant": lambda: repr(green_table(VARIANT, [(0, 0), (1, -1), (0, -4), (2, -6)])),
+    "kernel_power variant": lambda: repr(kernel_power(VARIANT, 4)),
+    "check_model_conditions nguyen 4d even": lambda: repr(
+        check_model_conditions(uniform_jumps(nguyen_atoms(4)), even_sublattice(4))),
 }
 
 
@@ -220,6 +264,26 @@ DIGESTS = {
         "d8012037a675258a69e3b258e4aa2b4a7218ac3da881971f858978e3135bb382",
     ("voter_stationary torus", 11):
         "c6950d79114cb4a1a8177ac980963ecc956ab895e050db5e51587244524fd667",
+    ("export-levels strip", 3):
+        "b78cb63ba89f6546362d30742de05cc585ff4d94a05856143f746a8dfa250a03",
+    ("export-levels strip", 11):
+        "a92bdb76aef35b50b0370e380990abc8a8bf356f43dedb8174948520cb2e092f",
+    ("meet_and_stick_coupling renewal", 3):
+        "8309217ecd5129b2aeabc0afaac111c9852ee501eb7c0213edac0fdbaa58a952",
+    ("meet_and_stick_coupling renewal", 11):
+        "4afba005f7d5e80358111937f482523bb1df8226102101401b9657eb8fe1fe02",
+    ("meet_and_stick_coupling variant traced", 3):
+        "84b6237830cecd17129eac26e573b0e9edf7e6c9a732781e702e935c758c3c1e",
+    ("meet_and_stick_coupling variant traced", 11):
+        "b19914a62f616932bf6e7a6b4973a42bf2f094dd640e3b3d25419a964e5be1a3",
+    ("shift_coupling no lattice", 3):
+        "5ec334fa614cb8efe3a8892aaf2eaa82a95c6f31c4bc0a8e134c8b8f3ea6c176",
+    ("shift_coupling no lattice", 11):
+        "fdbeef3594a18b4f08b76103c6a8a92ea890dd934b46de2cab4bc0f2f4729d50",
+    ("shift_coupling integer lattice", 3):
+        "5ec334fa614cb8efe3a8892aaf2eaa82a95c6f31c4bc0a8e134c8b8f3ea6c176",
+    ("shift_coupling integer lattice", 11):
+        "fdbeef3594a18b4f08b76103c6a8a92ea890dd934b46de2cab4bc0f2f4729d50",
 }
 
 
@@ -250,6 +314,18 @@ UNSEEDED_DIGESTS = {
         "db5f07635c0b2a43c95f7b13c91ad2d8917b3a556f0a3ba720f28cf9348c8602",
     "covering_coupling_check K5":
         "db5f07635c0b2a43c95f7b13c91ad2d8917b3a556f0a3ba720f28cf9348c8602",
+    "tv_profile renewal":
+        "237b5c0b53304d326a0b6ae02006db1d8e3d6915c230df3708ead110b14041b3",
+    "tv_profile variant k 2":
+        "fcafe7ca79731062df6431069807f2162b0a5c9bc0984f099d285fe840cd64e3",
+    "green_table renewal":
+        "7cd3432cd242548eddf5ae9e138de3ba616468dc2f07100e9e583a55a5ea1fd1",
+    "green_table variant":
+        "343024aeb5623151123bb9f1eabd8d8763dc796908066422e21856c32029f122",
+    "kernel_power variant":
+        "162f42989b1e351c01c80e61e104131ff2a483a78ac70bfd130eeae8740534fd",
+    "check_model_conditions nguyen 4d even":
+        "725e3acc38ed192b3f5d48cfc569f739b1a89c38116a5ee0c698ec0edc7eb259",
 }
 
 

@@ -4,13 +4,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from cmtforest.chains import shift_coupling
 from cmtforest.errors import BadDimension, ConfigError, EmptyWindow, MalformedJump
+from cmtforest.forest import dump_forest
 from cmtforest.lattice import (
     JumpDistribution,
     LatticeSpec,
+    _det_and_adjugate,
     check_cycle_free,
     check_model_conditions,
     check_weak_aperiodicity,
@@ -72,6 +77,16 @@ def _solve_unique(rows, rhs, k):
         if m[i][k] != 0:
             return None  # inconsistent
     return [m[i][k] for i in range(k)]
+
+
+def coordinates_oracle(lattice, vec):
+    """Reference lattice_coordinates: the basis inverted on every call."""
+    det, adj = _det_and_adjugate(lattice.basis)
+    num = [sum(adj[i][j] * vec[j] for j in range(lattice.dimension))
+           for i in range(lattice.dimension)]
+    if any(n % det for n in num):
+        return None
+    return tuple(n // det for n in num)
 
 
 def random_jumps(seed, d, n_atoms):
@@ -236,6 +251,68 @@ def test_even_sublattice_is_parity():
         assert in_lattice(lat, p) == (sum(p) % 2 == 0)
 
 
+# entries that stay exact only as Python ints: near +-2^62, and past 2^63
+HUGE = st.one_of(st.integers(-9, 9), st.integers(2**62 - 9, 2**62 + 9),
+                 st.integers(-2**62 - 9, -2**62 + 9), st.integers(2**63 - 9, 2**65),
+                 st.integers(-2**65, -2**63 + 9))
+
+
+@st.composite
+def lattices(draw):
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return even_sublattice(d)
+    cols = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    try:
+        return LatticeSpec(d, tuple(map(tuple, cols)))
+    except BadDimension:  # singular
+        assume(False)
+
+
+@settings(max_examples=200)
+@given(lattices(), st.data())
+def test_frame_coordinates_equal_the_per_call_inverse(lattice, data):
+    d = lattice.dimension
+    z = data.draw(st.lists(HUGE, min_size=d, max_size=d))
+    nudge = data.draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d))
+    # a lattice point with huge coordinates z, then nudged off it (or not)
+    vec = tuple(sum(c * col[i] for c, col in zip(z, lattice.basis)) + e
+                for i, e in enumerate(nudge))
+    got = lattice_coordinates(lattice, vec)
+    assert got == coordinates_oracle(lattice, vec)
+    assert in_lattice(lattice, vec) == (got is not None)
+    if not any(nudge):
+        assert got == tuple(z)
+
+
+def test_frame_is_kept_out_of_repr_and_equality():
+    lat = even_sublattice(2)
+    assert repr(lat) == "LatticeSpec(dimension=2, basis=((1, 1), (0, 2)))"
+    assert lat.frame == (2, ((2, 0), (-1, 1)))
+    same = LatticeSpec(2, ((1, 1), (0, 2)))
+    assert same == lat and hash(same) == hash(lat)
+
+
+def test_lattice_spec_is_checked_at_construction():
+    with pytest.raises(BadDimension):
+        LatticeSpec(0)
+    with pytest.raises(BadDimension, match="singular"):
+        LatticeSpec(2, ((1, 2), (2, 4)))
+
+
+@pytest.mark.parametrize("call", [lattice_coordinates, in_lattice])
+@pytest.mark.parametrize("vec, n", [((1, 2, 3), 3), ((1,), 1), (1, 1)])
+def test_wrong_length_point_is_named(call, vec, n):
+    with pytest.raises(BadDimension, match=f"has {n} coordinates; the lattice has dimension 2$"):
+        call(integer_lattice(2), vec)
+
+
+def test_shift_coupling_names_a_source_of_another_dimension():
+    with pytest.raises(BadDimension, match="has 1 coordinates; the lattice has dimension 2$"):
+        shift_coupling(uniform_jumps([(1,), (2,)]), integer_lattice(2), 0, 3, 10, 1)
+
+
 def test_validation_errors():
     with pytest.raises(MalformedJump):
         JumpDistribution(((1, 0), (1, 0)), (Fraction(1, 2), Fraction(1, 2)))
@@ -332,6 +409,16 @@ def test_sample_window_rejects_bad_wrap(lattice, box, wrap):
 def test_sample_window_names_a_lattice_that_is_not_one():
     with pytest.raises(ConfigError, match="LatticeSpec"):
         sample_lattice_cmt("x", uniform_jumps([(1,)]), [(0, 3)], seed=0)
+
+
+@pytest.mark.parametrize("jumps, box", [
+    (uniform_jumps([(1,)]), [(0, 3)]),
+    (uniform_jumps([(1, -1), (-1, -1)]), [(-3, 3), (-4, 0)]),
+])
+def test_sample_window_none_is_the_integer_lattice(jumps, box):
+    got = sample_lattice_cmt(None, jumps, box, 1)
+    want = sample_lattice_cmt(integer_lattice(jumps.dimension), jumps, box, 1)
+    assert dump_forest(got) == dump_forest(want)
 
 
 def test_sample_window_dimension_one_uses_ints():

@@ -9,7 +9,12 @@ import pytest
 
 from cmtforest.analysis import connectivity_decay_probe, count_components_probe, in_degree_profile
 from cmtforest.errors import BadDimension, ConfigError
-from cmtforest.lattice import check_model_conditions, uniform_jumps
+from cmtforest.lattice import (
+    LatticeSpec,
+    check_model_conditions,
+    lattice_coordinates,
+    uniform_jumps,
+)
 from cmtforest.models import nguyen_atoms, nguyen_model, renewal_model
 from cmtforest.wusf import wired_ball
 
@@ -30,6 +35,15 @@ CASES = {
                                  "region must be an iterable of vertices, got 5"),
     "check_model_conditions-lattice": (lambda: check_model_conditions(RENEWAL, "x"),
                                        "lattice must be a LatticeSpec, got 'x'"),
+    "LatticeSpec-dimension-bool": (lambda: LatticeSpec(True),
+                                   "dimension must be an integer, got True"),
+    "LatticeSpec-dimension-float": (lambda: LatticeSpec(2.5),
+                                    "dimension must be an integer, got 2.5"),
+    "LatticeSpec-dimension-str": (lambda: LatticeSpec("2"),
+                                  "dimension must be an integer, got '2'"),
+    "lattice_coordinates-basis": (
+        lambda: lattice_coordinates(LatticeSpec(2, ((1, 0.5), (0, 1))), (1, 0)),
+        "basis[0][1] must be an integer, got 0.5"),
     "connectivity_decay_probe-distance": (
         lambda: connectivity_decay_probe(NGUYEN, (0, 0), [0, 1.5], 20, 50, 1),
         "distance_list[1] must be an integer >= 0, got 1.5"),

@@ -8,6 +8,7 @@ run rebinds functions only in modules already loaded, so importing the CLI
 must load every module the table names.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -89,3 +90,15 @@ def test_stream_roles_are_distinct():
     assert seeding <= {n.split(".")[0] for names in roles.values() for n in names}
     shared = {hex(v): names for v, names in roles.items() if len(names) > 1}
     assert not shared, f"stream roles used twice: {shared}"
+
+
+def test_only_lattice_spec_inverts_a_basis():
+    # every membership and coordinate question reads the frame LatticeSpec computes once
+    calls = []
+    for path in sorted(Path(cmtforest.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_det_and_adjugate" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    calls.append((path.stem, getattr(top, "name", None)))
+    assert calls == [("lattice", "LatticeSpec")]
