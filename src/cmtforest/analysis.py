@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chains import _vec, green_table
+from .chains import green_table
 from .errors import (
     BadDimension,
     BadGraph,
@@ -29,9 +29,10 @@ from .errors import (
     NeedsTorus,
     UnknownVertex,
     _check_steps,
+    _point,
 )
 from .forest import level_set, vertex
-from .lattice import atom_cdf, check_cycle_free
+from .lattice import _int64_rows, check_cycle_free
 from .models import canopy_cmt
 from .seeds import derive_seed, rng_for
 
@@ -333,16 +334,14 @@ class LatticeChainModel:
             raise ConfigError("kernel is not level-graded; slices would miss merges")
         self.jumps = jumps
         self.witness = tuple(u)
-        atoms = sorted(jumps.atoms)
-        self._delta = tuple(x - y for x, y in zip(atoms[-1], atoms[0]))
-        self._atoms = np.array([_vec(a, jumps.dimension) for a in jumps.atoms])
-        self._cum = atom_cdf(jumps.weights)
+        self._delta = tuple(x - y for x, y in zip(max(jumps.atoms), min(jumps.atoms)))
+        _int64_rows(jumps)  # the lockstep slices step int64 rows
 
     def default_starts(self, k):
         return tuple(tuple(i * c for c in self._delta) for i in range(k))
 
     def at_distance(self, origin, r):
-        o = _vec(origin, self.jumps.dimension)
+        o = _point("origin", origin, self.jumps.dimension)
         return tuple(x + r * c for x, c in zip(o, self._delta))
 
     def _check_levels(self, starts):
@@ -355,9 +354,9 @@ class LatticeChainModel:
     def run(self, starts, budget, trials, seed):
         """Final group labels: shape (trials, k), equal labels = merged."""
         d = self.jumps.dimension
-        starts = [_vec(s, d) for s in starts]
+        starts = [_point(f"starts[{i}]", s, d) for i, s in enumerate(starts)]
         self._check_levels(starts)
-        atoms, cum = self._atoms, self._cum
+        atoms, cum = self.jumps.atom_rows, self.jumps.cdf
 
         def advance(cur, u):
             return _lattice_block(atoms, np.searchsorted(cum, u, side="right"), cur)
@@ -604,9 +603,7 @@ def one_endedness_probe(jumps, n_list, trials, seed):
     _check_steps("seed", seed, least=None)
     for i, n in enumerate(n_list):
         _check_steps(f"n_list[{i}]", n)
-    d = jumps.dimension
-    atoms = np.array([_vec(a, d) for a in jumps.atoms])
-    cum = atom_cdf(jumps.weights)
+    atoms, cum = jumps.atom_rows, jumps.cdf
     endpoints = {}
     for pos, n in enumerate(n_list):
         rng = rng_for(derive_seed(seed, pos), _ROLE_CHAINS)

@@ -17,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadDimension, CyclicComponent, TooLarge, UnknownVertex, _check_steps
+from .errors import CyclicComponent, TooLarge, UnknownVertex, _check_steps, _point
 from .forest import array_vertices, coords, vertex
-from .lattice import atom_cdf, check_cycle_free, in_lattice
+from .lattice import check_cycle_free, in_lattice
 from .seeds import derive_seed, rng_for
 
 _ROLE_MEET = 0xC1
@@ -59,14 +59,6 @@ class CollisionEstimate:
     frequency: float
     half_width: float  # 4 * sqrt(f (1-f) / trials)
     mean_steps: float = None
-
-
-def _vec(v, d):
-    """v as a tuple of d ints; a bare int is a point of Z^1."""
-    vec = tuple(int(c) for c in v) if isinstance(v, (tuple, list, np.ndarray)) else (int(v),)
-    if len(vec) != d:
-        raise BadDimension(f"{v!r} has {len(vec)} coordinates, not {d}")
-    return vec
 
 
 @dataclass
@@ -233,7 +225,7 @@ def green_function(jumps, target, horizon=None):
     The probability flag is on only for the full series: the kernel is
     cycle-free and the horizon reaches the witness bound.
     """
-    diff = _vec(target, jumps.dimension)
+    diff = _point("target", target, jumps.dimension)
     if horizon is not None:
         _check_steps("horizon", horizon)
     rep = check_cycle_free(jumps)
@@ -261,7 +253,7 @@ def green_table(jumps, targets):
     rep = check_cycle_free(jumps)
     if not rep.holds:
         raise CyclicComponent("green table needs a cycle-free kernel")
-    vecs = {y: _vec(y, jumps.dimension) for y in targets}
+    vecs = {y: _point(f"targets[{i}]", y, jumps.dimension) for i, y in enumerate(targets)}
     sums = _green_sums(jumps, vecs.values(), _last_visit(jumps, rep.witness, vecs.values()))
     return {y: sums[vec] for y, vec in vecs.items()}
 
@@ -305,18 +297,7 @@ def tv_consecutive(jumps, n, k=1):
 # -- couplings ------------------------------------------------------------------
 
 
-def _difference_kernel(jumps):
-    """Increments of X - Y for independent steps X, Y, with their atom_cdf."""
-    diff = {}
-    for a, wa in zip(jumps.atoms, jumps.weights):
-        for b, wb in zip(jumps.atoms, jumps.weights):
-            v = tuple(x - y for x, y in zip(a, b))
-            diff[v] = diff.get(v, Fraction(0)) + wa * wb
-    vecs = sorted(diff)
-    return np.array(vecs, dtype=np.int64), atom_cdf([diff[v] for v in vecs])
-
-
-def _pair_steps(jumps, vecs, cum, u):
+def _pair_steps(jumps, cum, u):
     """The steps (a, b) of X and Y behind the difference draws u.
 
     The uniform that picks v = a - b in cum also picks the pair: v's
@@ -325,22 +306,20 @@ def _pair_steps(jumps, vecs, cum, u):
     interval's last split is its own end, so the pair's difference is
     always the v that cum picks.
     """
-    d = jumps.dimension
-    group = {v: g for g, v in enumerate(map(tuple, vecs.tolist()))}
-    pairs = sorted(((group[tuple(x - y for x, y in zip(a, b))], a, b, wa * wb)
+    pairs = sorted(((tuple(x - y for x, y in zip(a, b)), a, b, wa * wb)
                     for a, wa in zip(jumps.atoms, jumps.weights)
                     for b, wb in zip(jumps.atoms, jumps.weights)), key=lambda p: p[0])
     splits, steps = [], []
-    for g, part in itertools.groupby(pairs, key=lambda p: p[0]):
+    for g, (_, part) in enumerate(itertools.groupby(pairs, key=lambda p: p[0])):
         part = list(part)
         lo, hi = (float(cum[g - 1]) if g else 0.0), float(cum[g])
         total, acc = sum(w for *_, w in part), Fraction(0)
         for _, a, b, w in part:
             acc += w
             splits.append(hi if acc == total else min(hi, lo + (hi - lo) * float(acc / total)))
-            steps.append((_vec(a, d), _vec(b, d)))
+            steps.append((a, b))
     pick = np.searchsorted(splits, u, side="right")
-    steps = np.array(steps, dtype=np.int64).reshape(len(steps), 2, d)
+    steps = np.array(steps, dtype=np.int64)
     return steps[pick, 0], steps[pick, 1]
 
 
@@ -354,9 +333,8 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
     """
     _check_steps("budget", budget)
     _check_steps("seed", seed, least=None)
-    d = jumps.dimension
-    x0, y0 = _vec(x, d), _vec(y, d)
-    vecs, cum = _difference_kernel(jumps)
+    x0, y0 = _point("x", x, jumps.dimension), _point("y", y, jumps.dimension)
+    vecs, cum = jumps.difference_kernel
     rng = rng_for(seed, _ROLE_MEET)
     pos = np.array(tuple(a - b for a, b in zip(x0, y0)), dtype=np.int64)
     met = 0 if x0 == y0 else None
@@ -377,7 +355,7 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
     result = CouplingResult(met is not None, met, None if met is None else 0)
     if record_trace:  # X steps by a throughout, Y by b until the chains meet and with X after
         drawn.append(rng.random(budget - step))
-        a, b = _pair_steps(jumps, vecs, cum, np.concatenate(drawn))
+        a, b = _pair_steps(jumps, cum, np.concatenate(drawn))
         xs = np.vstack([x0, x0 + np.cumsum(a, axis=0)])
         ys = np.vstack([y0, y0 + np.cumsum(b, axis=0)])
         if met is not None:
@@ -392,8 +370,7 @@ def _cross_collision_once(jumps, x0, y0, budget, rng, min_index):
     Earliest-index tables on both paths make the answer well defined;
     indices below min_index are excluded (min_index 1 drops the sources).
     """
-    atoms = jumps.atoms
-    cum = atom_cdf(jumps.weights)
+    atoms, cum = jumps.atoms, jumps.cdf
     seen_a = {x0: 0} if min_index == 0 else {}
     seen_b = {y0: 0} if min_index == 0 else {}
     if min_index == 0 and x0 == y0:
@@ -425,8 +402,7 @@ def shift_coupling(jumps, lattice, x, y, budget, seed):
     """
     _check_steps("budget", budget)
     _check_steps("seed", seed, least=None)
-    d = jumps.dimension
-    x0, y0 = _vec(x, d), _vec(y, d)
+    x0, y0 = _point("x", x, jumps.dimension), _point("y", y, jumps.dimension)
     if lattice is not None:
         for p in (x0, y0):
             if not in_lattice(lattice, p):
@@ -450,8 +426,7 @@ def path_collision_estimate(jumps, x, y, budget, trials, seed):
     _check_steps("budget", budget)
     _check_steps("trials", trials, least=1)
     _check_steps("seed", seed, least=None)
-    d = jumps.dimension
-    x0, y0 = _vec(x, d), _vec(y, d)
+    x0, y0 = _point("x", x, jumps.dimension), _point("y", y, jumps.dimension)
     hits = []
     for t in range(trials):
         rng = rng_for(derive_seed(seed, t), _ROLE_CROSS)

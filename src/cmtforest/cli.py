@@ -25,7 +25,7 @@ if __name__ == "__main__":  # the CLI is the program: set its process default be
     _cli_process()
 
 from . import wusf  # noqa: F401  (unused here; loaded so that span tracing finds it)
-from .errors import ConfigError, CyclicComponent, Empty
+from .errors import ConfigError, CyclicComponent, Empty, _is_int
 from .analysis import (
     SURVEY_STATISTICS, LatticeChainModel, ProbeReport, _config_digest,
     canopy_distinguishability_demo, cluster_frequency, component_statistic_survey,
@@ -56,10 +56,6 @@ class ProbeFailure(Exception):
 # -- field kinds: (test, description) -----------------------------------------------
 
 _REQUIRED = object()
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_num(v):
@@ -126,11 +122,10 @@ LATTICES = {"integer": lambda d: integer_lattice(d), "even": lambda d: even_subl
 
 def _jump_law(m):
     """The jump law of support and weights, all atoms on the model's lattice."""
-    atoms = tuple(tuple(a) if isinstance(a, list) else (a,) for a in m["support"])
     if m["weights"] is None:
-        jumps = uniform_jumps(atoms)
+        jumps = uniform_jumps(m["support"])
     else:
-        jumps = JumpDistribution(atoms, tuple(str(w) for w in m["weights"]))
+        jumps = JumpDistribution(m["support"], tuple(str(w) for w in m["weights"]))
     name = m.get("lattice", "integer")
     lattice = LATTICES[name](jumps.dimension)
     for a in jumps.atoms:

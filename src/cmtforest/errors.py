@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the count check that
-raises one."""
+"""Exception types shared across the package, and the count and point
+readers that raise them."""
 
 import numbers
 
@@ -64,10 +64,26 @@ class ConfigError(ValueError):
     """Experiment config failed schema validation (CLI exit code 2)."""
 
 
+def _is_int(v):
+    """An integer of any type, Python or numpy; bools are not integers."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _check_steps(name, value, least=0):
-    """An integer count >= least (any integer when least is None); bools
-    are not counts."""
-    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or least is not None and value < least):
+    """An integer count >= least (any integer when least is None)."""
+    if not _is_int(value) or least is not None and value < least:
         floor = "" if least is None else f" >= {least}"
         raise ConfigError(f"{name} must be an integer{floor}, got {value!r}")
+
+
+def _point(name, v, d=None):
+    """The point v as a tuple of Python ints, of length d when d is given: an
+    integer (a point of Z^1), or a tuple, list or 1-D array of integers."""
+    seq = isinstance(v, (tuple, list)) or getattr(v, "ndim", None) == 1
+    if not (_is_int(v) or seq and all(map(_is_int, v))):
+        raise ConfigError(f"{name} must be an integer or a sequence of integers, got {v!r}")
+    vec = tuple(map(int, v)) if seq else (int(v),)
+    if d is not None and len(vec) != d:
+        raise BadDimension(f"{name} {vec!r} has {len(vec)} coordinates; "
+                           f"the lattice has dimension {d}")
+    return vec

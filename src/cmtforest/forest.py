@@ -191,7 +191,7 @@ class ForestWindow:
 
 
 def _freeze(a):
-    """a, made read-only: the window's cached facts are read from it."""
+    """a, made read-only: windows and jump laws read their cached tables from it."""
     a.flags.writeable = False
     return a
 

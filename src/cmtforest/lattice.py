@@ -20,8 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadDimension, ConfigError, EmptyWindow, MalformedJump, _check_steps
-from .forest import box_grid, build_forest, coords
+from .errors import BadDimension, ConfigError, EmptyWindow, MalformedJump, TooLarge
+from .errors import _check_steps, _point
+from .forest import _freeze, box_grid, build_forest
 from .seeds import rng_for
 
 _ROLE_LATTICE = 0xA1
@@ -45,7 +46,8 @@ class LatticeSpec:
         if self.basis is None:
             ident = tuple(tuple(int(i == j) for i in range(d)) for j in range(d))
             object.__setattr__(self, "basis", ident)
-        if len(self.basis) != d or any(len(c) != d for c in self.basis):
+        if (not hasattr(self.basis, "__len__") or len(self.basis) != d
+                or any(not hasattr(c, "__len__") or len(c) != d for c in self.basis)):
             raise BadDimension("basis shape does not match dimension")
         for j, col in enumerate(self.basis):
             for i, x in enumerate(col):
@@ -78,7 +80,7 @@ class JumpDistribution:
     weights: tuple
 
     def __post_init__(self):
-        atoms = tuple(tuple(int(c) for c in a) for a in self.atoms)
+        atoms = tuple(_point(f"atoms[{i}]", a) for i, a in enumerate(self.atoms))
         weights = tuple(Fraction(w) for w in self.weights)
         if not atoms:
             raise MalformedJump("no atoms")
@@ -99,17 +101,51 @@ class JumpDistribution:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
+    def __reduce__(self):  # pickles the law alone; a copy builds its read-only tables anew
+        return JumpDistribution, (self.atoms, self.weights)
+
     @property
     def dimension(self):
         return len(self.atoms[0])
 
+    @functools.cached_property
+    def atom_rows(self):
+        """The atoms as rows: int64, or Python ints once an atom passes int64."""
+        try:
+            return _freeze(np.array(self.atoms, dtype=np.int64))
+        except OverflowError:
+            return _freeze(np.array(self.atoms, dtype=object))
+
+    @functools.cached_property
+    def cdf(self):
+        return atom_cdf(self.weights)
+
+    @functools.cached_property
+    def difference_kernel(self):
+        """Increments of X - Y for independent steps X, Y, with their atom_cdf."""
+        diff = {}
+        for a, wa in zip(self.atoms, self.weights):
+            for b, wb in zip(self.atoms, self.weights):
+                v = tuple(x - y for x, y in zip(a, b))
+                diff[v] = diff.get(v, Fraction(0)) + wa * wb
+        vecs = sorted(diff)
+        return _freeze(np.array(vecs, dtype=np.int64)), atom_cdf([diff[v] for v in vecs])
+
+
+def _int64_rows(jumps):
+    """The law's atom rows, or TooLarge naming an atom past int64."""
+    if jumps.atom_rows.dtype == object:
+        big = next(a for a in jumps.atoms if any(not -2**63 <= c < 2**63 for c in a))
+        raise TooLarge(f"atom {big} is past int64")
+    return jumps.atom_rows
+
 
 def atom_cdf(weights):
-    """Cumulative float weights with the last entry pinned to 1.0; draw an
-    atom index as np.searchsorted(cdf, u, side="right") for uniform u."""
+    """Cumulative float weights with the last entry pinned to 1.0, read-only;
+    draw an atom index as np.searchsorted(cdf, u, side="right") for uniform u."""
     cum = np.cumsum([float(w) for w in weights])
     cum[-1] = 1.0
-    return cum
+    return _freeze(cum)
 
 
 def uniform_jumps(atoms):
@@ -162,14 +198,17 @@ def _det_and_adjugate(basis):
     return int(det), tuple(tuple(int(inv[i][j] * det) for j in range(d)) for i in range(d))
 
 
+def _spec(lattice):
+    if not isinstance(lattice, LatticeSpec):
+        raise ConfigError(f"lattice must be a LatticeSpec, got {lattice!r}")
+    return lattice
+
+
 def lattice_coordinates(lattice, vec):
     """Integer coordinates of vec in the lattice basis, or None; a bare int
     is a point of Z^1. Exact for integers of any size."""
-    vec = coords(vec)
-    if len(vec) != lattice.dimension:
-        raise BadDimension(f"point {vec!r} has {len(vec)} coordinates; "
-                           f"the lattice has dimension {lattice.dimension}")
-    det, adj = lattice.frame
+    det, adj = _spec(lattice).frame
+    vec = _point("point", vec, lattice.dimension)
     q, r = zip(*[divmod(sum(map(operator.mul, row, vec)), det) for row in adj])
     return None if any(r) else q
 
@@ -320,9 +359,7 @@ def _unimodular_span(vectors, d):
 
 def _atom_coordinates(jumps, lattice):
     """The lattice, None read as Z^d, and the atoms' coordinates on it."""
-    lattice = _default_lattice(jumps.dimension) if lattice is None else lattice
-    if not isinstance(lattice, LatticeSpec):
-        raise ConfigError(f"lattice must be a LatticeSpec, got {lattice!r}")
+    lattice = _spec(_default_lattice(jumps.dimension) if lattice is None else lattice)
     if jumps.dimension != lattice.dimension:
         raise BadDimension(
             f"jumps in dimension {jumps.dimension}, lattice in {lattice.dimension}"
@@ -378,6 +415,7 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
     """
     _check_steps("seed", seed, least=None)
     lattice, _ = _atom_coordinates(jumps, lattice)
+    atoms_arr = _int64_rows(jumps)
     d = lattice.dimension
     if len(box) != d:
         raise BadDimension("box/jump dimension mismatch")
@@ -400,8 +438,7 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
         raise EmptyWindow("box contains no lattice points")
 
     rng = rng_for(seed, _ROLE_LATTICE)
-    idx = np.searchsorted(atom_cdf(jumps.weights), rng.random(len(pts)), side="right")
-    atoms_arr = np.array(jumps.atoms, dtype=np.int64)
+    idx = np.searchsorted(jumps.cdf, rng.random(len(pts)), side="right")
     targets = pts + atoms_arr[idx]
 
     in_box = np.ones(len(pts), dtype=bool)

@@ -27,6 +27,7 @@ from cmtforest.errors import ConfigError, CyclicComponent, UnknownVertex
 from cmtforest.forest import coords, vertex
 from cmtforest.lattice import JumpDistribution, even_sublattice, integer_lattice, uniform_jumps
 from cmtforest.seeds import derive_seed, rng_for
+from test_kernel_sweep import oracle_vec
 
 
 def renewal_jumps():
@@ -306,7 +307,7 @@ def test_meet_and_stick_renewal_frequency():
 
 def test_meet_and_stick_chunks_read_one_stream():
     # growing chunks must give the coupling time of one draw for the whole budget
-    vecs, cum = chains._difference_kernel(renewal_jumps())
+    vecs, cum = renewal_jumps().difference_kernel
     for t in range(60):
         gap, budget, seed = 1 + t % 20, 300 + 97 * t, derive_seed(31, t)
         u = rng_for(seed, chains._ROLE_MEET).random(budget)
@@ -346,9 +347,9 @@ def test_meet_trace_glues_paths():
 def oracle_traced_paths(jumps, x0, y0, budget, seed):
     """The traced paths as one draw of the whole stream decodes them: X steps
     by a throughout, Y by b until the chains meet and with X after."""
-    vecs, cum = chains._difference_kernel(jumps)
+    vecs, cum = jumps.difference_kernel
     u = rng_for(seed, chains._ROLE_MEET).random(budget)
-    a, b = chains._pair_steps(jumps, vecs, cum, u)
+    a, b = chains._pair_steps(jumps, cum, u)
     xs = np.vstack([x0, x0 + np.cumsum(a, axis=0)])
     ys = np.vstack([y0, y0 + np.cumsum(b, axis=0)])
     met = np.flatnonzero((xs == ys).all(axis=1))
@@ -365,7 +366,7 @@ def test_traced_and_untraced_meetings_agree():
                uniform_jumps([(1, 0, -1), (0, 1, -1), (-1, -1, -1), (1, 1, -1)])]
     for kern in kernels:
         d = kern.dimension
-        atoms = {chains._vec(a, d) for a in kern.atoms}
+        atoms = {oracle_vec(a, d) for a in kern.atoms}
         for gap in (0, 1, 2, 5):
             x, y = vertex((0,) * d), vertex((gap,) + (0,) * (d - 1))
             for t in range(100):
@@ -374,10 +375,10 @@ def test_traced_and_untraced_meetings_agree():
                 traced = meet_and_stick_coupling(kern, x, y, budget, seed, record_trace=True)
                 assert (traced.success, traced.coupling_time) == (plain.success, plain.coupling_time)
                 xs, ys = ([coords(v) for v in path] for path in traced.trace)
-                assert (xs, ys) == oracle_traced_paths(kern, chains._vec(x, d),
-                                                       chains._vec(y, d), budget, seed)
+                assert (xs, ys) == oracle_traced_paths(kern, oracle_vec(x, d),
+                                                       oracle_vec(y, d), budget, seed)
                 assert len(xs) == len(ys) == budget + 1
-                assert (xs[0], ys[0]) == (chains._vec(x, d), chains._vec(y, d))
+                assert (xs[0], ys[0]) == (oracle_vec(x, d), oracle_vec(y, d))
                 for path in (xs, ys):
                     assert all(tuple(q - p for p, q in zip(a, b)) in atoms
                                for a, b in zip(path, path[1:]))
@@ -389,9 +390,9 @@ def test_pair_steps_split_each_difference_by_product_weights():
     # on an even grid of uniforms, each pair (a, b) takes its share w_a * w_b
     weights = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
     kern = JumpDistribution(((1,), (2,), (4,)), weights)
-    vecs, cum = chains._difference_kernel(kern)
+    vecs, cum = kern.difference_kernel
     n = 60_000
-    a, b = chains._pair_steps(kern, vecs, cum, (np.arange(n) + 0.5) / n)
+    a, b = chains._pair_steps(kern, cum, (np.arange(n) + 0.5) / n)
     assert (np.searchsorted(cum, (np.arange(n) + 0.5) / n, side="right")
             == np.searchsorted(vecs[:, 0], (a - b)[:, 0])).all()
     for p, wp in zip(kern.atoms, weights):

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from cmtforest import chains
 from cmtforest.analysis import green_table
-from cmtforest.chains import _vec, green_function, kernel_power, tv_consecutive, tv_profile
-from cmtforest.errors import CyclicComponent, TooLarge
+from cmtforest.chains import green_function, kernel_power, tv_consecutive, tv_profile
+from cmtforest.errors import BadDimension, CyclicComponent, TooLarge
 from cmtforest.lattice import JumpDistribution, check_cycle_free, uniform_jumps
 from cmtforest.models import nguyen_atoms
 
@@ -34,6 +34,15 @@ MAX_HORIZON = 12
 
 
 # -- oracles: the per-function sweep loops the shared generator replaced ------------
+
+
+def oracle_vec(v, d):
+    """v as a tuple of d ints, read through int(); a bare int is a point of Z^1.
+    The chains' point reader before errors._point, kept as its oracle."""
+    vec = tuple(int(c) for c in v) if isinstance(v, (tuple, list, np.ndarray)) else (int(v),)
+    if len(vec) != d:
+        raise BadDimension(f"{v!r} has {len(vec)} coordinates, not {d}")
+    return vec
 
 
 def oracle_convolve(dist, moves):
@@ -70,7 +79,7 @@ def oracle_horizon(jumps, vec):
 def oracle_green_function(jumps, target, horizon=None):
     """(value, terms) of the partial Green series."""
     d = jumps.dimension
-    diff = _vec(target, d)
+    diff = oracle_vec(target, d)
     if horizon is None:
         horizon = oracle_horizon(jumps, diff)
     den, moves = oracle_moves(jumps)
@@ -88,7 +97,7 @@ def oracle_green_function(jumps, target, horizon=None):
 def oracle_green_table(jumps, targets):
     """Green values keyed by target vector."""
     d = jumps.dimension
-    vecs = {_vec(y, d) for y in targets}
+    vecs = {oracle_vec(y, d) for y in targets}
     horizon = max((oracle_horizon(jumps, v) for v in vecs), default=0)
     zero = (0,) * d
     acc = {vec: Fraction(int(vec == zero)) for vec in vecs}
@@ -166,7 +175,7 @@ def test_green_function_with_horizon_matches_its_loop(data, jumps, horizon):
     gv = green_function(jumps, target, horizon=horizon)
     assert (gv.value, gv.terms) == oracle_green_function(jumps, target, horizon)
     rep = check_cycle_free(jumps)
-    full = rep.holds and horizon >= oracle_horizon(jumps, _vec(target, jumps.dimension))
+    full = rep.holds and horizon >= oracle_horizon(jumps, oracle_vec(target, jumps.dimension))
     assert gv.probability == full
 
 
@@ -178,7 +187,7 @@ def test_green_function_full_series_matches_its_loop(data, jumps):
         with pytest.raises(CyclicComponent):
             green_function(jumps, target)
         return
-    assume(oracle_horizon(jumps, _vec(target, jumps.dimension)) <= MAX_HORIZON)
+    assume(oracle_horizon(jumps, oracle_vec(target, jumps.dimension)) <= MAX_HORIZON)
     gv = green_function(jumps, target)
     assert (gv.value, gv.terms) == oracle_green_function(jumps, target)
     assert gv.probability
@@ -189,12 +198,12 @@ def test_green_function_full_series_matches_its_loop(data, jumps):
 def test_green_table_matches_its_loop(data, jumps):
     targets = [targets_for(data.draw, jumps) for _ in range(data.draw(st.integers(0, 6)))]
     d = jumps.dimension
-    assume(all(oracle_horizon(jumps, _vec(y, d)) <= MAX_HORIZON for y in targets))
+    assume(all(oracle_horizon(jumps, oracle_vec(y, d)) <= MAX_HORIZON for y in targets))
     table = green_table(jumps, targets)
     oracle = oracle_green_table(jumps, targets)
     assert set(table) == set(targets)
     for y in targets:
-        assert table[y] == oracle[_vec(y, d)]
+        assert table[y] == oracle[oracle_vec(y, d)]
 
 
 @SUITE
@@ -309,7 +318,7 @@ def test_a_sweep_past_far_keys_python_ints(monkeypatch, jumps, n, far):
         assert (got.value, got.terms) == oracle_green_function(jumps, y, n)
     if check_cycle_free(jumps).holds:
         table, oracle = green_table(jumps, targets), oracle_green_table(jumps, targets)
-        assert all(table[y] == oracle[_vec(y, jumps.dimension)] for y in targets)
+        assert all(table[y] == oracle[oracle_vec(y, jumps.dimension)] for y in targets)
 
 
 @pytest.mark.parametrize("call", [

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -299,6 +300,26 @@ def test_lattice_spec_is_checked_at_construction():
         LatticeSpec(0)
     with pytest.raises(BadDimension, match="singular"):
         LatticeSpec(2, ((1, 2), (2, 4)))
+
+
+@pytest.mark.parametrize("basis", [5, (5, 6), ((1, 0), 7), ((1, 0),)])
+def test_basis_that_is_not_d_columns_of_d_is_named(basis):
+    with pytest.raises(BadDimension, match="^basis shape does not match dimension$"):
+        LatticeSpec(2, basis)
+
+
+@pytest.mark.parametrize("p", [[1, 1], (1, 1), np.array([1, 1]), (np.int64(1), np.uint8(1))])
+def test_a_point_may_be_a_list_or_an_array(p):
+    got = lattice_coordinates(even_sublattice(2), p)
+    assert got == (1, 0) and all(type(c) is int for c in got)
+    assert in_lattice(even_sublattice(2), p) and not in_lattice(even_sublattice(2), [1, 0])
+
+
+def test_atoms_are_read_as_points():
+    assert uniform_jumps([1, 2]) == uniform_jumps([(1,), (2,)])
+    law = JumpDistribution([np.array([1, -1]), [np.int64(-1), -1]], ("1/2", "1/2"))
+    assert all(type(c) is int for a in law.atoms for c in a)
+    assert repr(law) == repr(uniform_jumps([(1, -1), (-1, -1)]))
 
 
 @pytest.mark.parametrize("call", [lattice_coordinates, in_lattice])

@@ -5,13 +5,22 @@ truncated to 1, True read as 1)."""
 
 import re
 
+import numpy as np
 import pytest
 
-from cmtforest.analysis import connectivity_decay_probe, count_components_probe, in_degree_profile
+from cmtforest.analysis import (
+    LatticeChainModel, connectivity_decay_probe, count_components_probe, in_degree_profile,
+)
+from cmtforest.chains import (
+    green_function, green_table, meet_and_stick_coupling, path_collision_estimate, shift_coupling,
+)
 from cmtforest.errors import BadDimension, ConfigError
 from cmtforest.lattice import (
+    JumpDistribution,
     LatticeSpec,
     check_model_conditions,
+    in_lattice,
+    integer_lattice,
     lattice_coordinates,
     uniform_jumps,
 )
@@ -56,6 +65,49 @@ CASES = {
                                       "k must be an integer >= 1, got True"),
 }
 
+# every point and atom is read by errors._point: no coordinate is truncated by int()
+# and no bool is read as 0 or 1
+POINT = "must be an integer or a sequence of integers, got"
+CASES.update({
+    "green_function-target": (lambda: green_function(RENEWAL, 2.7), f"target {POINT} 2.7"),
+    "green_function-target-integral-float": (lambda: green_function(RENEWAL, (2.0,)),
+                                             f"target {POINT} (2.0,)"),
+    "green_table-target-bool": (lambda: green_table(RENEWAL, [True]), f"targets[0] {POINT} True"),
+    "green_table-second-target": (lambda: green_table(RENEWAL, [3, (4.0,)]),
+                                  f"targets[1] {POINT} (4.0,)"),
+    "meet_and_stick_coupling-y": (lambda: meet_and_stick_coupling(RENEWAL, 0, 2.9, 100, 1),
+                                  f"y {POINT} 2.9"),
+    "shift_coupling-x": (lambda: shift_coupling(RENEWAL, None, 1.5, 3, 50, 1), f"x {POINT} 1.5"),
+    "path_collision_estimate-x-str": (lambda: path_collision_estimate(RENEWAL, "0", 3, 50, 5, 1),
+                                      f"x {POINT} '0'"),
+    "JumpDistribution-atom": (lambda: JumpDistribution(((1.9,), (2,)), (0.5, 0.5)),
+                              f"atoms[0] {POINT} (1.9,)"),
+    "uniform_jumps-atom": (lambda: uniform_jumps([(1,), (1.5,)]), f"atoms[1] {POINT} (1.5,)"),
+    "uniform_jumps-atom-str": (lambda: uniform_jumps(["12"]), f"atoms[0] {POINT} '12'"),
+    "lattice_coordinates-point": (lambda: lattice_coordinates(integer_lattice(1), (2.0,)),
+                                  f"point {POINT} (2.0,)"),
+    "lattice_coordinates-point-0d-array": (
+        lambda: lattice_coordinates(integer_lattice(1), np.array(3)), f"point {POINT} array(3)"),
+    "lattice_coordinates-point-2d-array": (
+        lambda: lattice_coordinates(integer_lattice(2), np.array([[1, 0]])),
+        f"point {POINT} array([[1, 0]])"),
+    "in_lattice-point-bool": (lambda: in_lattice(integer_lattice(1), True), f"point {POINT} True"),
+    "LatticeChainModel-origin": (lambda: LatticeChainModel(NGUYEN).at_distance((0, 0.5), 2),
+                                 f"origin {POINT} (0, 0.5)"),
+    "LatticeChainModel-starts": (
+        lambda: LatticeChainModel(NGUYEN).run([(0, 0), (2, True)], 5, 2, 1),
+        f"starts[1] {POINT} (2, True)"),
+    "connectivity_decay_probe-origin": (
+        lambda: connectivity_decay_probe(NGUYEN, (0, 0.5), [1], 20, 50, 1),
+        f"origin {POINT} (0, 0.5)"),
+    # a lattice that is not a LatticeSpec is named by the one check every lattice question reaches
+    "lattice_coordinates-lattice": (lambda: lattice_coordinates("x", (1,)),
+                                    "lattice must be a LatticeSpec, got 'x'"),
+    "in_lattice-lattice": (lambda: in_lattice("x", (1,)), "lattice must be a LatticeSpec, got 'x'"),
+    "shift_coupling-lattice": (lambda: shift_coupling(RENEWAL, "x", 0, 3, 50, 1),
+                               "lattice must be a LatticeSpec, got 'x'"),
+})
+
 
 @pytest.mark.parametrize("call, message", CASES.values(), ids=list(CASES))
 def test_bad_argument_is_named(call, message):
@@ -66,3 +118,14 @@ def test_bad_argument_is_named(call, message):
 def test_integer_dimension_below_two_keeps_bad_dimension():
     with pytest.raises(BadDimension, match="^need at least two coordinates$"):
         nguyen_model(1, [(0, 3)], 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: green_function(RENEWAL, (1, 2)), "target (1, 2) has 2 coordinates"),
+    (lambda: meet_and_stick_coupling(NGUYEN, 0, (0, 0), 10, 1), "x (0,) has 1 coordinates"),
+    (lambda: LatticeChainModel(NGUYEN).at_distance((0, 0, 0), 1),
+     "origin (0, 0, 0) has 3 coordinates"),
+], ids=["green_function", "meet_and_stick_coupling", "LatticeChainModel"])
+def test_chain_point_of_another_length_is_named(call, message):
+    with pytest.raises(BadDimension, match=f"^{re.escape(message)}; the lattice has dimension "):
+        call()

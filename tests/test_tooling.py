@@ -92,13 +92,37 @@ def test_stream_roles_are_distinct():
     assert not shared, f"stream roles used twice: {shared}"
 
 
-def test_only_lattice_spec_inverts_a_basis():
-    # every membership and coordinate question reads the frame LatticeSpec computes once
-    calls = []
+def package_nodes():
+    """(module, top-level name, node) for every AST node of the package."""
     for path in sorted(Path(cmtforest.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "_det_and_adjugate" in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                    calls.append((path.stem, getattr(top, "name", None)))
-    assert calls == [("lattice", "LatticeSpec")]
+                yield path.stem, getattr(top, "name", None), node
+
+
+def callers_of(name):
+    return [(module, top) for module, top, node in package_nodes()
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_lattice_spec_inverts_a_basis():
+    # every membership and coordinate question reads the frame LatticeSpec computes once
+    assert callers_of("_det_and_adjugate") == [("lattice", "LatticeSpec")]
+
+
+def test_only_the_jump_law_builds_an_atom_cdf():
+    # a law's cdf and difference kernel are its cached tables, which every sampler and
+    # coupling reads; coalescing_mc's rows are a graph chain's kernel, not a jump law
+    assert set(callers_of("atom_cdf")) == {("lattice", "JumpDistribution"),
+                                           ("models", "coalescing_mc")}
+
+
+def test_points_have_one_reader():
+    # every point and atom is read by errors._point; chains._vec, which truncated, is gone
+    defined = {(module, node.id if isinstance(node, ast.Name) else node.name)
+               for module, _, node in package_nodes()
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert not {name for _, name in defined} & {"_vec"}
+    assert ("errors", "_point") in defined and ("errors", "_is_int") in defined
