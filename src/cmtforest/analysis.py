@@ -27,12 +27,13 @@ from .errors import (
     CyclicComponent,
     Empty,
     NeedsTorus,
+    TooLarge,
     UnknownVertex,
     _check_steps,
     _point,
 )
 from .forest import level_set, vertex
-from .lattice import _int64_rows, check_cycle_free
+from .lattice import _in_int64, _int64_rows, atom_index, check_cycle_free
 from .models import canopy_cmt
 from .seeds import derive_seed, rng_for
 
@@ -313,7 +314,7 @@ def in_degree_profile(forest, region=None):
 
 # Walker-steps per block: a block of b steps for k chains in `trials` trials
 # has b * trials * k <= this many (at least one step).
-_BLOCK_WALKER_STEPS = 1 << 15
+_BLOCK_WALKER_STEPS = 1 << 17
 
 
 class LatticeChainModel:
@@ -355,11 +356,14 @@ class LatticeChainModel:
         """Final group labels: shape (trials, k), equal labels = merged."""
         d = self.jumps.dimension
         starts = [_point(f"starts[{i}]", s, d) for i, s in enumerate(starts)]
+        for i, s in enumerate(starts):
+            if not _in_int64(s):
+                raise TooLarge(f"starts[{i}] {s} is past int64")
         self._check_levels(starts)
         atoms, cum = self.jumps.atom_rows, self.jumps.cdf
 
         def advance(cur, u):
-            return _lattice_block(atoms, np.searchsorted(cum, u, side="right"), cur)
+            return _lattice_block(atoms, atom_index(cum, u), cur)
 
         cur = np.array(starts, dtype=np.int64).reshape(1, len(starts), d)
         return _coalesce(starts, cur.repeat(trials, axis=0), advance, budget, trials, seed)
@@ -373,16 +377,12 @@ class GraphChainModel:
     def __init__(self, graph, starts=()):
         self.graph = graph
         self.starts = tuple(starts)
-        verts = list(graph.vertices)
-        self._index = {v: i for i, v in enumerate(verts)}
-        degs = [graph.degree(v) for v in verts]
+        verts, _, nbrs = graph.frame
+        degs = list(map(len, nbrs))
         if 0 in degs:
             raise BadGraph(f"vertex {verts[degs.index(0)]!r} is isolated; a walker cannot step")
-        nbr = np.zeros((len(verts), max(degs)), dtype=np.int64)
-        for i, v in enumerate(verts):
-            for j, u in enumerate(graph.neighbors(v)):
-                nbr[i, j] = self._index[u]
-        self._nbr = nbr
+        width = max(degs)
+        self._nbr = np.array([ns + (0,) * (width - len(ns)) for ns in nbrs], dtype=np.int64)
         self._deg = np.array(degs, dtype=np.int64)
 
     def default_starts(self, k):
@@ -391,7 +391,7 @@ class GraphChainModel:
         return self.starts[:k]
 
     def at_distance(self, origin, r):
-        if origin not in self._index:
+        if origin not in self.graph.adjacency:
             raise UnknownVertex(repr(origin))
         dist = {origin: 0}
         frontier = [origin]
@@ -409,18 +409,19 @@ class GraphChainModel:
         return at[0]
 
     def run(self, starts, budget, trials, seed):
+        row = self.graph.frame.row
         for s in starts:
-            if s not in self._index:
+            if s not in row:
                 raise UnknownVertex(repr(s))
         nbr, deg = self._nbr, self._deg
 
         def advance(cur, u):
             path = np.empty(u.shape, dtype=np.int64)
-            for t, row in enumerate(u):
-                cur = path[t] = nbr[cur, (row * deg[cur]).astype(np.int64)]
+            for t, draw in enumerate(u):
+                cur = path[t] = nbr[cur, (draw * deg[cur]).astype(np.int64)]
             return path, cur
 
-        cur = np.array([[self._index[s] for s in starts]], dtype=np.int64)
+        cur = np.array([[row[s] for s in starts]], dtype=np.int64)
         return _coalesce(starts, cur.repeat(trials, axis=0), advance, budget, trials, seed)
 
 
@@ -467,9 +468,13 @@ def _lattice_block(atoms, idx, cur):
     a box of 2^63 or more sites falls back to ranks of the points.
     """
     b = len(idx)
-    lo = cur.min(axis=(0, 1)) + b * np.minimum(atoms.min(axis=0), 0)
-    hi = cur.max(axis=(0, 1)) + b * np.maximum(atoms.max(axis=0), 0)
-    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    lo = [c + b * min(a, 0) for c, a in zip(cur.min(axis=(0, 1)).tolist(),
+                                            atoms.min(axis=0).tolist())]
+    hi = [c + b * max(a, 0) for c, a in zip(cur.max(axis=(0, 1)).tolist(),
+                                            atoms.max(axis=0).tolist())]
+    if not (_in_int64(lo) and _in_int64(hi)):
+        raise TooLarge("a chain from starts can step past int64 within the budget")
+    spans = [h - l + 1 for l, h in zip(lo, hi)]
     if math.prod(spans) >= 1 << 63:
         path = cur + np.cumsum(atoms[idx], axis=0)
         _, ids = np.unique(path.reshape(-1, path.shape[-1]), axis=0, return_inverse=True)
@@ -607,7 +612,7 @@ def one_endedness_probe(jumps, n_list, trials, seed):
     endpoints = {}
     for pos, n in enumerate(n_list):
         rng = rng_for(derive_seed(seed, pos), _ROLE_CHAINS)
-        idx = np.searchsorted(cum, rng.random((trials, n)), side="right")
+        idx = atom_index(cum, rng.random((trials, n)))
         ends = atoms[idx].sum(axis=1)
         endpoints[n] = [tuple(int(c) for c in e) for e in ends]
     targets = sorted({y for ends in endpoints.values() for y in ends})

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CyclicComponent, TooLarge, UnknownVertex, _check_steps, _point
 from .forest import array_vertices, coords, vertex
-from .lattice import check_cycle_free, in_lattice
+from .lattice import _in_int64, _int64_rows, atom_index, check_cycle_free, in_lattice
 from .seeds import derive_seed, rng_for
 
 _ROLE_MEET = 0xC1
@@ -318,7 +318,7 @@ def _pair_steps(jumps, cum, u):
             acc += w
             splits.append(hi if acc == total else min(hi, lo + (hi - lo) * float(acc / total)))
             steps.append((a, b))
-    pick = np.searchsorted(splits, u, side="right")
+    pick = atom_index(splits, u)
     steps = np.array(steps, dtype=np.int64)
     return steps[pick, 0], steps[pick, 1]
 
@@ -334,16 +334,27 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
     _check_steps("budget", budget)
     _check_steps("seed", seed, least=None)
     x0, y0 = _point("x", x, jumps.dimension), _point("y", y, jumps.dimension)
+    gap = tuple(a - b for a, b in zip(x0, y0))
+    if not _in_int64(gap):
+        raise TooLarge(f"x - y = {gap} is past int64")
+    if record_trace:  # the trace steps int64 rows from x and y over the whole budget
+        atoms = _int64_rows(jumps)
+        lo, hi = (budget * np.minimum(atoms.min(axis=0), 0).astype(object),
+                  budget * np.maximum(atoms.max(axis=0), 0).astype(object))
+        for name, p in (("x", x0), ("y", y0)):
+            if not (_in_int64(p + lo) and _in_int64(p + hi)):
+                raise TooLarge(f"the trace from {name} = {p} can pass int64 "
+                               f"within budget {budget}")
     vecs, cum = jumps.difference_kernel
     rng = rng_for(seed, _ROLE_MEET)
-    pos = np.array(tuple(a - b for a, b in zip(x0, y0)), dtype=np.int64)
+    pos = np.array(gap, dtype=np.int64)
     met = 0 if x0 == y0 else None
     # most pairs meet within a few steps: draw 64 steps first, then double
     # up to 4096 per chunk (the same stream as one draw per step)
     step, chunk, drawn = 0, 64, []
     while met is None and step < budget:
         u = rng.random(min(chunk, budget - step))
-        traj = pos + np.cumsum(vecs[np.searchsorted(cum, u, side="right")], axis=0)
+        traj = pos + np.cumsum(vecs[atom_index(cum, u)], axis=0)
         zero = (traj == 0).all(axis=1)
         if zero.any():
             met = step + int(zero.argmax()) + 1
@@ -376,7 +387,7 @@ def _cross_collision_once(jumps, x0, y0, budget, rng, min_index):
     if min_index == 0 and x0 == y0:
         return (0, 0)
     px, py = x0, y0
-    draws = np.searchsorted(cum, rng.random(2 * budget), side="right")
+    draws = atom_index(cum, rng.random(2 * budget))
     for step in range(1, budget + 1):
         px = tuple(p + q for p, q in zip(px, atoms[draws[2 * step - 2]]))
         if px in seen_b:

@@ -100,6 +100,10 @@ class ForestWindow:
                   self.depth):
             _freeze(a)
 
+    def __reduce__(self):  # pickles the rows alone; a copy freezes and derives the rest anew
+        return ForestWindow, (self.coords, self.succ, self.is_exit, self.is_interior,
+                              self.dimension, self.metadata)
+
     def __contains__(self, v):
         try:
             return v in self._row

@@ -3,16 +3,30 @@
 Adjacency rows are neighbor multisets: a parallel edge repeats the
 neighbor, a self-loop lists the vertex once in its own row. Multiset
 symmetry is validated on construction, so a FiniteGraph is always a
-legitimate undirected multigraph. A graph never changes, so the facts the
-samplers check on every call (components, self-loops) are computed once.
+legitimate undirected multigraph. A graph never changes (its adjacency is a
+read-only view), so the facts the samplers read on every call (the frame,
+components, self-loops) are computed once.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import BadGraph
+
+
+class GraphFrame(NamedTuple):
+    """A graph by rows: its vertex order, each vertex's row (a read-only
+    map) and each row's neighbour rows, in adjacency order and with
+    multiplicity. A walk draws its step by place in a row, so this order
+    fixes every walk stream."""
+
+    vertices: tuple
+    row: MappingProxyType
+    nbrs: tuple
 
 
 @dataclass(frozen=True)
@@ -29,11 +43,21 @@ class FiniteGraph:
                     raise BadGraph(f"edge endpoint {u!r} is not a vertex")
                 if u != v and adj[u].count(v) != k:
                     raise BadGraph(f"asymmetric multiplicity between {v!r} and {u!r}")
-        object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "adjacency", MappingProxyType(adj))
+
+    def __reduce__(self):  # pickles the rows alone; a copy builds its cached facts anew
+        return FiniteGraph, (dict(self.adjacency),)
+
+    @cached_property
+    def frame(self):
+        verts = tuple(self.adjacency)
+        row = dict(zip(verts, range(len(verts))))
+        nbrs = tuple(tuple(map(row.__getitem__, ns)) for ns in self.adjacency.values())
+        return GraphFrame(verts, MappingProxyType(row), nbrs)
 
     @property
     def vertices(self):
-        return tuple(self.adjacency)
+        return self.frame.vertices
 
     def degree(self, v):
         return len(self.adjacency[v])

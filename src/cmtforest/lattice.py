@@ -129,23 +129,59 @@ class JumpDistribution:
                 v = tuple(x - y for x, y in zip(a, b))
                 diff[v] = diff.get(v, Fraction(0)) + wa * wb
         vecs = sorted(diff)
+        big = next((v for v in vecs if not _in_int64(v)), None)
+        if big is not None:
+            raise TooLarge(f"atom difference {big} is past int64")
         return _freeze(np.array(vecs, dtype=np.int64)), atom_cdf([diff[v] for v in vecs])
+
+
+def _in_int64(v):
+    """Whether every coordinate of the point v is an int64."""
+    return all(-2**63 <= c < 2**63 for c in v)
 
 
 def _int64_rows(jumps):
     """The law's atom rows, or TooLarge naming an atom past int64."""
     if jumps.atom_rows.dtype == object:
-        big = next(a for a in jumps.atoms if any(not -2**63 <= c < 2**63 for c in a))
+        big = next(a for a in jumps.atoms if not _in_int64(a))
         raise TooLarge(f"atom {big} is past int64")
     return jumps.atom_rows
 
 
 def atom_cdf(weights):
     """Cumulative float weights with the last entry pinned to 1.0, read-only;
-    draw an atom index as np.searchsorted(cdf, u, side="right") for uniform u."""
+    draw atom indices with atom_index(cdf, u) for uniforms u."""
     cum = np.cumsum([float(w) for w in weights])
     cum[-1] = 1.0
     return _freeze(cum)
+
+
+_COUNT_ATOMS = 32
+_COUNT_DRAWS = 1024
+
+
+def atom_index(cdf, u):
+    """np.searchsorted(cdf, u, side="right") for uniforms u in [0, 1) and a
+    cdf whose last entry is 1.0 (an atom_cdf): the count of the other
+    entries at or below u.
+
+    Counting makes one vectorised pass over u per threshold, where
+    searchsorted binary-searches each draw, so it wins on many draws and few
+    atoms: on a 2-vCPU x86 VM with numpy 2.4, 32,768 draws took 30 us
+    counted and 340 us searched with 2 atoms, 115 and 505 us with 6. It
+    loses on short draws (64 draws with 3 atoms: 3.4 against 1.4 us) and
+    on laws of about 64 atoms. Counting overtook searching at 350-800 draws
+    per threshold for laws of 2-8 atoms. So it counts when the law has at
+    most _COUNT_ATOMS atoms and u has at least _COUNT_DRAWS draws per
+    threshold, and searches otherwise.
+    """
+    cdf, u = np.asarray(cdf), np.asarray(u)
+    if len(cdf) > _COUNT_ATOMS or u.size < _COUNT_DRAWS * (len(cdf) - 1):
+        return np.searchsorted(cdf, u, side="right")
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for c in cdf[:-1].tolist():
+        idx += u >= c
+    return idx
 
 
 def uniform_jumps(atoms):
@@ -438,7 +474,7 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
         raise EmptyWindow("box contains no lattice points")
 
     rng = rng_for(seed, _ROLE_LATTICE)
-    idx = np.searchsorted(jumps.cdf, rng.random(len(pts)), side="right")
+    idx = atom_index(jumps.cdf, rng.random(len(pts)))
     targets = pts + atoms_arr[idx]
 
     in_box = np.ones(len(pts), dtype=bool)

@@ -5,11 +5,16 @@ Trees are oriented parent maps. Sampling works on multigraphs (parallel
 edges weight the walk, which the wired contraction needs); self-loops
 are rejected for tree sampling since a loop step can never extend a
 spanning tree.
+
+Walks step on the rows of the graph's frame and keep only the last exit of
+every vertex they leave. Following the last exits from the start reads the
+chronological loop-erasure of the walk (Wilson's RandomTreeWithRoot), so a
+walk keeps no path while it runs.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
 
 import numpy as np
 
@@ -30,6 +35,8 @@ from .seeds import rng_for
 
 _ROLE_WILSON = 0xE1
 _ROLE_LERW = 0xE2
+
+_FIRST_CHUNKS = tuple(2 << i for i in range(10))  # 64-bit outputs per chunk: 2, 4, ..., 1024
 
 _SUBSET_CAP = 10**6  # edge subsets spanning_trees may try
 
@@ -93,57 +100,55 @@ def _words(rng):
     """The 32-bit words that `rng.integers` reads, drawn in bulk. PCG64
     hands out the low half of each 64-bit output and then the high half, so
     on a fresh generator (every sampler here makes its own) the halves of
-    `random_raw` are that stream. A K4 tree reads two or three words, so
-    chunks start at four words and double up to 4096."""
+    `random_raw`, read as little-endian pairs of 32-bit words, are that
+    stream. A K4 tree reads two or three words, so chunks start at four
+    words and double up to 4096. The words come from chained list
+    iterators, so reading one runs no Python frame."""
     raw = rng.bit_generator.random_raw
-    m = 2
-    while True:
-        for r in raw(m).tolist():
-            yield r & 0xFFFFFFFF
-            yield r >> 32
-        m = min(2 * m, 2048)
+
+    def chunk(m):
+        return raw(m).astype("<u8", copy=False).view("<u4").tolist()
+
+    return chain.from_iterable(map(chunk, chain(_FIRST_CHUNKS, repeat(2048))))
 
 
-def _loop_erased_walk(graph, start, stop, words, budget):
-    """Chronological loop-erasure of a walk from start until it hits stop.
-    Each step goes to neighbor `rng.integers(deg)`, decoded from `words` by
-    Lemire's rule as numpy does: `(w * deg) >> 32`, reading another word
-    while the low half of `w * deg` is below `(2**32 - deg) % deg`. A
-    degree-1 vertex reads no word."""
-    adjacency = graph.adjacency
-    path = [start]
-    pos = {start: 0}
+def _loop_erased_walk(nbrs, start, stop, nxt, words, budget):
+    """Walk the rows nbrs from row start until a row in stop, and return
+    that row. Each step goes to neighbour `rng.integers(deg)`, decoded from
+    `words` by Lemire's rule as numpy does: `(w * deg) >> 32`, reading
+    another word while the low half of `w * deg` is below
+    `(2**32 - deg) % deg`. A degree-1 row reads no word.
+
+    The walk keeps only the last exit of every row it leaves, `nxt[r]`.
+    Following nxt from start to the returned row reads the chronological
+    loop-erasure of the walk: a loop is closed by a later exit from the
+    row it returns to, and that exit overwrites the one into the loop
+    (Wilson's RandomTreeWithRoot)."""
     cur = start
     steps = 0
     while cur not in stop:
         if budget is not None and steps >= budget:
             raise BudgetExhausted(f"no hit within {budget} steps")
-        ns = adjacency[cur]
+        ns = nbrs[cur]
         deg = len(ns)
         if deg == 1:
-            cur = ns[0]
+            nxt[cur] = cur = ns[0]
         else:
             m = next(words) * deg
             if m & 0xFFFFFFFF < deg:
                 threshold = (0x100000000 - deg) % deg
                 while m & 0xFFFFFFFF < threshold:
                     m = next(words) * deg
-            cur = ns[m >> 32]
+            nxt[cur] = cur = ns[m >> 32]
         steps += 1
-        i = pos.get(cur)
-        if i is None:
-            pos[cur] = len(path)
-            path.append(cur)
-        else:
-            for w in path[i + 1 :]:
-                del pos[w]
-            del path[i + 1 :]
-    return path
+    return cur
 
 
 def lerw(graph, start, stop_set, seed, budget=None):
     """Chronological loop-erasure of a random walk run until stop_set, or
-    BudgetExhausted after budget steps (no limit when budget is None)."""
+    BudgetExhausted after budget steps (no limit when budget is None). The
+    work is proportional to the walk: the last exits are a dict over the
+    rows it visits."""
     _check_steps("seed", seed, least=None)
     if budget is not None:
         _check_steps("budget", budget)
@@ -158,8 +163,16 @@ def lerw(graph, start, stop_set, seed, budget=None):
     component = graph.component
     if all(component[v] != component[start] for v in stop):
         raise NotConnected("stop set unreachable from start")
+    verts, row, nbrs = graph.frame
     words = _words(rng_for(seed, _ROLE_LERW))
-    return _loop_erased_walk(graph, start, stop, words, budget)
+    cur = row[start]
+    nxt = {}
+    end = _loop_erased_walk(nbrs, cur, {row[v] for v in stop}, nxt, words, budget)
+    path = [start]
+    while cur != end:
+        cur = nxt[cur]
+        path.append(verts[cur])
+    return path
 
 
 # -- Wilson's algorithm ------------------------------------------------------------
@@ -170,15 +183,22 @@ def _reject_self_loops(graph):
         raise BadGraph(f"self-loop at {graph.self_loops[0]!r}")
 
 
-def _fill_tree(graph, in_tree, parent, rng):
+def _fill_tree(graph, tree, parent, rng):
+    """Wilson's algorithm from the vertices of tree: a loop-erased walk from
+    each row outside it, in vertex order, joins the tree by its path, whose
+    arcs go into parent in path order."""
+    verts, row, nbrs = graph.frame
+    in_tree = {row[v] for v in tree}
+    nxt = [0] * len(verts)
     words = _words(rng)
-    for v0 in graph.vertices:
-        if v0 in in_tree:
+    for u in range(len(verts)):
+        if u in in_tree:
             continue
-        path = _loop_erased_walk(graph, v0, in_tree, words, None)
-        for a, b in zip(path, path[1:]):
-            parent[a] = b
-            in_tree.add(a)
+        _loop_erased_walk(nbrs, u, in_tree, nxt, words, None)
+        while u not in in_tree:
+            in_tree.add(u)
+            parent[verts[u]] = verts[nxt[u]]
+            u = nxt[u]
 
 
 def wilson_ust(graph, root, seed):
@@ -191,7 +211,7 @@ def wilson_ust(graph, root, seed):
         raise NotConnected("graph is not connected")
     rng = rng_for(seed, _ROLE_WILSON)
     parent = {}
-    _fill_tree(graph, {root}, parent, rng)
+    _fill_tree(graph, [root], parent, rng)
     return OrientedTreeOrForest._built(parent, frozenset([root]))
 
 
@@ -212,7 +232,7 @@ def conditional_wilson(graph, path, seed):
         raise NotConnected("graph is not connected")
     rng = rng_for(seed, _ROLE_WILSON)
     parent = dict(zip(path, path[1:]))
-    _fill_tree(graph, set(path), parent, rng)
+    _fill_tree(graph, path, parent, rng)
     return OrientedTreeOrForest._built(parent, frozenset([path[-1]]))
 
 

@@ -118,6 +118,20 @@ def test_only_the_jump_law_builds_an_atom_cdf():
                                            ("models", "coalescing_mc")}
 
 
+def test_atom_draws_have_one_reader():
+    # every atom index drawn from a cdf reads lattice.atom_index, which counts or searches
+    # by its size rule; the other searches look up sorted keys, not draws, and
+    # coalescing_mc's scalar bisect draws one graph step at a time (ROADMAP item 3)
+    assert sorted(callers_of("atom_index")) == [
+        ("analysis", "LatticeChainModel"), ("analysis", "one_endedness_probe"),
+        ("chains", "_cross_collision_once"), ("chains", "_pair_steps"),
+        ("chains", "meet_and_stick_coupling"), ("lattice", "sample_lattice_cmt")]
+    assert sorted(set(callers_of("searchsorted"))) == [
+        ("analysis", "level_set_bijection"), ("chains", "_Power"), ("lattice", "atom_index"),
+        ("points", "_strip_successors")]
+    assert callers_of("bisect_right") == [("models", "coalescing_mc")]
+
+
 def test_points_have_one_reader():
     # every point and atom is read by errors._point; chains._vec, which truncated, is gone
     defined = {(module, node.id if isinstance(node, ast.Name) else node.name)

@@ -2,6 +2,12 @@
 and loop-erased paths equal those of the per-step walk it replaced, which
 draws `rng.integers(deg)` once per step and is kept here as the oracle.
 
+The oracle erases each loop as it closes, keeping the path as a list. The
+walk under test keeps only the last exit of every row it leaves, and reads
+the path by following those exits from the start; equal paths, and trees
+equal arc for arc in insertion order, show that the last-exit path is the
+chronological loop-erasure.
+
 The oracle reads the same generator (`rng_for` with the sampler's role), so
 equal outputs mean the bulk words are decoded into exactly the draws numpy
 makes. Natural draws almost never hit Lemire's rejection branch, so words
@@ -72,7 +78,7 @@ def oracle_lerw(graph, start, stop, seed):
 
 def assert_walks_match(graph, root, start, stop, seed):
     tree = wilson_ust(graph, root, seed)
-    assert tree.parent == oracle_wilson(graph, root, seed)
+    assert list(tree.parent.items()) == list(oracle_wilson(graph, root, seed).items())
 
     path, steps = oracle_lerw(graph, start, stop, seed)
     assert lerw(graph, start, stop, seed) == path
@@ -82,7 +88,8 @@ def assert_walks_match(graph, root, start, stop, seed):
             lerw(graph, start, stop, seed, budget=steps - 1)
 
     spine, _ = oracle_lerw(graph, start, {root}, seed + 1)
-    assert conditional_wilson(graph, spine, seed).parent == oracle_conditional(graph, spine, seed)
+    expect = oracle_conditional(graph, spine, seed)
+    assert list(conditional_wilson(graph, spine, seed).parent.items()) == list(expect.items())
 
 
 # -- inputs -----------------------------------------------------------------------
@@ -162,6 +169,19 @@ def reading_first(seed, word):
     return np.random.Generator(bits)
 
 
+def walk_path(graph, start, stop, words):
+    """The loop-erased path of `_loop_erased_walk` on graph's rows, read by
+    following the last exits from start."""
+    verts, row, nbrs = graph.frame
+    cur, nxt = row[start], {}
+    end = wusf._loop_erased_walk(nbrs, cur, {row[v] for v in stop}, nxt, words, None)
+    path = [start]
+    while cur != end:
+        cur = nxt[cur]
+        path.append(verts[cur])
+    return path
+
+
 def star(deg):
     return FiniteGraph({"c": tuple(range(deg)), **{i: ("c",) for i in range(deg)}})
 
@@ -183,7 +203,7 @@ def test_decoder_matches_numpy_on_crafted_words(deg):
         rng = reading_first(seed, word)
         expect = int(rng.integers(deg))
         words = itertools.chain([word], wusf._words(np.random.Generator(np.random.PCG64(seed))))
-        assert wusf._loop_erased_walk(graph, "c", leaves, words, None) == ["c", expect]
+        assert walk_path(graph, "c", leaves, words) == ["c", expect]
         # both read the same number of words
         assert next(words) == int(rng.integers(0, 2**32, dtype=np.uint64))
     assert (rejected > 0) == (threshold > 0)
@@ -192,7 +212,7 @@ def test_decoder_matches_numpy_on_crafted_words(deg):
 def test_degree_one_vertex_reads_no_word():
     # 0 has one neighbor; the single word is read at 1 and picks its neighbor 2
     words = iter([2**31])
-    assert wusf._loop_erased_walk(path_graph(3), 0, {2}, words, None) == [0, 1, 2]
+    assert walk_path(path_graph(3), 0, {2}, words) == [0, 1, 2]
     assert next(words, None) is None
 
 

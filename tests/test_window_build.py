@@ -294,6 +294,21 @@ def test_row_map_is_read_only(form):
     assert pickle.loads(pickle.dumps(fw)).rows_of([v]) == [3]  # a read window still pickles
 
 
+def test_a_pickled_window_keeps_its_arrays_read_only():
+    # a copy's succ and cached comp were writeable, so a write corrupted its later answers
+    fw = nguyen_model(2, [(-5, 5), (-5, 0)], 1)
+    components(fw)
+    back = pickle.loads(pickle.dumps(fw))
+    for name in ("coords", "succ", "is_exit", "is_interior", "src", "pre", "ptr", "label",
+                 "depth"):
+        assert not getattr(back, name).flags.writeable, name
+        assert (getattr(back, name) == getattr(fw, name)).all(), name
+    assert [c.members for c in components(back)] == [c.members for c in components(fw)]
+    assert not back.comp.flags.writeable
+    with pytest.raises(ValueError):
+        back.succ[0] = 0
+
+
 def test_build_forest_reads_a_window_jump_view_as_a_mapping():
     fw = nguyen_model(2, [(-5, 5), (-5, 0)], 1)
     rebuilt = build_forest(fw.verts, fw.jump, dimension=2, metadata=fw.metadata)

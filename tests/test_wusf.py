@@ -1,4 +1,8 @@
+import copy
 import math
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -22,6 +26,7 @@ from cmtforest.graphs import (
     cycle_graph,
     path_graph,
     regular_tree,
+    torus_graph,
 )
 from cmtforest.seeds import derive_seed
 from cmtforest.wusf import (
@@ -543,3 +548,69 @@ def test_sampler_determinism():
         wusf_window(1, 7, dimension=2)
     )
     assert lerw(cycle_graph(5), 0, {3}, 21) == lerw(cycle_graph(5), 0, {3}, 21)
+
+
+# -- the graph frame ---------------------------------------------------------------
+
+
+FRAME_GRAPHS = {
+    "k4": complete_graph(4),
+    "tree": regular_tree(3, 2),
+    "torus": torus_graph(5, 2),
+    "wired": wired_ball(2, 2)[0],
+    "multi": FiniteGraph({0: (1, 1, 2), 1: (0, 0, 1), 2: (0,)}),  # parallel edge, self-loop
+}
+
+
+@pytest.mark.parametrize("name", FRAME_GRAPHS)
+def test_frame_rows_are_the_adjacency(name):
+    # walks step by place in a row, so the rows keep adjacency order and multiplicity
+    g = FRAME_GRAPHS[name]
+    verts, row, nbrs = g.frame
+    assert verts == g.vertices == tuple(g.adjacency)
+    assert dict(row) == {v: i for i, v in enumerate(verts)}
+    assert [tuple(verts[j] for j in ns) for ns in nbrs] == list(g.adjacency.values())
+
+
+def test_adjacency_is_read_only():
+    # a written row was read by the adjacency but not by the cached frame and
+    # components, so walks and the connectivity check disagreed with the graph
+    g = complete_graph(4)
+    tree = wilson_ust(g, 0, 5)
+    with pytest.raises(TypeError):
+        g.adjacency[0] = (1,)
+    with pytest.raises(TypeError):
+        del g.adjacency[3]
+    with pytest.raises(TypeError):
+        g.frame.row[0] = 2
+    assert g.adjacency[0] == (1, 2, 3) and len(g.adjacency) == 4
+    assert wilson_ust(g, 0, 5).parent == tree.parent
+
+
+def test_a_read_graph_pickles_and_compares_equal():
+    g = wired_ball(2, 2)[0]
+    frame, component = g.frame, g.component
+    for back in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert back == g and back.frame == frame and back.component == component
+        assert list(back.adjacency.items()) == list(g.adjacency.items())
+        assert wilson_ust(back, BOUNDARY, 3).parent == wilson_ust(g, BOUNDARY, 3).parent
+
+
+def test_frame_built_by_racing_threads_reads_the_same():
+    # the frame is cached on first read; threads that race to build it on one
+    # shared graph must all read what a serial reader reads
+    def read(g):
+        return g.frame, wilson_ust(g, (0, 0), 2).parent
+
+    expect = read(torus_graph(12, 2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = torus_graph(12, 2)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(read, g) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+            assert all(r == expect for r in results)
+    finally:
+        sys.setswitchinterval(interval)
