@@ -156,6 +156,11 @@ def component_statistic_survey(forest, statistic, min_size):
         # each kept component's frequency of each jump increment that the
         # kept components make, sorted by repr (0.0 where one makes no jump)
         xy, src = _lattice_coords(forest, statistic), forest.src
+        # an int64 increment wraps only where an axis spans 2**63 or more
+        if max(int(hi) - int(lo) for lo, hi in zip(xy.min(axis=0), xy.max(axis=0))) >= 2**63:
+            for s, t in zip(xy[src].tolist(), xy[forest.succ[src]].tolist()):
+                if not _in_int64(step := [y - x for x, y in zip(s, t)]):
+                    raise TooLarge(f"jump increment {vertex(step)} from {vertex(s)} is past int64")
         steps, inc = np.unique(xy[forest.succ[src]] - xy[src], axis=0, return_inverse=True)
         counts = np.zeros((len(size), len(steps)), dtype=np.int64)
         np.add.at(counts, (forest.comp[src], inc.ravel()), 1)

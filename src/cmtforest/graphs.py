@@ -3,9 +3,9 @@
 Adjacency rows are neighbor multisets: a parallel edge repeats the
 neighbor, a self-loop lists the vertex once in its own row. Multiset
 symmetry is validated on construction, so a FiniteGraph is always a
-legitimate undirected multigraph. A graph never changes (its adjacency is a
-read-only view), so the facts the samplers read on every call (the frame,
-components, self-loops) are computed once.
+legitimate undirected multigraph. A graph never changes (its adjacency and
+component maps are read-only views), so the facts the samplers read on
+every call (the frame, components, self-loops) are computed once.
 """
 
 from collections import Counter
@@ -15,7 +15,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import BadGraph
+from .errors import BadGraph, _check_steps
 
 
 class GraphFrame(NamedTuple):
@@ -71,8 +71,9 @@ class FiniteGraph:
 
     @cached_property
     def component(self):
-        """Component id of every vertex, counting up from 0 in vertex order;
-        two vertices reach each other exactly when their ids are equal."""
+        """Component id of every vertex (a read-only map), counting up from 0
+        in vertex order; two vertices reach each other exactly when their ids
+        are equal."""
         label = {}
         i = -1
         for v0 in self.adjacency:
@@ -86,7 +87,7 @@ class FiniteGraph:
                     if u not in label:
                         label[u] = i
                         stack.append(u)
-        return label
+        return MappingProxyType(label)
 
     @cached_property
     def self_loops(self):
@@ -105,18 +106,21 @@ def lattice_steps(v):
 
 
 def complete_graph(n):
+    _check_steps("n", n, least=None)
     if n < 1:
         raise BadGraph("need at least one vertex")
     return FiniteGraph({i: tuple(j for j in range(n) if j != i) for i in range(n)})
 
 
 def cycle_graph(n):
+    _check_steps("n", n, least=None)
     if n < 3:
         raise BadGraph("a cycle needs at least three vertices")
     return FiniteGraph({i: ((i - 1) % n, (i + 1) % n) for i in range(n)})
 
 
 def path_graph(n):
+    _check_steps("n", n, least=None)
     if n < 2:
         raise BadGraph("a path needs at least two vertices")
     return FiniteGraph(
@@ -127,6 +131,8 @@ def path_graph(n):
 def torus_graph(side, dimension=1):
     """Nearest-neighbor graph on (Z mod side)^dimension; side 2 yields
     parallel edges, which the multiset representation keeps."""
+    _check_steps("side", side, least=None)
+    _check_steps("dimension", dimension, least=None)
     if side < 2 or dimension < 1:
         raise BadGraph("side must be >= 2 and dimension positive")
     return FiniteGraph({v: [tuple(x % side for x in w) for w in lattice_steps(v)]
@@ -137,6 +143,8 @@ def regular_tree(degree, depth):
     """Ball of the infinite degree-regular tree: the root has `degree`
     children, every other internal vertex degree-1 of them. Vertices are
     tuples of child indices from the root, so () is the root."""
+    _check_steps("degree", degree, least=None)
+    _check_steps("depth", depth, least=None)
     if degree < 2 or depth < 0:
         raise BadGraph("degree must be >= 2 and depth nonnegative")
     adj = {(): []}

@@ -6,7 +6,6 @@ the seeded stream in a fixed vertex order, so equal inputs give equal
 windows.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .forest import build_forest
 from .graphs import FiniteGraph
 from .lattice import (
     atom_cdf,
+    atom_index,
     even_sublattice,
     integer_lattice,
     sample_lattice_cmt,
@@ -107,7 +107,14 @@ class SpaceTimeGraph:
     time_range: tuple
 
     def __post_init__(self):
-        lo, hi = (int(t) for t in self.time_range)
+        try:
+            lo, hi = self.time_range
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"time_range must be a (lo, hi) pair, got {self.time_range!r}") from None
+        for i, t in enumerate((lo, hi)):
+            _check_steps(f"time_range[{i}]", t, least=None)
+        lo, hi = int(lo), int(hi)
         if hi < lo:
             raise EmptyWindow("empty time range")
         if not self.base.is_connected():
@@ -120,17 +127,19 @@ class SpaceTimeGraph:
 
 
 def _space_time_window(space_time, seed, name, draw):
-    """One jump per space-time vertex below the top slice, from (x, t) to
-    (draw(rng, x), t + 1), drawn slice by slice in base vertex order; the
-    top slice keeps no jump."""
+    """One jump per space-time vertex below the top slice, from (x, t) to (y, t + 1):
+    draw(rng, m) gives the base rows of the m slices' targets y as an m x n array,
+    in base vertex order. The top slice keeps no jump."""
     _check_steps("seed", seed, least=None)
     lo, hi = space_time.time_range
+    verts = space_time.vertices()
+    n = len(space_time.base.vertices)
+    # (x, t) is vertex (t - lo) * n + row(x), so slice s's targets sit in slice s + 1
     rng = rng_for(seed, _ROLE_SPACE_TIME)
-    pairs = [((x, t), (draw(rng, x), t + 1))
-             for t in range(lo, hi) for x in space_time.base.vertices]
+    targets = draw(rng, hi - lo) + n * np.arange(1, hi - lo + 1)[:, None]
     return build_forest(
-        space_time.vertices(),
-        pairs,
+        verts,
+        zip(verts, map(verts.__getitem__, targets.ravel().tolist())),
         dimension=2,
         metadata={"model": name, "seed": int(seed), "time_range": (lo, hi)},
     )
@@ -139,14 +148,14 @@ def _space_time_window(space_time, seed, name, draw):
 def coalescing_srw(space_time, seed):
     """One uniform-neighbor step per space-time vertex, moving one step
     up in time; the top slice keeps no jump."""
-    base = space_time.base
-    for v in base.vertices:
-        if base.degree(v) == 0:
-            raise BadGraph(f"isolated vertex {v!r}")
+    verts, _, nbrs = space_time.base.frame
+    deg = np.array(list(map(len, nbrs)))
+    if not deg.all():
+        raise BadGraph(f"isolated vertex {verts[int(np.argmin(deg))]!r}")
+    flat = np.array([r for ns in nbrs for r in ns])  # rows end to end: linear in the edges
 
-    def draw(rng, x):
-        ns = base.neighbors(x)
-        return ns[int(rng.integers(len(ns)))]
+    def draw(rng, m):  # one bounded draw per vertex, the stream of a scalar loop
+        return flat[np.cumsum(deg) - deg + rng.integers(0, deg, size=(m, len(deg)))]
 
     return _space_time_window(space_time, seed, "coalescing-srw", draw)
 
@@ -178,11 +187,12 @@ def coalescing_mc(space_time, kernel, base_weights, seed):
             if abs(base_weights[x] * q - base_weights[y] * float(back)) > 1e-9:
                 raise DetailedBalanceViolated(f"between {x!r} and {y!r}")
 
-    # bisect_right is np.searchsorted(side="right") for one draw, without numpy's call cost
-    cdf = {x: atom_cdf([q for _, q in row]).tolist() for x, row in rows.items()}
+    row = base.frame.row
+    laws = [(np.array([row[y] for y, _ in r]), atom_cdf([q for _, q in r])) for r in rows.values()]
 
-    def draw(rng, x):
-        return rows[x][bisect_right(cdf[x], rng.random())][0]
+    def draw(rng, m):  # one uniform per vertex, slice by slice; u[x] holds base row x's draws
+        u = rng.random((m, len(laws))).T
+        return np.stack([tgt[atom_index(cdf, ui)] for (tgt, cdf), ui in zip(laws, u)], axis=1)
 
     return _space_time_window(space_time, seed, "coalescing-mc", draw)
 
@@ -203,21 +213,16 @@ def voter_stationary(base, lookback, seed):
     _check_steps("seed", seed, least=None)
     if not base.is_connected():
         raise NotConnected("base graph is not connected")
-    verts = list(base.vertices)
-    pos = {x: x for x in verts}
+    verts, _, nbrs = base.frame
+    pos = list(range(len(verts)))
     for s in range(lookback):
         rng = rng_for(derive_seed(seed, s), _ROLE_VOTER)
-        move = {}
-        for x in verts:
-            ns = base.neighbors(x)
-            if not ns or rng.random() < 0.5:
-                move[x] = x
-            else:
-                move[x] = ns[int(rng.integers(len(ns)))]
-        pos = {x: move[pos[x]] for x in verts}
+        move = [r if not ns or rng.random() < 0.5 else ns[int(rng.integers(len(ns)))]
+                for r, ns in enumerate(nbrs)]
+        pos = [move[p] for p in pos]
     classes = {}
-    for x in verts:
-        classes.setdefault(pos[x], []).append(x)
+    for x, p in zip(verts, pos):
+        classes.setdefault(p, []).append(x)
     return sorted(sorted(c) for c in classes.values())
 
 

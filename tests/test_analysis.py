@@ -12,8 +12,10 @@ green_table sweep is compared against green_function term by term.
 
 import json
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cmtforest.analysis import (
@@ -41,6 +43,7 @@ from cmtforest.errors import (
     CyclicComponent,
     Empty,
     NeedsTorus,
+    TooLarge,
     UnknownVertex,
 )
 from cmtforest.forest import build_forest, level_set
@@ -111,6 +114,23 @@ def test_survey_jump_frequency_vector():
     assert rep.values == ((1.0,), (1.0,), (1.0,))
     assert rep.details["cv"] == 0.0
     assert rep.details["cv_vector"] == [0.0]
+
+
+@pytest.mark.parametrize("coords, named, back_step", [
+    ([[-2**62], [2**62]], "jump increment 9223372036854775808 from -4611686018427387904",
+     "-9223372036854775808"),
+    ([[-2**62, 0], [2**62, 1]],
+     "jump increment (9223372036854775808, 1) from (-4611686018427387904, 0)",
+     "(-9223372036854775808, -1)"),
+], ids=["1d", "2d"])
+def test_survey_names_a_jump_increment_past_int64(coords, named, back_step):
+    # the int64 difference wrapped to -2**63, which the survey reported as a step
+    forest = build_forest(np.array(coords), np.array([1, -1]))
+    with pytest.raises(TooLarge, match=f"^{re.escape(named)} is past int64$"):
+        component_statistic_survey(forest, "jump-frequency-vector", 1)
+    back = build_forest(np.array(coords), np.array([-1, 0]))  # -2**63 itself is an int64
+    rep = component_statistic_survey(back, "jump-frequency-vector", 1)
+    assert rep.details["alphabet"] == [back_step]
 
 
 def test_survey_height_range_skips_cycles():

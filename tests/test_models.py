@@ -31,11 +31,18 @@ from cmtforest.graphs import (
     torus_graph,
 )
 from cmtforest import models
-from cmtforest.lattice import atom_cdf, check_weak_aperiodicity, even_sublattice, uniform_jumps
+from cmtforest.lattice import (
+    atom_cdf,
+    atom_index,
+    check_weak_aperiodicity,
+    even_sublattice,
+    uniform_jumps,
+)
 from cmtforest.models import (
     _ROLE_CANOPY,
+    _ROLE_SPACE_TIME,
+    _ROLE_VOTER,
     SpaceTimeGraph,
-    _space_time_window,
     _stochastic_rows,
     canopy_cmt,
     coalescing_mc,
@@ -47,7 +54,7 @@ from cmtforest.models import (
     variant_atoms,
     voter_stationary,
 )
-from cmtforest.seeds import rng_for
+from cmtforest.seeds import derive_seed, rng_for
 
 
 def increments(fw):
@@ -282,6 +289,72 @@ def test_mc_matches_srw_distribution_shape():
         assert s == t + 1 and y in ((x - 1) % 3, (x + 1) % 3)
 
 
+# The space-time samplers and the voter model as they were: one closure call
+# per vertex, reading base.neighbors and one scalar draw each. The samplers
+# now draw a whole window at once, which must read the same stream.
+
+
+def oracle_space_time_window(space_time, seed, name, draw):
+    lo, hi = space_time.time_range
+    rng = models.rng_for(seed, _ROLE_SPACE_TIME)  # through models, so a patched stream reaches it
+    pairs = [((x, t), (draw(rng, x), t + 1))
+             for t in range(lo, hi) for x in space_time.base.vertices]
+    return build_forest(
+        space_time.vertices(),
+        pairs,
+        dimension=2,
+        metadata={"model": name, "seed": int(seed), "time_range": (lo, hi)},
+    )
+
+
+def oracle_coalescing_srw(space_time, seed):
+    base = space_time.base
+
+    def draw(rng, x):
+        ns = base.neighbors(x)
+        return ns[int(rng.integers(len(ns)))]
+
+    return oracle_space_time_window(space_time, seed, "coalescing-srw", draw)
+
+
+def oracle_coalescing_mc(space_time, kernel, seed):
+    rows = _stochastic_rows(space_time.base, kernel)
+    cdf = {x: atom_cdf([q for _, q in row]).tolist() for x, row in rows.items()}
+
+    def draw(rng, x):
+        return rows[x][bisect_right(cdf[x], rng.random())][0]
+
+    return oracle_space_time_window(space_time, seed, "coalescing-mc", draw)
+
+
+def oracle_voter_stationary(base, lookback, seed):
+    verts = list(base.vertices)
+    pos = {x: x for x in verts}
+    for s in range(lookback):
+        rng = rng_for(derive_seed(seed, s), _ROLE_VOTER)
+        move = {}
+        for x in verts:
+            ns = base.neighbors(x)
+            if not ns or rng.random() < 0.5:
+                move[x] = x
+            else:
+                move[x] = ns[int(rng.integers(len(ns)))]
+        pos = {x: move[pos[x]] for x in verts}
+    classes = {}
+    for x in verts:
+        classes.setdefault(pos[x], []).append(x)
+    return sorted(sorted(c) for c in classes.values())
+
+
+def assert_same_window(got, want):
+    for name in ("coords", "succ", "is_exit", "is_interior", "src", "pre", "ptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert list(got.jump.items()) == list(want.jump.items())
+    assert dump_forest(got) == dump_forest(want)
+    assert (got.interior, got.exits, got.metadata) == (want.interior, want.exits, want.metadata)
+
+
 # The target search coalescing_mc had before it drew with atom_cdf: a running
 # float sum per draw, with the last target when u passes the rounded total.
 
@@ -295,15 +368,6 @@ def cumulative_loop(weights, u):
     return len(weights) - 1
 
 
-def oracle_coalescing_mc(space_time, kernel, seed):
-    rows = _stochastic_rows(space_time.base, kernel)
-
-    def draw(rng, x):
-        return rows[x][cumulative_loop([q for _, q in rows[x]], rng.random())][0]
-
-    return _space_time_window(space_time, seed, "coalescing-mc", draw)
-
-
 @pytest.mark.parametrize("weights", [[0.1] * 10, [0.5, 0.5], [1 / 3] * 3, [0.7, 0.2, 0.1],
                                      [1e-17, 1.0], [1.0]])
 def test_cdf_search_equals_the_cumulative_loop_at_its_edges(weights):
@@ -311,21 +375,28 @@ def test_cdf_search_equals_the_cumulative_loop_at_its_edges(weights):
     edges = [0.0, float(np.nextafter(1.0, 0.0))]
     for acc in np.cumsum(weights).tolist():
         edges += [acc, float(np.nextafter(acc, 0.0)), float(np.nextafter(acc, 2.0))]
-    for u in (u for u in edges if u < 1.0):
+    edges = [u for u in edges if u < 1.0]
+    for u in edges:
         assert np.searchsorted(cdf, u, side="right") == cumulative_loop(weights, u), u
         assert bisect_right(cdf.tolist(), u) == cumulative_loop(weights, u), u
+    # atom_index searches these few draws and counts thresholds over many
+    for us in (edges, edges * (1024 * len(weights) // len(edges) + 1)):
+        assert atom_index(cdf, us).tolist() == [cumulative_loop(weights, u) for u in us]
     if weights == [0.1] * 10:  # the sum rounds to 1 - 2**-53: the loop's fallback
         assert cumulative_loop(weights, float(np.nextafter(1.0, 0.0))) == 9
 
 
 class EdgeDraws:
-    """Stands in for the space-time generator: random() steps through us."""
+    """Stands in for the space-time generator: random() and random(size) step
+    through us in draw order."""
 
     def __init__(self, us):
         self.us = cycle(us)
 
-    def random(self):
-        return next(self.us)
+    def random(self, size=None):
+        if size is None:
+            return next(self.us)
+        return np.fromiter(self.us, dtype=float, count=math.prod(size)).reshape(size)
 
 
 def test_mc_draws_on_the_cdf_edges_equal_the_cumulative_loop(monkeypatch):
@@ -337,6 +408,25 @@ def test_mc_draws_on_the_cdf_edges_equal_the_cumulative_loop(monkeypatch):
     kernel = {x: {y: 0.1 for y in range(10)} for x in range(10)}
     fw = coalescing_mc(space_time, kernel, {x: 1.0 for x in range(10)}, 5)
     assert dump_forest(fw) == dump_forest(oracle_coalescing_mc(space_time, kernel, 5))
+
+
+# parallel edges and a self-loop: 0 and 1 are joined twice, 1 lists itself once
+MULTIGRAPH = FiniteGraph({0: (1, 1, 2), 1: (0, 0, 1), 2: (0,)})
+
+# degrees 1 (tree leaves, a self-loop) to 6; degrees 3, 5 and 6 reject some words
+GATE_GRAPHS = [cycle_graph(3), cycle_graph(6), path_graph(2), path_graph(5), torus_graph(2, 2),
+               torus_graph(3, 2), complete_graph(4), complete_graph(6), complete_graph(7),
+               regular_tree(3, 2), regular_tree(2, 3), MULTIGRAPH, FiniteGraph({0: (0,)})]
+SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(-2**63, -1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(GATE_GRAPHS), st.integers(-3, 3), st.integers(0, 6), SEEDS)
+def test_srw_and_voter_draws_equal_the_per_vertex_oracles(base, lo, slices, seed):
+    # slices 0 is a single-slice window, which draws nothing
+    space_time = SpaceTimeGraph(base, (lo, lo + slices))
+    assert_same_window(coalescing_srw(space_time, seed), oracle_coalescing_srw(space_time, seed))
+    assert voter_stationary(base, slices, seed) == oracle_voter_stationary(base, slices, seed)
 
 
 @st.composite
@@ -351,7 +441,8 @@ def reversible_chains(draw):
         weights = {x: 1.0 for x in range(10)}
     else:
         base = draw(st.sampled_from([cycle_graph(3), cycle_graph(5), path_graph(4),
-                                     complete_graph(4), torus_graph(3, 2)]))
+                                     complete_graph(4), torus_graph(3, 2), regular_tree(3, 2),
+                                     MULTIGRAPH]))
         vs = list(base.vertices)
         cond = {}
         for i, x in enumerate(vs):
@@ -367,18 +458,25 @@ def reversible_chains(draw):
         for (x, y), c in cond.items():
             kernel[x][y] = c / total[x]
         weights = {x: float(total[x]) for x in vs}
-    return SpaceTimeGraph(base, (0, draw(st.integers(1, 6)))), kernel, weights
+    lo = draw(st.integers(-3, 3))
+    return SpaceTimeGraph(base, (lo, lo + draw(st.integers(0, 6)))), kernel, weights
 
 
-@settings(max_examples=120)
-@given(reversible_chains(), st.integers(0, 2**32))
-def test_mc_cdf_draws_equal_the_cumulative_loop(chain, seed):
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(reversible_chains(), SEEDS)
+def test_mc_window_draws_equal_the_per_vertex_oracle(chain, seed):
     space_time, kernel, weights = chain
-    fw = coalescing_mc(space_time, kernel, weights, seed)
-    want = oracle_coalescing_mc(space_time, kernel, seed)
-    assert dump_forest(fw) == dump_forest(want)
-    assert list(fw.jump.items()) == list(want.jump.items())
-    assert (fw.interior, fw.exits, fw.metadata) == (want.interior, want.exits, want.metadata)
+    assert_same_window(coalescing_mc(space_time, kernel, weights, seed),
+                       oracle_coalescing_mc(space_time, kernel, seed))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mc_long_window_counts_equal_the_per_vertex_oracle(seed):
+    # 2,100 draws per row reach atom_index's counting branch for three atoms
+    space_time = SpaceTimeGraph(cycle_graph(3), (0, 2100))
+    kernel = {x: {(x - 1) % 3: 0.25, x: 0.5, (x + 1) % 3: 0.25} for x in range(3)}
+    assert_same_window(coalescing_mc(space_time, kernel, dict.fromkeys(range(3), 1.0), seed),
+                       oracle_coalescing_mc(space_time, kernel, seed))
 
 
 # -- voter model ----------------------------------------------------------------
@@ -522,13 +620,9 @@ def oracle_canopy_cmt(depth, seed):
 def test_canopy_rows_equal_per_vertex_oracle(depth, seed):
     got, got_inv = canopy_cmt(depth, seed)
     want, want_inv = oracle_canopy_cmt(depth, seed)
-    for name in ("coords", "succ", "is_exit", "is_interior", "src", "pre", "ptr"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert list(got.jump.items()) == list(want.jump.items())
-    assert dump_forest(got) == dump_forest(want)
+    assert_same_window(got, want)
     assert list(got_inv.items()) == list(want_inv.items())
-    assert got.metadata == want.metadata and got.dimension == want.dimension
+    assert got.dimension == want.dimension
 
 
 @pytest.mark.parametrize("depth, error, match", [

@@ -14,7 +14,8 @@ from cmtforest.analysis import (
 from cmtforest.chains import (
     green_function, green_table, meet_and_stick_coupling, path_collision_estimate, shift_coupling,
 )
-from cmtforest.errors import BadDimension, ConfigError
+from cmtforest.errors import BadDimension, BadGraph, ConfigError
+from cmtforest.graphs import complete_graph, cycle_graph, path_graph, regular_tree, torus_graph
 from cmtforest.lattice import (
     JumpDistribution,
     LatticeSpec,
@@ -24,7 +25,7 @@ from cmtforest.lattice import (
     lattice_coordinates,
     uniform_jumps,
 )
-from cmtforest.models import nguyen_atoms, nguyen_model, renewal_model
+from cmtforest.models import SpaceTimeGraph, nguyen_atoms, nguyen_model, renewal_model
 from cmtforest.wusf import wired_ball
 
 NGUYEN = uniform_jumps(nguyen_atoms(2))
@@ -108,6 +109,37 @@ CASES.update({
                                "lattice must be a LatticeSpec, got 'x'"),
 })
 
+# graph sizes and time ranges were read through int() or range(): a float
+# was truncated or ended in a bare TypeError, and True read as 1
+CASES.update({
+    "complete_graph-n-bool": (lambda: complete_graph(True), "n must be an integer, got True"),
+    "complete_graph-n": (lambda: complete_graph(2.5), "n must be an integer, got 2.5"),
+    "cycle_graph-n": (lambda: cycle_graph(4.0), "n must be an integer, got 4.0"),
+    "cycle_graph-n-bool": (lambda: cycle_graph(True), "n must be an integer, got True"),
+    "path_graph-n": (lambda: path_graph(3.5), "n must be an integer, got 3.5"),
+    "torus_graph-side": (lambda: torus_graph(3.0, 2), "side must be an integer, got 3.0"),
+    "torus_graph-dimension": (lambda: torus_graph(3, 2.0),
+                              "dimension must be an integer, got 2.0"),
+    "torus_graph-dimension-bool": (lambda: torus_graph(3, True),
+                                   "dimension must be an integer, got True"),
+    "regular_tree-degree": (lambda: regular_tree(2.0, 1), "degree must be an integer, got 2.0"),
+    "regular_tree-depth": (lambda: regular_tree(3, 1.5), "depth must be an integer, got 1.5"),
+    "regular_tree-depth-bool": (lambda: regular_tree(3, True),
+                                "depth must be an integer, got True"),
+    "SpaceTimeGraph-time_range-float": (lambda: SpaceTimeGraph(cycle_graph(3), (0.5, 3.9)),
+                                        "time_range[0] must be an integer, got 0.5"),
+    "SpaceTimeGraph-time_range-str": (lambda: SpaceTimeGraph(cycle_graph(3), ("1", "3")),
+                                      "time_range[0] must be an integer, got '1'"),
+    "SpaceTimeGraph-time_range-bool": (lambda: SpaceTimeGraph(cycle_graph(3), (True, 2)),
+                                       "time_range[0] must be an integer, got True"),
+    "SpaceTimeGraph-time_range-end": (lambda: SpaceTimeGraph(cycle_graph(3), (0, 2.0)),
+                                      "time_range[1] must be an integer, got 2.0"),
+    "SpaceTimeGraph-time_range-triple": (lambda: SpaceTimeGraph(cycle_graph(3), (0, 1, 2)),
+                                         "time_range must be a (lo, hi) pair, got (0, 1, 2)"),
+    "SpaceTimeGraph-time_range-int": (lambda: SpaceTimeGraph(cycle_graph(3), 5),
+                                      "time_range must be a (lo, hi) pair, got 5"),
+})
+
 
 @pytest.mark.parametrize("call, message", CASES.values(), ids=list(CASES))
 def test_bad_argument_is_named(call, message):
@@ -118,6 +150,23 @@ def test_bad_argument_is_named(call, message):
 def test_integer_dimension_below_two_keeps_bad_dimension():
     with pytest.raises(BadDimension, match="^need at least two coordinates$"):
         nguyen_model(1, [(0, 3)], 1)
+
+
+@pytest.mark.parametrize("call", [lambda: complete_graph(0), lambda: cycle_graph(2),
+                                  lambda: path_graph(1), lambda: torus_graph(1, 2),
+                                  lambda: torus_graph(3, 0), lambda: regular_tree(1, 2),
+                                  lambda: regular_tree(3, -1)],
+                         ids=["complete", "cycle", "path", "torus-side", "torus-dimension",
+                              "tree-degree", "tree-depth"])
+def test_graph_size_out_of_range_keeps_bad_graph(call):
+    with pytest.raises(BadGraph):
+        call()
+
+
+def test_space_time_range_of_numpy_integers_reads_as_python_ints():
+    space_time = SpaceTimeGraph(cycle_graph(3), (np.int64(-1), np.int32(2)))
+    assert space_time.time_range == (-1, 2)
+    assert all(type(t) is int for t in space_time.time_range)
 
 
 @pytest.mark.parametrize("call, message", [

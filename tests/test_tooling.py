@@ -120,16 +120,16 @@ def test_only_the_jump_law_builds_an_atom_cdf():
 
 def test_atom_draws_have_one_reader():
     # every atom index drawn from a cdf reads lattice.atom_index, which counts or searches
-    # by its size rule; the other searches look up sorted keys, not draws, and
-    # coalescing_mc's scalar bisect draws one graph step at a time (ROADMAP item 3)
+    # by its size rule; the other searches look up sorted keys, not draws
     assert sorted(callers_of("atom_index")) == [
         ("analysis", "LatticeChainModel"), ("analysis", "one_endedness_probe"),
         ("chains", "_cross_collision_once"), ("chains", "_pair_steps"),
-        ("chains", "meet_and_stick_coupling"), ("lattice", "sample_lattice_cmt")]
+        ("chains", "meet_and_stick_coupling"), ("lattice", "sample_lattice_cmt"),
+        ("models", "coalescing_mc")]
     assert sorted(set(callers_of("searchsorted"))) == [
         ("analysis", "level_set_bijection"), ("chains", "_Power"), ("lattice", "atom_index"),
         ("points", "_strip_successors")]
-    assert callers_of("bisect_right") == [("models", "coalescing_mc")]
+    assert callers_of("bisect_right") == []
 
 
 def test_points_have_one_reader():

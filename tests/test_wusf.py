@@ -587,6 +587,23 @@ def test_adjacency_is_read_only():
     assert wilson_ust(g, 0, 5).parent == tree.parent
 
 
+def test_component_is_read_only():
+    # a written component id made a connected graph read as split, so Wilson
+    # refused it with NotConnected
+    g = cycle_graph(5)
+    tree = wilson_ust(g, 0, 1)
+    with pytest.raises(TypeError):
+        g.component[3] = 1
+    with pytest.raises(TypeError):
+        del g.component[0]
+    assert g.is_connected() and g.component == dict.fromkeys(range(5), 0)
+    assert wilson_ust(g, 0, 1).parent == tree.parent
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and back.component == g.component
+    with pytest.raises(TypeError):
+        back.component[3] = 1
+
+
 def test_a_read_graph_pickles_and_compares_equal():
     g = wired_ball(2, 2)[0]
     frame, component = g.frame, g.component
