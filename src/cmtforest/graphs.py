@@ -15,7 +15,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import BadGraph, _check_steps
+from .errors import BadGraph, ConfigError, _check_steps
 
 
 class GraphFrame(NamedTuple):
@@ -96,6 +96,11 @@ class FiniteGraph:
 
     def is_connected(self):
         return not any(self.component.values())
+
+
+def _check_graph(name, graph):
+    if not isinstance(graph, FiniteGraph):
+        raise ConfigError(f"{name} must be a FiniteGraph, got {type(graph).__name__}")
 
 
 def lattice_steps(v):

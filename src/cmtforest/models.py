@@ -23,7 +23,7 @@ from .errors import (
     _check_steps,
 )
 from .forest import build_forest
-from .graphs import FiniteGraph
+from .graphs import FiniteGraph, _check_graph
 from .lattice import (
     atom_cdf,
     atom_index,
@@ -107,6 +107,7 @@ class SpaceTimeGraph:
     time_range: tuple
 
     def __post_init__(self):
+        _check_graph("base", self.base)
         try:
             lo, hi = self.time_range
         except (TypeError, ValueError):
@@ -182,6 +183,9 @@ def coalescing_mc(space_time, kernel, base_weights, seed):
     base = space_time.base
     rows = _stochastic_rows(base, kernel)
     for x in base.vertices:
+        if x not in base_weights:
+            raise ConfigError(f"base_weights has no weight for base vertex {x!r}")
+    for x in base.vertices:
         for y, q in rows[x]:
             back = dict(kernel.get(y, {})).get(x, 0.0)
             if abs(base_weights[x] * q - base_weights[y] * float(back)) > 1e-9:
@@ -211,6 +215,7 @@ def voter_stationary(base, lookback, seed):
     """
     _check_steps("lookback", lookback)
     _check_steps("seed", seed, least=None)
+    _check_graph("base", base)
     if not base.is_connected():
         raise NotConnected("base graph is not connected")
     verts, _, nbrs = base.frame

@@ -13,6 +13,7 @@ walk keeps no path while it runs.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, product, repeat
 
@@ -30,7 +31,7 @@ from .errors import (
     _check_steps,
 )
 from .forest import _fmt_vertex, _line_labels
-from .graphs import FiniteGraph, lattice_steps
+from .graphs import FiniteGraph, _check_graph, lattice_steps
 from .seeds import rng_for
 
 _ROLE_WILSON = 0xE1
@@ -273,12 +274,37 @@ def wusf_window(radius, seed, dimension=3):
 
 
 def _edge_set(graph):
+    """The edges of a simple graph in a fixed order. A self-loop is in no tree
+    and is left out; a parallel pair would weight the trees, so it is refused."""
     edges = set()
     for v in graph.vertices:
-        for u in graph.neighbors(v):
+        for u, k in Counter(graph.neighbors(v)).items():
             if u != v:
+                if k > 1:
+                    raise BadGraph(f"parallel edges between {v!r} and {u!r}; "
+                                   "spanning trees are enumerated on simple graphs only")
                 edges.add(frozenset((u, v)))
     return sorted(edges, key=lambda e: sorted(map(repr, e)))
+
+
+def _edge_arg(graph, name, entries):
+    """The edges an argument lists, each a frozenset; ConfigError names the
+    argument and its first entry that is not a pair of adjacent vertices."""
+    try:
+        entries = list(entries)
+    except TypeError:
+        raise ConfigError(f"{name} must be an iterable of edges, got {entries!r}") from None
+    edges = set()
+    for e in entries:
+        try:
+            u, v = e
+            adjacent = u != v and v in graph.adjacency.get(u, ())
+        except (TypeError, ValueError):  # not a pair, or an unhashable or array vertex
+            adjacent = False
+        if not adjacent:
+            raise ConfigError(f"{name} entry {e!r} is not a pair of adjacent vertices")
+        edges.add(frozenset((u, v)))
+    return edges
 
 
 def spanning_trees(graph):
@@ -321,14 +347,16 @@ def covering_coupling_check(graph, s_edges, i1, i2):
 
     s_edges lists the conditioned edges; i1 and i2 are the subsets
     declared present under each conditioning (the rest of s_edges is
-    declared absent). Exact: enumerates trees and solves an integer
-    transportation feasibility problem.
+    declared absent); each entry is a pair of adjacent vertices. Exact:
+    enumerates the trees of a simple graph and solves an integer
+    transportation feasibility problem by max-flow.
     """
+    _check_graph("graph", graph)
     if len(graph.vertices) > 6:
         raise TooLarge("exact enumeration is limited to six vertices")
-    s = {frozenset(e) for e in s_edges}
-    a1 = {frozenset(e) for e in i1}
-    a2 = {frozenset(e) for e in i2}
+    s = _edge_arg(graph, "s_edges", s_edges)
+    a1 = _edge_arg(graph, "i1", i1)
+    a2 = _edge_arg(graph, "i2", i2)
     if not (a1 <= s and a2 <= s):
         raise ConfigError("conditioned edges must belong to the condition set")
     trees = spanning_trees(graph)
@@ -336,17 +364,37 @@ def covering_coupling_check(graph, s_edges, i1, i2):
     t2 = [t for t in trees if t & s == a2]
     if not t1 or not t2:
         raise Unconditionable("a conditioning has zero probability")
-    bound = 2 * len(a1 ^ a2)
+    return _transportable(t1, t2, 2 * len(a1 ^ a2))
 
-    import networkx as nx  # only here, so that importing the package does not load it
 
-    net = nx.DiGraph()
-    for ia, ta in enumerate(t1):
-        net.add_edge("src", ("a", ia), capacity=len(t2))
-        for ib, tb in enumerate(t2):
-            if len(ta ^ tb) <= bound:
-                net.add_edge(("a", ia), ("b", ib))
-    for ib in range(len(t2)):
-        net.add_edge(("b", ib), "snk", capacity=len(t1))
-    flow = nx.maximum_flow_value(net, "src", "snk")
-    return flow == len(t1) * len(t2)
+def _transportable(t1, t2, bound):
+    """Whether each t1 tree can send len(t2) and each t2 tree take len(t1) on pairs within bound."""
+    n1, n2, sink = len(t1), len(t2), len(t1) + len(t2) + 1  # source 0, the trees, then the sink
+    edges = list(set().union(*t1, *t2))
+    inc = np.array([[e in t for e in edges] for t in chain(t1, t2)])
+    near = (inc[:n1, None] != inc[n1:]).sum(axis=2) <= bound  # arcs of n2 units: never binding
+    cap = ([dict.fromkeys(range(1, n1 + 1), n2)]  # cap[u][v]: the residual capacity of u -> v
+           + [dict.fromkeys((np.flatnonzero(r) + n1 + 1).tolist(), n2) for r in near]
+           + [{sink: n1} for _ in t2] + [{}])
+    while True:  # Dinic's phases: BFS levels, then a blocking flow found without recursion
+        level = [0] + [-1] * sink
+        for u in (queue := [0]):
+            for v, c in cap[u].items():
+                if c and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[sink] < 0:
+            return not any(cap[0].values())
+        nbrs, tried, path = [list(c) for c in cap], [0] * (sink + 1), [0]
+        while path:  # tried[u]: how many of u's arcs are used up in this phase
+            if (u := path[-1]) == sink:  # push the path's least residual, then start over
+                push = min(cap[a][b] for a, b in zip(path, path[1:]))
+                for a, b in zip(path, path[1:]):
+                    cap[a][b], cap[b][a] = cap[a][b] - push, cap[b].get(a, 0) + push
+                path = [0]
+            elif tried[u] == len(nbrs[u]):  # a dead end, out of the level graph for this phase
+                level[path.pop()] = -1
+            elif cap[u][v := nbrs[u][tried[u]]] and level[v] == level[u] + 1:
+                path.append(v)
+            else:
+                tried[u] += 1

@@ -267,6 +267,23 @@ def test_mc_detailed_balance_gate():
         coalescing_mc(stg, {0: {0: 0.7}, 1: {1: 1.0}}, {0: 1, 1: 1}, seed=4)
 
 
+def test_mc_names_a_base_vertex_without_a_weight():
+    # a bare KeyError before the weights were checked
+    stg = SpaceTimeGraph(cycle_graph(3), (0, 2))
+    kernel = {0: {1: 1.0}, 1: {0: 1.0}, 2: {2: 1.0}}
+    with pytest.raises(ConfigError, match="^base_weights has no weight for base vertex 2$"):
+        coalescing_mc(stg, kernel, {0: 1.0, 1: 1.0}, 1)
+
+
+@pytest.mark.parametrize("base", [{0: (1,), 1: (0,)}, None, cycle_graph])
+def test_a_base_that_is_not_a_finite_graph_is_named(base):
+    # a bare AttributeError before the base was checked
+    with pytest.raises(ConfigError, match="^base must be a FiniteGraph, got "):
+        SpaceTimeGraph(base, (0, 1))
+    with pytest.raises(ConfigError, match="^base must be a FiniteGraph, got "):
+        voter_stationary(base, 2, 1)
+
+
 def test_mc_per_site_law_matches_kernel():
     base = FiniteGraph({0: (1,), 1: (0,)})
     stg = SpaceTimeGraph(base, (0, 4000))

@@ -13,12 +13,16 @@ import importlib
 import importlib.util
 import json
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import cmtforest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -140,3 +144,28 @@ def test_points_have_one_reader():
                or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     assert not {name for _, name in defined} & {"_vec"}
     assert ("errors", "_point") in defined and ("errors", "_is_int") in defined
+
+
+def test_runtime_imports_are_the_standard_library_and_numpy():
+    # networkx and the other third-party packages are test-only oracles
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cmtforest"}
+    for module, _, node in package_nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:  # a relative import is the package itself
+            continue
+        for name in names:
+            assert name.split(".")[0] in allowed, f"{module} imports {name}"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return [re.match(r"[A-Za-z0-9_.-]+", r).group() for r in requirements]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "networkx" in names(project["optional-dependencies"]["test"])

@@ -2,9 +2,12 @@ import copy
 import math
 import pickle
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,6 +35,7 @@ from cmtforest.seeds import derive_seed
 from cmtforest.wusf import (
     BOUNDARY,
     OrientedTreeOrForest,
+    _transportable,
     conditional_wilson,
     covering_coupling_check,
     dump_tree,
@@ -519,6 +523,120 @@ def test_covering_coupling_feasible_cases():
     f = frozenset((0, 1))
     assert covering_coupling_check(k4, [f], [f], []) is True
     assert covering_coupling_check(k4, [f], [f], [f]) is True
+
+
+def test_covering_coupling_names_a_malformed_graph():
+    # a multigraph's trees are weighted by their edge multiplicities, which a set of trees
+    # cannot say: the doubled 0-1 edge gives its three trees the law 2 : 2 : 1
+    doubled = FiniteGraph({0: (1, 1, 2), 1: (0, 0, 2), 2: (0, 1)})
+    for call in (lambda: spanning_trees(doubled),
+                 lambda: covering_coupling_check(doubled, [], [], [])):
+        with pytest.raises(BadGraph, match="^parallel edges between 0 and 1; "):
+            call()
+    # every ball vertex next to the outside has several edges to the wired boundary
+    with pytest.raises(BadGraph, match=f"^parallel edges between .* and '{BOUNDARY}'; "):
+        spanning_trees(wired_ball(1, 2)[0])
+    with pytest.raises(ConfigError, match="^graph must be a FiniteGraph, got dict$"):
+        covering_coupling_check({0: (1,), 1: (0,)}, [], [], [])
+
+
+@pytest.mark.parametrize("args, match", [
+    (([1], [], []), "^s_edges entry 1 is not a pair of adjacent vertices$"),
+    ((None, [], []), "^s_edges must be an iterable of edges, got None$"),
+    (([(0, 1, 2)], [], []), r"^s_edges entry \(0, 1, 2\) is not a pair"),
+    (([(0, 0)], [], []), r"^s_edges entry \(0, 0\) is not a pair"),
+    (([(0, 5)], [], []), r"^s_edges entry \(0, 5\) is not a pair"),
+    (([(0, 1)], [([0], 1)], []), r"^i1 entry \(\[0\], 1\) is not a pair"),
+    (([(0, 1)], [(0, 1)], [(1, 3)]), r"^i2 entry \(1, 3\) is not a pair"),
+])
+def test_covering_coupling_names_a_malformed_edge_argument(args, match):
+    # these raised a bare TypeError, or were read as edges no tree holds
+    with pytest.raises(ConfigError, match=match):
+        covering_coupling_check(cycle_graph(3), *args)
+
+
+def oracle_transportable(t1, t2, bound):
+    """The networkx max-flow covering_coupling_check ran before it had its own."""
+    net = nx.DiGraph()
+    for ia, ta in enumerate(t1):
+        net.add_edge("src", ("a", ia), capacity=len(t2))
+        for ib, tb in enumerate(t2):
+            if len(ta ^ tb) <= bound:
+                net.add_edge(("a", ia), ("b", ib))
+    for ib in range(len(t2)):
+        net.add_edge(("b", ib), "snk", capacity=len(t1))
+    return nx.maximum_flow_value(net, "src", "snk") == len(t1) * len(t2)
+
+
+def graph_edges(graph):
+    return sorted({(u, v) for u in graph.vertices for v in graph.neighbors(u) if u < v})
+
+
+def conditioned(trees, s, present):
+    """The trees whose edges in s are exactly those in present."""
+    s, present = {frozenset(e) for e in s}, {frozenset(e) for e in present}
+    return [t for t in trees if t & s == present]
+
+
+@st.composite
+def connected_simple_graphs(draw):
+    n = draw(st.integers(2, 5))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
+    edges |= draw(st.sets(st.sampled_from(list(combinations(range(n), 2)))))
+    return FiniteGraph({v: [u for e in edges if v in e for u in e if u != v] for v in range(n)})
+
+
+GATE_GRAPHS = [cycle_graph(3), cycle_graph(4), cycle_graph(5), complete_graph(4),
+               complete_graph(5), *map(path_graph, range(2, 6))]
+K6_TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+
+
+@st.composite
+def coupling_cases(draw):
+    """A graph, a conditioning (s, i1, i2) and a bound from 0 to 2 |i1 ^ i2|."""
+    graph = draw(st.sampled_from(GATE_GRAPHS) | connected_simple_graphs())
+    s = draw(st.lists(st.sampled_from(graph_edges(graph)), unique=True, max_size=4))
+    i1 = [e for e in s if draw(st.booleans())]
+    i2 = [e for e in s if draw(st.booleans())]
+    return graph, s, i1, i2, draw(st.integers(0, 2 * len(set(i1) ^ set(i2))))
+
+
+def test_coupling_verdicts_equal_the_networkx_oracle():
+    # no draw gives the public call an infeasible transport, so the helper is also asked
+    # at a bound up to the public one; a K6 case costs tens of ms, so K6 comes only in the
+    # explicit examples
+    public, private = Counter(), Counter()
+
+    @settings(max_examples=150)
+    @given(coupling_cases())
+    @example((complete_graph(6), K6_TRIANGLE, [(0, 1)], [(1, 2), (0, 2)], 3))
+    @example((complete_graph(6), K6_TRIANGLE, K6_TRIANGLE, [], 2))
+    @example((complete_graph(6), [(0, 1), (3, 4)], [], [(0, 1)], 1))
+    def check(case):
+        graph, s, i1, i2, bound = case
+        trees = spanning_trees(graph)
+        t1, t2 = conditioned(trees, s, i1), conditioned(trees, s, i2)
+        expect = (oracle_transportable(t1, t2, 2 * len(set(i1) ^ set(i2)))
+                  if t1 and t2 else "Unconditionable")
+        try:
+            verdict = covering_coupling_check(graph, s, i1, i2)
+        except Unconditionable:
+            verdict = "Unconditionable"
+        assert verdict == expect
+        public[verdict] += 1
+        if t1 and t2:
+            feasible = _transportable(t1, t2, bound)
+            assert feasible == oracle_transportable(t1, t2, bound)
+            private[feasible] += 1
+
+    check()
+    assert public[True] and public["Unconditionable"], public
+    assert private[True] and private[False], private
+
+
+def test_transport_helper_does_not_recurse():
+    # a level graph can be deeper than Python's recursion limit: K6 has 1,296 trees a side
+    assert "_transportable" not in _transportable.__code__.co_names
 
 
 def test_covering_coupling_errors():
