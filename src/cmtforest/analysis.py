@@ -33,7 +33,7 @@ from .errors import (
     _point,
 )
 from .forest import level_set, vertex
-from .lattice import _in_int64, _int64_rows, atom_index, check_cycle_free
+from .lattice import _in_int64, _int64_rows, _law, atom_index
 from .models import canopy_cmt
 from .seeds import derive_seed, rng_for
 
@@ -325,16 +325,16 @@ _BLOCK_WALKER_STEPS = 1 << 17
 class LatticeChainModel:
     """k coalescing jump chains on Z^d advanced in lockstep slices.
 
-    Valid for level-graded kernels: the cycle-free witness u must give
-    the same u.a for every atom, and all starts must share a level, so
-    that orbit intersection is equivalent to equal-time collision.
+    Valid for level-graded kernels, where some u has u.a = 1 for every
+    atom (the cycle-free witness is then that grading), and for starts that
+    share a level, so that orbit intersection is equivalent to equal-time
+    collision.
     """
 
     def __init__(self, jumps):
-        rep = check_cycle_free(jumps)
-        if not rep.holds:
+        holds, u = _law(jumps).half_space
+        if not holds:
             raise CyclicComponent("chain model needs a cycle-free kernel")
-        u = rep.witness
         speeds = {sum(Fraction(c) * x for c, x in zip(a, u)) for a in jumps.atoms}
         if len(speeds) != 1:
             raise ConfigError("kernel is not level-graded; slices would miss merges")

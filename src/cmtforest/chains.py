@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CyclicComponent, TooLarge, UnknownVertex, _check_steps, _point
 from .forest import array_vertices, coords, vertex
-from .lattice import _in_int64, _int64_rows, atom_index, check_cycle_free, in_lattice
+from .lattice import _in_int64, _int64_rows, _law, atom_index, in_lattice
 from .seeds import derive_seed, rng_for
 
 _ROLE_MEET = 0xC1
@@ -160,6 +160,7 @@ def _check_sweep(name, steps):
 
 def kernel_power(jumps, n):
     """Exact law of the n-step increment X_n - X_0."""
+    _law(jumps)
     _check_steps("n", n)
     _check_sweep("n", n)
     _, power, total = next(itertools.islice(_power_numerators(jumps), n, None))
@@ -225,22 +226,22 @@ def green_function(jumps, target, horizon=None):
     The probability flag is on only for the full series: the kernel is
     cycle-free and the horizon reaches the witness bound.
     """
-    diff = _point("target", target, jumps.dimension)
+    diff = _point("target", target, _law(jumps).dimension)
     if horizon is not None:
         _check_steps("horizon", horizon)
-    rep = check_cycle_free(jumps)
-    if horizon is None and not rep.holds:
+    holds, witness = jumps.half_space
+    if horizon is None and not holds:
         raise CyclicComponent("kernel admits zero convex combinations; pass a horizon")
     # past the horizon a bound only tells that the series is not full
     cap = None if horizon is None else horizon + 1
-    bound = _last_visit(jumps, rep.witness, [diff], cap) if rep.holds else None
+    bound = _last_visit(jumps, witness, [diff], cap) if holds else None
     if horizon is None:
         horizon = bound
     # every term past the witness bound is zero, so the sweep stops there
     steps = horizon if bound is None else min(horizon, bound)
     _check_sweep("horizon", steps)
     value = _green_sums(jumps, [diff], steps)[diff]
-    return GreenValue(value=value, probability=rep.holds and horizon >= bound,
+    return GreenValue(value=value, probability=holds and horizon >= bound,
                       terms=horizon + 1)
 
 
@@ -250,11 +251,11 @@ def green_table(jumps, targets):
     Matches green_function(jumps, y) exactly for cycle-free kernels; the
     shared sweep makes Monte-Carlo averaging over sampled endpoints
     affordable. Every spelling of a target passed is a key (5 and (5,))."""
-    rep = check_cycle_free(jumps)
-    if not rep.holds:
+    holds, witness = _law(jumps).half_space
+    if not holds:
         raise CyclicComponent("green table needs a cycle-free kernel")
     vecs = {y: _point(f"targets[{i}]", y, jumps.dimension) for i, y in enumerate(targets)}
-    sums = _green_sums(jumps, vecs.values(), _last_visit(jumps, rep.witness, vecs.values()))
+    sums = _green_sums(jumps, vecs.values(), _last_visit(jumps, witness, vecs.values()))
     return {y: sums[vec] for y, vec in vecs.items()}
 
 
@@ -275,6 +276,7 @@ def tv_profile(jumps, n_max, k=1):
     Both laws have mass one, so that half-sum is one less their overlap.
     Only the latest k + 1 powers are held.
     """
+    _law(jumps)
     _check_steps("n_max", n_max)
     _check_steps("k", k)
     _check_sweep("n_max + k", n_max + k)
@@ -333,7 +335,7 @@ def meet_and_stick_coupling(jumps, x, y, budget, seed, record_trace=False):
     """
     _check_steps("budget", budget)
     _check_steps("seed", seed, least=None)
-    x0, y0 = _point("x", x, jumps.dimension), _point("y", y, jumps.dimension)
+    x0, y0 = _point("x", x, _law(jumps).dimension), _point("y", y, jumps.dimension)
     gap = tuple(a - b for a, b in zip(x0, y0))
     if not _in_int64(gap):
         raise TooLarge(f"x - y = {gap} is past int64")
@@ -413,7 +415,7 @@ def shift_coupling(jumps, lattice, x, y, budget, seed):
     """
     _check_steps("budget", budget)
     _check_steps("seed", seed, least=None)
-    x0, y0 = _point("x", x, jumps.dimension), _point("y", y, jumps.dimension)
+    x0, y0 = _point("x", x, _law(jumps).dimension), _point("y", y, jumps.dimension)
     if lattice is not None:
         for p in (x0, y0):
             if not in_lattice(lattice, p):
@@ -437,7 +439,7 @@ def path_collision_estimate(jumps, x, y, budget, trials, seed):
     _check_steps("budget", budget)
     _check_steps("trials", trials, least=1)
     _check_steps("seed", seed, least=None)
-    x0, y0 = _point("x", x, jumps.dimension), _point("y", y, jumps.dimension)
+    x0, y0 = _point("x", x, _law(jumps).dimension), _point("y", y, jumps.dimension)
     hits = []
     for t in range(trials):
         rng = rng_for(derive_seed(seed, t), _ROLE_CROSS)

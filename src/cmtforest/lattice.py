@@ -81,7 +81,7 @@ class JumpDistribution:
 
     def __post_init__(self):
         atoms = tuple(_point(f"atoms[{i}]", a) for i, a in enumerate(self.atoms))
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = tuple(_weight(f"weights[{i}]", w) for i, w in enumerate(self.weights))
         if not atoms:
             raise MalformedJump("no atoms")
         d = len(atoms[0])
@@ -117,6 +117,11 @@ class JumpDistribution:
             return _freeze(np.array(self.atoms, dtype=object))
 
     @functools.cached_property
+    def half_space(self):
+        """check_cycle_free's (holds, witness), decided once per law."""
+        return _half_space(self.atoms)
+
+    @functools.cached_property
     def cdf(self):
         return atom_cdf(self.weights)
 
@@ -133,6 +138,17 @@ class JumpDistribution:
         if big is not None:
             raise TooLarge(f"atom difference {big} is past int64")
         return _freeze(np.array(vecs, dtype=np.int64)), atom_cdf([diff[v] for v in vecs])
+
+
+def _weight(name, w):
+    """The weight w as an exact Fraction: a finite real that is not a bool, or
+    a string that Fraction reads. MalformedJump names it otherwise."""
+    try:
+        if not isinstance(w, bool):
+            return Fraction(float(w) if isinstance(w, np.floating) else w)
+    except (TypeError, ValueError, OverflowError):  # not a number, nan or inf
+        pass
+    raise MalformedJump(f"{name} must be a finite real number, got {w!r}")
 
 
 def _in_int64(v):
@@ -208,36 +224,43 @@ class KernelConditionReport:
 # -- lattice coordinates ------------------------------------------------------
 
 
+def _pivot(t, r, c):
+    """Gauss-Jordan pivot of the Fraction tableau t, a list of rows, on t[r][c]:
+    row r is scaled to 1 in column c, and every other row is cleared there."""
+    t[r] = [x / t[r][c] for x in t[r]]
+    for i, row in enumerate(t):
+        if i != r and (f := row[c]):
+            t[i] = [a - f * b for a, b in zip(row, t[r])]
+
+
 def _det_and_adjugate(basis):
     """Exact determinant and adjugate of the basis matrix (columns given)."""
     d = len(basis)
-    m = [[Fraction(basis[j][i]) for j in range(d)] for i in range(d)]
-    inv = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    t = [[Fraction(basis[j][i]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)]
+         for i in range(d)]
     det = Fraction(1)
     for col in range(d):
-        piv = next((r for r in range(col, d) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, d) if t[r][col] != 0), None)
         if piv is None:
             raise BadDimension("basis is singular")
         if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
+            t[col], t[piv] = t[piv], t[col]
             det = -det
-        det *= m[col][col]
-        scale = m[col][col]
-        m[col] = [x / scale for x in m[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(d):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    return int(det), tuple(tuple(int(inv[i][j] * det) for j in range(d)) for i in range(d))
+        det *= t[col][col]
+        _pivot(t, col, col)
+    return int(det), tuple(tuple(int(x * det) for x in row[d:]) for row in t)
 
 
 def _spec(lattice):
     if not isinstance(lattice, LatticeSpec):
         raise ConfigError(f"lattice must be a LatticeSpec, got {lattice!r}")
     return lattice
+
+
+def _law(jumps):
+    if not isinstance(jumps, JumpDistribution):
+        raise ConfigError(f"jumps must be a JumpDistribution, got {jumps!r}")
+    return jumps
 
 
 def lattice_coordinates(lattice, vec):
@@ -253,84 +276,68 @@ def in_lattice(lattice, vec):
     return lattice_coordinates(lattice, vec) is not None
 
 
-# -- cycle-free: exact half-space feasibility ---------------------------------
+# -- cycle-free: a grading solve, then Gordan's alternative ----------------------
 
 
-def _fourier_motzkin(rows):
-    """Feasibility of {u : row . u >= 1}, with tracked certificates.
-
-    Returns (True, u) where u is a rational direction verified to satisfy
-    every inequality, or (False, lam) where lam is a verified convex
-    combination of the rows equal to the zero vector.
-    """
-    d = len(rows[0])
-    cons = [
-        (tuple(Fraction(c) for c in row), Fraction(1),
-         tuple(Fraction(int(i == k)) for i in range(len(rows))))
-        for k, row in enumerate(rows)
-    ]
-    systems = [cons]
-    for var in range(d):
-        pos, neg, rest = [], [], []
-        for coeffs, rhs, combo in systems[-1]:
-            c = coeffs[var]
-            if c > 0:
-                s = 1 / c
-                pos.append((tuple(x * s for x in coeffs), rhs * s,
-                            tuple(x * s for x in combo)))
-            elif c < 0:
-                s = -1 / c
-                neg.append((tuple(x * s for x in coeffs), rhs * s,
-                            tuple(x * s for x in combo)))
-            else:
-                rest.append((coeffs, rhs, combo))
-        for pc, pr, pb in pos:
-            for nc, nr, nb in neg:
-                coeffs = tuple(a + b for a, b in zip(pc, nc))
-                rhs = pr + nr
-                combo = tuple(a + b for a, b in zip(pb, nb))
-                if all(c == 0 for c in coeffs) and rhs <= 0:
-                    continue
-                rest.append((coeffs, rhs, combo))
-        rest = list({(c, r): (c, r, b) for c, r, b in rest}.values())
-        systems.append(rest)
-
-    for coeffs, rhs, combo in systems[-1]:
-        if rhs > 0:
-            total = sum(combo)
-            lam = tuple(x / total for x in combo)
-            zero = [sum(l * Fraction(r[i]) for l, r in zip(lam, rows))
-                    for i in range(d)]
-            assert all(z == 0 for z in zero) and sum(lam) == 1
-            return False, lam
-
+def _grading(rows):
+    """The u with u . a = 1 for every row a, its free coordinates 0, or None."""
+    d, k = len(rows[0]), 0  # k: how many rows of t hold a pivot
+    t = [[Fraction(c) for c in (*a, 1)] for a in rows]
+    for c in range(d):
+        if (r := next((i for i in range(k, len(t)) if t[i][c]), None)) is not None:
+            t[k], t[r] = t[r], t[k]
+            _pivot(t, k, c)
+            k += 1
+    if any(row[d] for row in t[k:]):
+        return None
     u = [Fraction(0)] * d
-    for var in range(d - 1, -1, -1):
-        lo, hi = None, None
-        for coeffs, rhs, _ in systems[var]:
-            c = coeffs[var]
-            if c == 0:
-                continue
-            bound = (rhs - sum(coeffs[j] * u[j] for j in range(var + 1, d))) / c
-            if c > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is not None and hi is not None:
-            u[var] = (lo + hi) / 2
-        elif lo is not None:
-            u[var] = lo
-        elif hi is not None:
-            u[var] = hi
-    assert all(sum(c * x for c, x in zip(row, u)) >= 1 for row in rows)
-    return True, tuple(u)
+    for row in t[:k]:  # the first nonzero entry of a pivot row is its pivot's 1
+        u[row.index(1)] = row[d]
+    return u
+
+
+def _gordan(rows):
+    """Gordan's alternative by a phase-one simplex with Bland's rule, over the
+    d + 1 rows sum lam_i a_i = 0 and sum lam_i = 1, one artificial each.
+    Returns (False, lam) for a zero convex combination lam, or (True, u)
+    with u . a >= 1 for every row a, read off the optimal duals y: y . (a, 1)
+    <= 0 for every a and y . (0, 1) > 0, so u = -y[:d] / y[d]."""
+    n, m = len(rows), len(rows[0]) + 1
+    t = [[Fraction((*a, 1)[i]) for a in rows] + [Fraction(int(i == k)) for k in range(m)]
+         + [Fraction(int(i == m - 1))] for i in range(m)]
+    # reduced costs of the phase-one objective, the sum of the artificials
+    t.append([Fraction(n <= j < n + m) - sum(col) for j, col in enumerate(zip(*t))])
+    basis = list(range(n, n + m))
+    while (c := next((j for j in range(n) if t[m][j] < 0), None)) is not None:
+        _, _, r = min((t[i][-1] / t[i][c], basis[i], i) for i in range(m) if t[i][c] > 0)
+        basis[r] = c
+        _pivot(t, r, c)
+    if t[m][-1] == 0:
+        at = dict(zip(basis, t))
+        return False, [at[j][-1] if j in at else Fraction(0) for j in range(n)]
+    y = [1 - x for x in t[m][n:n + m]]
+    return True, [-x / y[-1] for x in y[:-1]]
+
+
+def _half_space(rows):
+    """Whether the rows fit an open half-space: (True, u) with u . a >= 1 for
+    every row a, u the grading when one exists, or (False, lam) with lam a
+    convex combination of the rows equal to zero. Both are checked here."""
+    u = _grading(rows)
+    holds, witness = (True, u) if u is not None else _gordan(rows)
+    if holds:
+        assert all(sum(map(operator.mul, a, witness)) >= 1 for a in rows)
+    else:
+        assert sum(witness) == 1 and min(witness) >= 0
+        assert not any(sum(map(operator.mul, col, witness)) for col in zip(*rows))
+    return holds, tuple(witness)
 
 
 def check_cycle_free(jumps, lattice=None):
     """No zero convex combination of atoms, i.e. atoms fit a half-space.
     A lattice, if given, is checked to hold every atom, as the span checks do."""
     _atom_coordinates(jumps, lattice)
-    holds, witness = _fourier_motzkin(jumps.atoms)
+    holds, witness = jumps.half_space
     detail = ("direction with strictly positive dot product on every atom" if holds
               else "convex combination of atoms equal to zero")
     return ConditionCheck("cycle-free", holds, witness, detail)
@@ -395,11 +402,10 @@ def _unimodular_span(vectors, d):
 
 def _atom_coordinates(jumps, lattice):
     """The lattice, None read as Z^d, and the atoms' coordinates on it."""
-    lattice = _spec(_default_lattice(jumps.dimension) if lattice is None else lattice)
-    if jumps.dimension != lattice.dimension:
-        raise BadDimension(
-            f"jumps in dimension {jumps.dimension}, lattice in {lattice.dimension}"
-        )
+    d = _law(jumps).dimension
+    lattice = _spec(_default_lattice(d) if lattice is None else lattice)
+    if d != lattice.dimension:
+        raise BadDimension(f"jumps in dimension {d}, lattice in {lattice.dimension}")
     coords = [lattice_coordinates(lattice, a) for a in jumps.atoms]
     if None in coords:
         raise MalformedJump(f"atom {jumps.atoms[coords.index(None)]} is not a lattice point")

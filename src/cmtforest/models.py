@@ -25,6 +25,7 @@ from .errors import (
 from .forest import build_forest
 from .graphs import FiniteGraph, _check_graph
 from .lattice import (
+    _law,
     atom_cdf,
     atom_index,
     even_sublattice,
@@ -86,7 +87,7 @@ def renewal_model(jumps, interval, seed):
         raise ConfigError(f"interval must be a (lo, hi) pair, got {interval!r}")
     for i, x in enumerate(interval):
         _check_steps(f"interval[{i}]", x, least=None)
-    if jumps.dimension != 1:
+    if _law(jumps).dimension != 1:
         raise BadDimension("renewal jumps live on the integers")
     if any(a[0] < 1 for a in jumps.atoms):
         raise MalformedJump("renewal steps must be positive")

@@ -150,6 +150,7 @@ def lerw(graph, start, stop_set, seed, budget=None):
     BudgetExhausted after budget steps (no limit when budget is None). The
     work is proportional to the walk: the last exits are a dict over the
     rows it visits."""
+    _check_graph("graph", graph)
     _check_steps("seed", seed, least=None)
     if budget is not None:
         _check_steps("budget", budget)
@@ -204,8 +205,11 @@ def _fill_tree(graph, tree, parent, rng):
 
 def wilson_ust(graph, root, seed):
     """Uniform spanning tree oriented toward root."""
+    _check_graph("graph", graph)
     _check_steps("seed", seed, least=None)
     _reject_self_loops(graph)
+    if isinstance(root, bool):  # True == 1 would root the tree at vertex 1
+        raise ConfigError(f"root must be a vertex, not the bool {root!r}")
     if root not in graph.adjacency:
         raise UnknownVertex(repr(root))
     if not graph.is_connected():
@@ -219,6 +223,7 @@ def wilson_ust(graph, root, seed):
 def conditional_wilson(graph, path, seed):
     """Wilson's algorithm preseeded with a simple path; the path's last
     vertex is the root and the output always contains the path."""
+    _check_graph("graph", graph)
     _check_steps("seed", seed, least=None)
     _reject_self_loops(graph)
     if not path or len(set(path)) != len(path):
@@ -311,6 +316,7 @@ def spanning_trees(graph):
     """Every spanning tree of a small simple graph, each a frozenset of
     frozenset edges. It tries every (n-1)-subset of the edges, and raises
     TooLarge when there are more than _SUBSET_CAP of them."""
+    _check_graph("graph", graph)
     verts = list(graph.vertices)
     edges = _edge_set(graph)
     n = len(verts)

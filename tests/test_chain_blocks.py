@@ -131,14 +131,23 @@ def run_shape(rnd):
 
 
 def level_graded_kernel(rnd):
-    """Atoms with first coordinate 1 (so every atom has level 1 under e_0),
-    d = 1..3, 1..4 atoms, unequal weights. The other coordinates are
-    sometimes scaled by 2^40, so that a block's bounding box can hold 2^63
-    sites or more."""
+    """Atoms on level 1 of a grading u (u.a = 1 for every atom), d = 1..3,
+    1..4 atoms, unequal weights. They are drawn with first coordinate 1, so
+    u = e_0, and most draws then move them by a unimodular map (shears and a
+    signed permutation of the axes), which moves u to another integer
+    direction. The other coordinates are sometimes scaled by 2^40, so that a
+    block's bounding box can hold 2^63 sites or more."""
     d = rnd.choice([1, 2, 2, 2, 3, 3, 3])
     scale = rnd.choice([1, 1, 1, 2**40])
     atoms = {(1, *(rnd.randint(-3, 3) * scale for _ in range(d - 1)))
              for _ in range(rnd.choice([1, 2, 3, 3, 4, 4]))}
+    if rnd.random() < 0.75:
+        for _ in range(rnd.randint(0, 3) if d > 1 else 0):
+            i, j = rnd.sample(range(d), 2)  # coordinate i += k * coordinate j
+            k = rnd.choice([-2, -1, 1, 2])
+            atoms = {a[:i] + (a[i] + k * a[j],) + a[i + 1:] for a in atoms}
+        axes, signs = rnd.sample(range(d), d), [rnd.choice([-1, 1]) for _ in range(d)]
+        atoms = {tuple(s * a[i] for s, i in zip(signs, axes)) for a in atoms}
     w = [rnd.randint(1, 9) for _ in atoms]
     return JumpDistribution(tuple(sorted(atoms)), tuple(Fraction(x, sum(w)) for x in w))
 

@@ -121,7 +121,7 @@ def test_tables_built_by_racing_threads_read_the_same():
     weights = (Fraction(1, 3), Fraction(1, 6), Fraction(1, 6), Fraction(1, 4), Fraction(1, 12))
 
     def read(jumps):
-        return [a.tolist() for a in arrays(jumps)]
+        return [a.tolist() for a in arrays(jumps)] + [jumps.half_space]
 
     expect = read(JumpDistribution(atoms, weights))
     interval = sys.getswitchinterval()

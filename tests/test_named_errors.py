@@ -12,21 +12,26 @@ from cmtforest.analysis import (
     LatticeChainModel, connectivity_decay_probe, count_components_probe, in_degree_profile,
 )
 from cmtforest.chains import (
-    green_function, green_table, meet_and_stick_coupling, path_collision_estimate, shift_coupling,
+    green_function, green_table, kernel_power, meet_and_stick_coupling, path_collision_estimate,
+    shift_coupling, tv_consecutive, tv_profile,
 )
-from cmtforest.errors import BadDimension, BadGraph, ConfigError
+from cmtforest.errors import BadDimension, BadGraph, ConfigError, MalformedJump
 from cmtforest.graphs import complete_graph, cycle_graph, path_graph, regular_tree, torus_graph
 from cmtforest.lattice import (
     JumpDistribution,
     LatticeSpec,
+    check_cycle_free,
     check_model_conditions,
+    check_weak_aperiodicity,
+    check_weak_irreducibility,
     in_lattice,
     integer_lattice,
     lattice_coordinates,
+    sample_lattice_cmt,
     uniform_jumps,
 )
 from cmtforest.models import SpaceTimeGraph, nguyen_atoms, nguyen_model, renewal_model
-from cmtforest.wusf import wired_ball
+from cmtforest.wusf import conditional_wilson, lerw, spanning_trees, wilson_ust, wired_ball
 
 NGUYEN = uniform_jumps(nguyen_atoms(2))
 RENEWAL = uniform_jumps([(1,), (2,)])
@@ -141,6 +146,39 @@ CASES.update({
 })
 
 
+# a jump law that is not a JumpDistribution ended in a bare AttributeError
+LAW = "jumps must be a JumpDistribution, got [(1,)]"
+CASES.update({f"{name}-jumps": (call, LAW) for name, call in {
+    "check_cycle_free": lambda: check_cycle_free([(1,)]),
+    "check_weak_irreducibility": lambda: check_weak_irreducibility([(1,)]),
+    "check_weak_aperiodicity": lambda: check_weak_aperiodicity([(1,)]),
+    "check_model_conditions": lambda: check_model_conditions([(1,)], integer_lattice(1)),
+    "sample_lattice_cmt": lambda: sample_lattice_cmt(integer_lattice(1), [(1,)], [(0, 5)], 1),
+    "green_function": lambda: green_function([(1,)], 3),
+    "green_table": lambda: green_table([(1,)], [3]),
+    "kernel_power": lambda: kernel_power([(1,)], 2),
+    "tv_profile": lambda: tv_profile([(1,)], 3),
+    "tv_consecutive": lambda: tv_consecutive([(1,)], 3),
+    "meet_and_stick_coupling": lambda: meet_and_stick_coupling([(1,)], 0, 1, 10, 1),
+    "shift_coupling": lambda: shift_coupling([(1,)], None, 0, 1, 10, 1),
+    "path_collision_estimate": lambda: path_collision_estimate([(1,)], 0, 1, 10, 5, 1),
+    "renewal_model": lambda: renewal_model([(1,)], (0, 5), 1),
+    "LatticeChainModel": lambda: LatticeChainModel([(1,)]),
+}.items()})
+
+# the wusf samplers read a graph's frame: a dict ended in a bare AttributeError
+GRAPH = "graph must be a FiniteGraph, got dict"
+CASES.update({
+    "wilson_ust-graph": (lambda: wilson_ust({0: (1,), 1: (0,)}, 0, 1), GRAPH),
+    "conditional_wilson-graph": (lambda: conditional_wilson({0: (1,), 1: (0,)}, [0], 1), GRAPH),
+    "lerw-graph": (lambda: lerw({0: (1,), 1: (0,)}, 0, {1}, 1), GRAPH),
+    "spanning_trees-graph": (lambda: spanning_trees({0: (1,), 1: (0,)}), GRAPH),
+    # True == 1, so a True root gave a tree rooted at vertex 1 with roots {True}
+    "wilson_ust-root-bool": (lambda: wilson_ust(complete_graph(4), True, 1),
+                             "root must be a vertex, not the bool True"),
+})
+
+
 @pytest.mark.parametrize("call, message", CASES.values(), ids=list(CASES))
 def test_bad_argument_is_named(call, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -178,3 +216,19 @@ def test_space_time_range_of_numpy_integers_reads_as_python_ints():
 def test_chain_point_of_another_length_is_named(call, message):
     with pytest.raises(BadDimension, match=f"^{re.escape(message)}; the lattice has dimension "):
         call()
+
+
+@pytest.mark.parametrize("weight", [float("inf"), float("nan"), "a", "nan", True, None, 1j,
+                                    np.True_],
+                         ids=["inf", "nan", "str", "str-nan", "bool", "None", "complex",
+                              "numpy-bool"])
+def test_jump_weight_that_is_not_a_finite_real_is_named(weight):
+    # inf was an OverflowError, nan and "a" a bare ValueError, True read as 1
+    with pytest.raises(MalformedJump, match=rf"^weights\[1\] must be a finite real number, "
+                                            rf"got {re.escape(repr(weight))}$"):
+        JumpDistribution(((1,), (2,)), (0.5, weight))
+
+
+def test_jump_weights_of_every_real_kind_are_read_exactly():
+    law = JumpDistribution(((1,), (2,), (3,)), (np.float32(0.25), "1/4", np.int64(1) / 2))
+    assert law.weights == (0.25, 0.25, 0.5)

@@ -115,6 +115,14 @@ def test_only_lattice_spec_inverts_a_basis():
     assert callers_of("_det_and_adjugate") == [("lattice", "LatticeSpec")]
 
 
+def test_one_exact_elimination():
+    # the basis inverse, the grading solve and the simplex share one Gauss-Jordan pivot,
+    # and the Fourier-Motzkin decider lives on only as a test oracle
+    assert sorted(callers_of("_pivot")) == [
+        ("lattice", "_det_and_adjugate"), ("lattice", "_gordan"), ("lattice", "_grading")]
+    assert "_fourier_motzkin" not in {top for _, top, _ in package_nodes()}
+
+
 def test_only_the_jump_law_builds_an_atom_cdf():
     # a law's cdf and difference kernel are its cached tables, which every sampler and
     # coupling reads; coalescing_mc's rows are a graph chain's kernel, not a jump law
