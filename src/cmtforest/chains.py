@@ -65,95 +65,77 @@ class CollisionEstimate:
 class _Power:
     """A kernel power's support: the nonzero numerators num in ascending
     order of their keys, the mixed-radix ids (cells @ strides, last axis
-    least significant) of the cells in a box of the given extent. Sorted
+    least significant) of the cells in the box of the sweep's last power,
+    of the given extent. Every power of a sweep shares that box, so sorted
     keys order the rows as their increments origin + spacing * cells.
-    Origin, spacing, extent and keys are int64 arrays, or object arrays
-    of Python ints once the box would reach _FAR."""
+    Origin, spacing, extent, strides and keys are int64 arrays, or object
+    arrays of Python ints when the sweep would reach _FAR."""
 
     origin: np.ndarray
     spacing: np.ndarray
     extent: np.ndarray
-    strides: list
+    strides: np.ndarray
     keys: np.ndarray
     num: np.ndarray  # object dtype: exact Python ints
 
     @cached_property
     def cells(self):
-        return self.keys[:, None] // np.array(self.strides, self.keys.dtype) % self.extent
+        return self.keys[:, None] // self.strides % self.extent
 
     def find(self, cells):
         """(i, r) for each cells[i] the power charges, at its row r."""
         inside = ((cells >= 0) & (cells < self.extent)).all(axis=1).nonzero()[0]
-        cells = cells[inside]
-        keys = cells[:, -1]
-        for axis, stride in enumerate(self.strides[:-1]):
-            keys = keys + cells[:, axis] * stride
+        keys = cells[inside] @ self.strides
         at = self.keys.searchsorted(keys)
         hit = self.keys.take(at, mode="clip") == keys
         return inside[hit], at[hit]
 
 
-def _strides(extent):
-    """Place values of the mixed-radix ids over a box of the given extent."""
-    strides = [1]
-    for n in extent[:0:-1]:
-        strides.append(strides[-1] * n)
-    return strides[::-1]
-
-
-def _power_numerators(jumps):
-    """Yield (m, power, den**m) for m = 0, 1, 2, ...: the m-step law as a
+def _power_numerators(jumps, last):
+    """Yield (m, power, den**m) for m = 0, 1, ..., last: the m-step law as a
     _Power of integer numerators over den**m, den the lcm of the weight
-    denominators. Each power is stepped from the last only when the next
-    item is asked for.
+    denominators. Each power is stepped from the one before only when it
+    is asked for, and none past last is.
 
     Each axis is shifted by the atoms' least coordinate on it (lift) and
-    divided by the gcd of the shifted coordinates (spacing), so an atom
-    moves every cell by a fixed offset and the m-th power lies in a box
-    of extent m * growth + 1, growth the largest offsets. Its support has
-    about m**r points, r the rank of the atoms' differences. A step
-    re-keys the rows for the next box (a digit's place value changes only
-    where a later axis grows), adds each atom's key offset, sorts the
-    rows by key and sums the runs of equal keys. Keys are int64 while the
-    step from the power keeps every coordinate and the box's cell count
-    below _FAR, and Python ints from then on."""
+    divided by the gcd of the shifted coordinates (spacing), so the m-th
+    power lies in a box of extent m * growth + 1, growth the largest
+    offsets. Every power is keyed in the last power's box, where an atom
+    moves every key by one fixed offset. Its support has about m**r
+    points, r the rank of the atoms' differences. A step adds each atom's
+    offset, sorts the rows by key and sums the runs of equal keys. Keys
+    are int64 when every coordinate of the sweep and the box's cell count
+    stay below _FAR, and Python ints otherwise."""
     den = math.lcm(*(w.denominator for w in jumps.weights))
     weights = [int(w * den) for w in jumps.weights]
     lift = list(map(min, zip(*jumps.atoms)))
     rel = [[x - y for x, y in zip(a, lift)] for a in jumps.atoms]
     spacing = [math.gcd(*axis) or 1 for axis in zip(*rel)]
     offsets = [[x // s for x, s in zip(r, spacing)] for r in rel]
-    growth = list(map(max, zip(*offsets)))
+    extent = [last * g + 1 for g in map(max, zip(*offsets))]
+    strides = [math.prod(extent[i + 1:]) for i in range(len(extent))]
+    shifts = [sum(x * s for x, s in zip(o, strides)) for o in offsets]
     reach = max(abs(c) for a in jumps.atoms for c in a)
-    extent = [1] * jumps.dimension
-    keys, num = np.zeros(1, dtype=np.int64), np.ones(1, dtype=object)
-    for m in itertools.count():
-        step = [n + g for n, g in zip(extent, growth)]
-        if keys.dtype != object and max((m + 1) * reach, math.prod(step)) >= _FAR:
-            keys = keys.astype(object)
-        power = _Power(np.array([m * x for x in lift], keys.dtype), np.array(spacing, keys.dtype),
-                       np.array(extent, keys.dtype), _strides(extent), keys, num)
-        yield m, power, den**m
-        strides = _strides(step)
-        base = keys
-        for old, new, n in zip(power.strides, strides, extent):
-            if new != old:
-                base = base + keys // old % n * (new - old)
-        extent = step
-        keys = np.concatenate([base + sum(x * s for x, s in zip(o, strides)) for o in offsets])
-        order = keys.argsort(kind="stable")  # merges the atoms' sorted runs
-        keys = keys[order]
-        first = np.concatenate(([True], keys[1:] != keys[:-1])).nonzero()[0]
-        if len(first) > _SUPPORT_CAP:
-            raise TooLarge(f"kernel support exceeded {_SUPPORT_CAP} points")
-        num = np.concatenate([power.num if w == 1 else power.num * w for w in weights])
-        num = np.add.reduceat(num[order], first)
-        keys = keys[first]
+    dtype = object if max((last + 1) * reach, math.prod(extent)) >= _FAR else np.int64
+    box = [np.array(v, dtype) for v in (spacing, extent, strides)]
+    keys, num = np.zeros(1, dtype), np.ones(1, dtype=object)
+    for m in range(last + 1):
+        if m:
+            keys = np.concatenate([keys + s for s in shifts])
+            order = keys.argsort(kind="stable")  # merges the atoms' sorted runs
+            keys = keys[order]
+            first = np.concatenate(([True], keys[1:] != keys[:-1])).nonzero()[0]
+            if len(first) > _SUPPORT_CAP:
+                raise TooLarge(f"kernel support exceeded {_SUPPORT_CAP} points")
+            num = np.concatenate([num if w == 1 else num * w for w in weights])
+            num = np.add.reduceat(num[order], first)
+            keys = keys[first]
+        yield m, _Power(np.array([m * x for x in lift], dtype), *box, keys, num), den**m
 
 
 def _check_sweep(name, steps):
     """TooLarge naming the argument behind a sweep of steps powers past
-    sys.maxsize, which no sweep (nor itertools.islice) gets to."""
+    sys.maxsize, which no sweep gets to."""
     if steps >= sys.maxsize:
         raise TooLarge(f"{name} = {steps} needs a sweep past {sys.maxsize} steps")
 
@@ -163,7 +145,8 @@ def kernel_power(jumps, n):
     _law(jumps)
     _check_steps("n", n)
     _check_sweep("n", n)
-    _, power, total = next(itertools.islice(_power_numerators(jumps), n, None))
+    for _, power, total in _power_numerators(jumps, n):
+        pass
     points = power.origin + power.spacing * power.cells
     probs = {vertex(p): Fraction(c, total)
              for p, c in zip(points.tolist(), power.num.tolist())}
@@ -206,7 +189,7 @@ def _green_sums(jumps, vecs, horizon):
     # a coordinate past _FAR is off every int64 power, and clamping keeps it so
     clamped = exact.clip(-_FAR, _FAR).astype(np.int64)
     acc = [Fraction(0)] * len(keys)
-    for _, power, scale in itertools.islice(_power_numerators(jumps), horizon + 1):
+    for _, power, scale in _power_numerators(jumps, horizon):
         offset = (exact if power.keys.dtype == object else clamped) - power.origin
         cells = offset // power.spacing
         cells[(offset % power.spacing != 0).any(axis=1)] = -1
@@ -281,7 +264,7 @@ def tv_profile(jumps, n_max, k=1):
     _check_steps("k", k)
     _check_sweep("n_max + k", n_max + k)
     out, window = [], []
-    for _, b, scale_b in itertools.islice(_power_numerators(jumps), 1, n_max + k + 1):
+    for _, b, scale_b in itertools.islice(_power_numerators(jumps, n_max + k), 1, None):
         window.append((b, scale_b))
         if len(window) > k:
             a, scale_a = window.pop(0)

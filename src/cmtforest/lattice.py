@@ -80,8 +80,9 @@ class JumpDistribution:
     weights: tuple
 
     def __post_init__(self):
-        atoms = tuple(_point(f"atoms[{i}]", a) for i, a in enumerate(self.atoms))
-        weights = tuple(_weight(f"weights[{i}]", w) for i, w in enumerate(self.weights))
+        atoms = tuple(_point(f"atoms[{i}]", a) for i, a in enumerate(_items("atoms", self.atoms)))
+        weights = tuple(_weight(f"weights[{i}]", w)
+                        for i, w in enumerate(_items("weights", self.weights)))
         if not atoms:
             raise MalformedJump("no atoms")
         d = len(atoms[0])
@@ -138,6 +139,14 @@ class JumpDistribution:
         if big is not None:
             raise TooLarge(f"atom difference {big} is past int64")
         return _freeze(np.array(vecs, dtype=np.int64)), atom_cdf([diff[v] for v in vecs])
+
+
+def _items(name, seq):
+    """The items of seq as a tuple; MalformedJump names a seq that is not iterable."""
+    try:
+        return tuple(seq)
+    except TypeError:
+        raise MalformedJump(f"{name} must be a sequence, got {seq!r}") from None
 
 
 def _weight(name, w):
@@ -201,8 +210,8 @@ def atom_index(cdf, u):
 
 
 def uniform_jumps(atoms):
-    n = len(atoms)
-    return JumpDistribution(tuple(atoms), tuple(Fraction(1, n) for _ in range(n)))
+    atoms = _items("atoms", atoms)
+    return JumpDistribution(atoms, tuple(Fraction(1, len(atoms)) for _ in atoms))
 
 
 @dataclass

@@ -145,6 +145,15 @@ def _loop_erased_walk(nbrs, start, stop, nxt, words, budget):
     return cur
 
 
+def _check_vertex(graph, name, v):
+    """UnknownVertex for a v not in graph; ConfigError for a bool, which
+    True == 1 would read as vertex 1."""
+    if isinstance(v, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a vertex, not the bool {v!r}")
+    if v not in graph.adjacency:
+        raise UnknownVertex(repr(v))
+
+
 def lerw(graph, start, stop_set, seed, budget=None):
     """Chronological loop-erasure of a random walk run until stop_set, or
     BudgetExhausted after budget steps (no limit when budget is None). The
@@ -154,12 +163,10 @@ def lerw(graph, start, stop_set, seed, budget=None):
     _check_steps("seed", seed, least=None)
     if budget is not None:
         _check_steps("budget", budget)
-    stop = set(stop_set)
-    if start not in graph.adjacency:
-        raise UnknownVertex(repr(start))
+    stop = list(stop_set)  # a set would keep one of 1 and True
+    _check_vertex(graph, "start", start)
     for v in stop:
-        if v not in graph.adjacency:
-            raise UnknownVertex(repr(v))
+        _check_vertex(graph, "stop_set entry", v)
     if not stop:
         raise ConfigError("empty stop set")
     component = graph.component
@@ -208,10 +215,7 @@ def wilson_ust(graph, root, seed):
     _check_graph("graph", graph)
     _check_steps("seed", seed, least=None)
     _reject_self_loops(graph)
-    if isinstance(root, bool):  # True == 1 would root the tree at vertex 1
-        raise ConfigError(f"root must be a vertex, not the bool {root!r}")
-    if root not in graph.adjacency:
-        raise UnknownVertex(repr(root))
+    _check_vertex(graph, "root", root)
     if not graph.is_connected():
         raise NotConnected("graph is not connected")
     rng = rng_for(seed, _ROLE_WILSON)
@@ -226,11 +230,10 @@ def conditional_wilson(graph, path, seed):
     _check_graph("graph", graph)
     _check_steps("seed", seed, least=None)
     _reject_self_loops(graph)
+    for i, v in enumerate(path or ()):  # before the simple test, where True == 1
+        _check_vertex(graph, f"path[{i}]", v)
     if not path or len(set(path)) != len(path):
         raise BadPath("initial path must be nonempty and simple")
-    for v in path:
-        if v not in graph.adjacency:
-            raise UnknownVertex(repr(v))
     for a, b in zip(path, path[1:]):
         if b not in graph.neighbors(a):
             raise BadPath(f"{a!r} -> {b!r} is not an edge")

@@ -5,12 +5,11 @@ Each oracle steps its own dict of integer numerators over D^m, as
 kernel_power, green_function, green_table and tv_profile each did before
 they read from one shared generator. On random kernels (d = 1-3, 1-4 atoms,
 rational weights) the library must equal them exactly, as Fractions; fixed
-cases add sparse kernels, coordinates past int64 and a sweep that crosses
-from int64 keys to Python ints. Suites are deterministic
+cases add sparse kernels, coordinates past int64, sweeps keyed in Python
+ints and a sweep that must stop at its last power. Suites are deterministic
 (derandomize=True) with a bounded number of examples.
 """
 
-import itertools
 import math
 import weakref
 from fractions import Fraction
@@ -218,8 +217,8 @@ def test_tv_profile_holds_at_most_k_plus_one_powers(monkeypatch, k):
     refs = []
     most = []
 
-    def counted(jumps):
-        for m, power, scale in sweep(jumps):
+    def counted(jumps, last):
+        for m, power, scale in sweep(jumps, last):
             # the powers the caller still holds while this one is stepped
             most.append(sum(r() is not None for r in refs) + 1)
             refs.append(weakref.ref(power.num))
@@ -253,7 +252,7 @@ HUGE = uniform_jumps([(0,), (3,), (2**62,)])
     (uniform_jumps([(0,), (2**62,)]), "object"),  # its first step reaches 2**62
 ])
 def test_each_kernel_keys_its_first_step(jumps, dtype):
-    _, power, _ = next(itertools.islice(chains._power_numerators(jumps), 1, None))
+    _, power, _ = list(chains._power_numerators(jumps, 1))[1]
     assert power.keys.dtype == dtype
     assert (power.keys[1:] > power.keys[:-1]).all()
 
@@ -305,10 +304,11 @@ def test_sparse_example_needs_no_box():
     (THIN, 8, 50_000),
 ])
 def test_a_sweep_past_far_keys_python_ints(monkeypatch, jumps, n, far):
-    # lowering _FAR makes one sweep cross from int64 keys to Python ints
+    # under a lowered _FAR every power of the long sweep keys Python ints, and
+    # every power of a short sweep of the same kernel keys int64
     monkeypatch.setattr(chains, "_FAR", far)
-    dtypes = [p.keys.dtype for _, p, _ in itertools.islice(chains._power_numerators(jumps), n + 3)]
-    assert dtypes[0] == np.int64 and dtypes[-1] == object
+    assert [p.keys.dtype for _, p, _ in chains._power_numerators(jumps, n)] == [object] * (n + 1)
+    assert [p.keys.dtype for _, p, _ in chains._power_numerators(jumps, 1)] == [np.int64] * 2
     assert kernel_power(jumps, n).distribution == oracle_kernel_power(jumps, n)
     for k in (1, 3):
         assert tv_profile(jumps, n, k) == oracle_tv_profile(jumps, n, k)
@@ -319,6 +319,26 @@ def test_a_sweep_past_far_keys_python_ints(monkeypatch, jumps, n, far):
     if check_cycle_free(jumps).holds:
         table, oracle = green_table(jumps, targets), oracle_green_table(jumps, targets)
         assert all(table[y] == oracle[oracle_vec(y, jumps.dimension)] for y in targets)
+
+
+@pytest.mark.parametrize("jumps, n, k", [
+    (RENEWAL, 12, 1),
+    (uniform_jumps(nguyen_atoms(2)), 6, 2),
+    (THIN, 5, 3),
+])
+def test_a_sweep_never_steps_past_its_last_power(monkeypatch, jumps, n, k):
+    # power n fits under the cap and power n + 1 does not, so a sweep that stepped
+    # once past the last power it yields would raise TooLarge for a power no caller asked for
+    size = len(oracle_kernel_power(jumps, n))
+    assert len(oracle_kernel_power(jumps, n + 1)) > size
+    monkeypatch.setattr(chains, "_SUPPORT_CAP", size)
+    assert kernel_power(jumps, n).distribution == oracle_kernel_power(jumps, n)
+    assert tv_profile(jumps, n - k, k) == oracle_tv_profile(jumps, n - k, k)
+    far = max(oracle_kernel_power(jumps, n))  # a point of power n: the sweep reaches it
+    got = green_function(jumps, far, horizon=n)
+    assert (got.value, got.terms) == oracle_green_function(jumps, far, n)
+    with pytest.raises(TooLarge, match=f"exceeded {size} points"):
+        kernel_power(jumps, n + 1)
 
 
 @pytest.mark.parametrize("call", [
@@ -342,7 +362,7 @@ def test_a_target_past_sys_maxsize_steps_is_named(call):
                  "horizon", id="function-horizon"),
 ])
 def test_a_step_count_past_sys_maxsize_is_named(call, name):
-    # islice stops at sys.maxsize; the error names the argument instead
+    # no sweep gets sys.maxsize steps out; the error names the argument instead
     with pytest.raises(TooLarge, match=name):
         call()
 
@@ -355,8 +375,8 @@ def test_green_sweep_stops_at_the_witness_bound(monkeypatch, target, horizon):
     sweep = chains._power_numerators
     reached = []
 
-    def counted(jumps):
-        for item in sweep(jumps):
+    def counted(jumps, last):
+        for item in sweep(jumps, last):
             reached.append(item[0])
             yield item
 

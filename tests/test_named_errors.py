@@ -176,6 +176,20 @@ CASES.update({
     # True == 1, so a True root gave a tree rooted at vertex 1 with roots {True}
     "wilson_ust-root-bool": (lambda: wilson_ust(complete_graph(4), True, 1),
                              "root must be a vertex, not the bool True"),
+    "wilson_ust-root-numpy-bool": (lambda: wilson_ust(complete_graph(4), np.True_, 1),
+                                   "root must be a vertex, not the bool np.True_"),
+    # lerw walked from vertex 1 and returned [True, 0, 2]
+    "lerw-start-bool": (lambda: lerw(complete_graph(4), True, {2}, 1),
+                        "start must be a vertex, not the bool True"),
+    "lerw-stop_set-bool": (lambda: lerw(complete_graph(4), 0, [1, True], 1),
+                           "stop_set entry must be a vertex, not the bool True"),
+    # conditional_wilson built a parent map keyed by True, or called [1, True] not simple
+    "conditional_wilson-path-bool": (
+        lambda: conditional_wilson(complete_graph(4), [True, 2], 1),
+        "path[0] must be a vertex, not the bool True"),
+    "conditional_wilson-path-repeat-bool": (
+        lambda: conditional_wilson(complete_graph(4), [1, True], 1),
+        "path[1] must be a vertex, not the bool True"),
 })
 
 
@@ -227,6 +241,17 @@ def test_jump_weight_that_is_not_a_finite_real_is_named(weight):
     with pytest.raises(MalformedJump, match=rf"^weights\[1\] must be a finite real number, "
                                             rf"got {re.escape(repr(weight))}$"):
         JumpDistribution(((1,), (2,)), (0.5, weight))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: JumpDistribution(((1,),), None), "weights must be a sequence, got None"),
+    (lambda: JumpDistribution(5, (1,)), "atoms must be a sequence, got 5"),
+    (lambda: uniform_jumps(5), "atoms must be a sequence, got 5"),
+], ids=["weights", "atoms", "uniform_jumps"])
+def test_jump_law_that_is_not_a_sequence_is_named(call, message):
+    # each ended in a bare TypeError from iterating or measuring the argument
+    with pytest.raises(MalformedJump, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_jump_weights_of_every_real_kind_are_read_exactly():

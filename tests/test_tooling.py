@@ -104,6 +104,14 @@ def package_nodes():
                 yield path.stem, getattr(top, "name", None), node
 
 
+def defined_names():
+    """(module, name) for every function, class and assigned name of the package."""
+    return {(module, node.id if isinstance(node, ast.Name) else node.name)
+            for module, _, node in package_nodes()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
 def callers_of(name):
     return [(module, top) for module, top, node in package_nodes()
             if isinstance(node, ast.Call)
@@ -121,6 +129,14 @@ def test_one_exact_elimination():
     assert sorted(callers_of("_pivot")) == [
         ("lattice", "_det_and_adjugate"), ("lattice", "_gordan"), ("lattice", "_grading")]
     assert "_fourier_motzkin" not in {top for _, top, _ in package_nodes()}
+
+
+def test_one_kernel_power_sweep():
+    # every exact kernel power, Green sum and TV distance steps one sweep, which keys
+    # each power in its last power's box, so no per-power place values are computed
+    assert sorted(callers_of("_power_numerators")) == [
+        ("chains", "_green_sums"), ("chains", "kernel_power"), ("chains", "tv_profile")]
+    assert "_strides" not in {name for _, name in defined_names()}
 
 
 def test_only_the_jump_law_builds_an_atom_cdf():
@@ -146,10 +162,7 @@ def test_atom_draws_have_one_reader():
 
 def test_points_have_one_reader():
     # every point and atom is read by errors._point; chains._vec, which truncated, is gone
-    defined = {(module, node.id if isinstance(node, ast.Name) else node.name)
-               for module, _, node in package_nodes()
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    defined = defined_names()
     assert not {name for _, name in defined} & {"_vec"}
     assert ("errors", "_point") in defined and ("errors", "_is_int") in defined
 
