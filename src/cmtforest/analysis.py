@@ -32,7 +32,7 @@ from .errors import (
     _check_steps,
     _point,
 )
-from .forest import level_set, vertex
+from .forest import _check_window, level_set, vertex
 from .lattice import _in_int64, _int64_rows, _law, atom_index
 from .models import canopy_cmt
 from .seeds import derive_seed, rng_for
@@ -137,6 +137,7 @@ def component_statistic_survey(forest, statistic, min_size):
     Components below min_size are ignored; cyclic components are skipped
     for the height-range statistic since heights are undefined on them.
     """
+    _check_window(forest)
     if statistic not in SURVEY_STATISTICS:
         raise ConfigError(f"unknown statistic {statistic!r}")
     if min_size < 1:
@@ -216,6 +217,7 @@ def nested_level_average(forest, f, v, n_max):
     v stays inside the window. Flags an average as truncated when the
     backward cone leaves the interior, since the window may then hide
     part of the averaging set."""
+    _check_window(forest)
     _check_steps("n_max", n_max)
     (r,) = forest.rows_of([v])
     if forest.depth[r] < 0:
@@ -244,6 +246,7 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
     one component. The walk steps by the symmetrized observed jump
     increments, holds with probability 1/2, and is shared across calls
     with the same seed, so component frequencies partition one."""
+    _check_window(forest)
     wrap = forest.metadata.get("wrap")
     if not wrap or any(w is None for w in wrap):
         raise NeedsTorus("forest window is not toroidal on every axis")
@@ -300,6 +303,7 @@ def cluster_frequency(forest, component_id, walk_steps, seed):
 
 def in_degree_profile(forest, region=None):
     """Exact mean and histogram of in-window preimage counts."""
+    _check_window(forest)
     indeg = np.diff(forest.ptr)
     if region is not None:
         if not isinstance(region, Iterable):
@@ -690,6 +694,7 @@ def level_set_bijection(forest, seed):
     a cycle; elsewhere rows are the per-component height classes, and
     vertices squeezed out at the window edge are surfaced as unmatched.
     """
+    _check_window(forest)
     _check_steps("seed", seed, least=None)
     succ, dom = forest.succ, np.flatnonzero(forest.is_interior)
     wrap = forest.metadata.get("wrap")

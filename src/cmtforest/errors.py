@@ -3,6 +3,8 @@ readers that raise them."""
 
 import numbers
 
+import numpy as np
+
 
 class MalformedJump(ValueError):
     """A jump table assigns more than one target to the same source."""
@@ -67,6 +69,12 @@ class ConfigError(ValueError):
 def _is_int(v):
     """An integer of any type, Python or numpy; bools are not integers."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_not_bool(name, v, what):
+    """ConfigError for a bool v, which True == 1 would read as the number 1."""
+    if isinstance(v, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be {what}, not the bool {v!r}")
 
 
 def _check_steps(name, value, least=0):

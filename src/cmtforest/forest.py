@@ -12,13 +12,13 @@ build_forest is the one constructor; it takes jump pairs in any order, or
 the coordinates and successor rows from samplers that hold them as arrays.
 Every array a window holds is read-only, and build_forest copies its
 inputs. Components, heights, level sets and preimages are read from arrays
-derived from the rows: `src`, the rows with an in-window jump, CSR
-preimages (`pre`, `ptr`) in row order, pointer-doubling component labels
-and depths (`label`, `depth`), and, built on first read, component ids
-(`comp`) and CSR rows per component (`comp_rows`, `comp_ptr`). Vertex
-objects are built on first read too: the tuple `verts` and the read-only
-views `row` (its inverse), `vertices`, `jump`, `exits` and `interior`;
-member frozensets only in `components` summaries. A window is never
+derived from the rows, each built on first read and then cached: `src`,
+the rows with an in-window jump, CSR preimages (`pre`, `ptr`) in row
+order, pointer-doubling component labels and depths (`label`, `depth`),
+component ids (`comp`) and CSR rows per component (`comp_rows`,
+`comp_ptr`). Vertex objects are built on first read too: the tuple
+`verts` and the read-only views `row` (its inverse), `vertices`, `jump`,
+`exits` and `interior`; member frozensets only in `components` summaries. A window is never
 mutated after construction and is safe to share across workers.
 
 Vertex representation is uniform within a window: integer tuples (lattice
@@ -45,7 +45,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadDimension, CyclicComponent, MalformedJump, UnknownVertex, _check_steps
+from .errors import (BadDimension, ConfigError, CyclicComponent, MalformedJump, UnknownVertex,
+                     _check_not_bool, _check_steps)
 
 EXIT = "EXIT"
 
@@ -79,7 +80,7 @@ def box_grid(box):
     if not len(box):
         raise BadDimension("box has no axes")
     axes = [np.arange(lo, hi + 1) for lo, hi in box]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(box))
 
 
 class ForestWindow:
@@ -89,15 +90,7 @@ class ForestWindow:
         self.coords, self.succ = coords, succ
         self.is_exit, self.is_interior = is_exit, is_interior
         self.dimension, self.metadata = dimension, metadata
-        # the preimages of row r are pre[ptr[r]:ptr[r + 1]], in row order
-        self.src = np.flatnonzero(succ >= 0)
-        n, dst = len(succ), succ[self.src]
-        self.pre = self.src[np.argsort(dst, kind="stable")]
-        self.ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=n), out=self.ptr[1:])
-        self.label, self.depth = _line_labels(succ)
-        for a in (coords, succ, is_exit, is_interior, self.src, self.pre, self.ptr, self.label,
-                  self.depth):
+        for a in (coords, succ, is_exit, is_interior):
             _freeze(a)
 
     def __reduce__(self):  # pickles the rows alone; a copy freezes and derives the rest anew
@@ -154,6 +147,32 @@ class ForestWindow:
         return frozenset(self.vertices_of(np.flatnonzero(self.is_interior)))
 
     @cached_property
+    def src(self):
+        return _freeze(np.flatnonzero(self.succ >= 0))
+
+    @cached_property
+    def pre(self):
+        """The preimages of row r are pre[ptr[r]:ptr[r + 1]], in row order."""
+        return _freeze(self.src[np.argsort(self.succ[self.src], kind="stable")])
+
+    @cached_property
+    def ptr(self):
+        ptr = np.bincount(self.succ + 1, minlength=len(self.succ) + 1).cumsum()
+        return _freeze(ptr - ptr[0])  # slot 0 counted the exits' -1
+
+    @cached_property
+    def _lines(self):
+        return tuple(map(_freeze, _line_labels(self.succ)))
+
+    @cached_property
+    def label(self):
+        return self._lines[0]
+
+    @cached_property
+    def depth(self):
+        return self._lines[1]
+
+    @cached_property
     def comp(self):
         """Each row's component id; ids follow the components' smallest rows."""
         labels, first, inverse = np.unique(self.label, return_index=True, return_inverse=True)
@@ -194,6 +213,11 @@ class ForestWindow:
         return list(map(self.verts.__getitem__, rows.tolist()))
 
 
+def _check_window(forest):
+    if not isinstance(forest, ForestWindow):
+        raise ConfigError(f"forest must be a ForestWindow, got {type(forest).__name__}")
+
+
 def _freeze(a):
     """a, made read-only: windows and jump laws read their cached tables from it."""
     a.flags.writeable = False
@@ -211,20 +235,25 @@ def _line_labels(succ):
     first 2**k iterates and dist the number of real jumps among them. Once
     2**k >= n every line has reached its end or its cycle, so low[nxt] is
     the end or the cycle's smallest row, and dist is the depth on
-    components without a cycle.
+    components without a cycle. The rounds stop early once every nxt is a
+    fixed point, an end or a self-loop: no later round moves nxt or
+    low[nxt], nor dist on a line that ends.
     """
     n = len(succ)
-    rows = np.arange(n, dtype=np.int64)
     ends = succ < 0
-    nxt = np.where(ends, rows, succ)
-    low = rows
+    low = np.arange(n, dtype=np.int64)
+    nxt = np.where(ends, low, succ)
     dist = (~ends).astype(np.int64)
     for _ in range(n.bit_length()):
-        low = np.minimum(low, low[nxt])
-        dist = dist + dist[nxt]
-        nxt = nxt[nxt]
+        jump = nxt[nxt]
+        if (jump == nxt).all():
+            break
+        np.minimum(low, low[nxt], out=low)
+        dist += dist[nxt]
+        nxt = jump
     label = low[nxt]
-    return label, np.where(ends[label], dist, -1)
+    dist[~ends[label]] = -1
+    return label, dist
 
 
 @dataclass
@@ -263,6 +292,7 @@ def build_forest(vertices, jump_pairs, interior=None, dimension=1, metadata=None
     vertex in a pair or the interior, MalformedJump for a repeated source, a
     pair that is not (source, target) or pairs or an interior that are not
     iterable, and BadDimension for vertices that cannot be ordered or hashed.
+    `dimension` is an integer >= 1, or ConfigError.
 
     Rows: an int ndarray, the target row of each vertex, or -1 for a jump
     that left the window; every vertex has a jump. `vertices` is their sorted and distinct coordinates: an N x d
@@ -272,6 +302,7 @@ def build_forest(vertices, jump_pairs, interior=None, dimension=1, metadata=None
     The interior is intersected with the vertices whose jump stayed in the
     window.
     """
+    _check_steps("dimension", dimension, least=1)
     if isinstance(jump_pairs, np.ndarray):
         coords = _checked_coords(vertices)
         succ, interior = _checked_rows(jump_pairs, interior, len(coords))
@@ -289,7 +320,7 @@ def build_forest(vertices, jump_pairs, interior=None, dimension=1, metadata=None
     is_interior = succ >= 0
     if interior is not None:
         is_interior &= interior
-    return ForestWindow(coords, succ, is_exit, is_interior, dimension, dict(metadata or {}))
+    return ForestWindow(coords, succ, is_exit, is_interior, int(dimension), dict(metadata or {}))
 
 
 def _checked_coords(vertices):
@@ -302,9 +333,13 @@ def _checked_coords(vertices):
     except ValueError as e:
         raise BadDimension(f"rows-form vertices need N ints or N x d ints: {e}") from None
     c = c.astype(np.int64)
-    # each row must pass the last where they first differ (column 0 if they are equal)
-    at = (np.arange(len(c) - 1), (c[1:] != c[:-1]).argmax(axis=1))
-    if not (c[1:][at] > c[:-1][at]).all():
+    # each row must pass the last where they first differ, one column at a time
+    tied = np.ones(max(len(c) - 1, 0), dtype=bool)
+    passed = ~tied
+    for a, b in zip(c[1:].T, c[:-1].T):
+        passed |= tied & (a > b)
+        tied &= a == b
+    if not passed.all():
         raise MalformedJump("rows-form vertices are not sorted and distinct")
     return c
 
@@ -368,6 +403,7 @@ def _checked_rows(succ, interior, n):
 
 def ancestral_line(forest, v, max_steps):
     """Follow the jump map from v for at most max_steps jumps."""
+    _check_window(forest)
     _check_steps("max_steps", max_steps)
     (r,) = forest.rows_of([v])
     path, seen = [r], {r: 0}
@@ -392,6 +428,7 @@ def ancestral_line(forest, v, max_steps):
 def reverse_jump(forest):
     """Map each vertex to the tuple of its in-window preimages, in row order;
     keyed in order of first appearance as a target."""
+    _check_window(forest)
     pre, ptr = forest.vertices_of(forest.pre), forest.ptr.tolist()
     return {forest.verts[t]: tuple(pre[ptr[t]:ptr[t + 1]])
             for t in dict.fromkeys(forest.succ[forest.src].tolist())}
@@ -420,6 +457,7 @@ def components(forest):
     member has an in-window jump, which is also the condition for the
     FiniteCycle label (no arc of the component crosses the boundary).
     """
+    _check_window(forest)
     verts, ptr = forest.vertices_of(forest.comp_rows), forest.comp_ptr.tolist()
     dangling = np.bincount(forest.comp[forest.succ < 0], minlength=len(ptr) - 1).tolist()
     return [_summary(cid, verts[a:b], dangling[cid])
@@ -428,8 +466,10 @@ def components(forest):
 
 def _component_id(forest, component_id):
     """component_id as an int, or UnknownVertex if the window has no such
-    component."""
-    cid = operator.index(component_id)  # numpy reads a bool as a mask
+    component; ConfigError for a bool, which True == 1 would read as 1."""
+    _check_window(forest)
+    _check_not_bool("component_id", component_id, "a component id")
+    cid = operator.index(component_id)
     if not 0 <= cid < len(forest.comp_ptr) - 1:
         raise UnknownVertex(f"no component {component_id}")
     return cid
@@ -444,6 +484,7 @@ def classify_component(forest, component_id):
 
 def descendants(forest, v, n):
     """D_n(v): vertices u with n-th iterate equal to v, all steps in-window."""
+    _check_window(forest)
     _check_steps("n", n)
     (r,) = forest.rows_of([v])
     return frozenset(forest.vertices_of(forest.descend(r, n)))
@@ -459,6 +500,7 @@ def level_set(forest, v, horizon):
     Lines that wrap a cycle never end, so fully cyclic components are
     never flagged.
     """
+    _check_window(forest)
     _check_steps("horizon", horizon)
     (r,) = forest.rows_of([v])
     top, steps = r, 0
@@ -490,6 +532,7 @@ def height(forest, component_id):
 def component_heights(forest, anchor):
     """Heights over the cycle-free component of anchor, which gets height
     0: h(v) = depth(v) - depth(anchor), so h(F(v)) = h(v) - 1."""
+    _check_window(forest)
     (r,) = forest.rows_of([anchor])
     if forest.depth[r] < 0:
         raise CyclicComponent(f"the component of {anchor!r} contains a cycle")
@@ -508,6 +551,7 @@ def _fmt_vertex(v):
 
 def dump_forest(forest):
     """Serialize to the one-record-per-vertex text format."""
+    _check_window(forest)
     meta = forest.metadata
     lines = [
         "dim=%d model=%s seed=%s"

@@ -480,17 +480,32 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
             raise ConfigError(f"wrap[{a}] = {m} needs box[{a}] = (0, {m - 1}) "
                               f"and {m}*e_{a} in the lattice")
 
+    pts, succ, interior = _lattice_rows(lattice, atoms_arr, jumps.cdf, box, wrap, seed)
+    return build_forest(
+        pts,
+        succ,
+        interior=interior,
+        dimension=d,
+        metadata={"model": name, "seed": int(seed), "box": tuple(tuple(b) for b in box),
+                  "wrap": wrap},
+    )
+
+
+def _lattice_rows(lattice, atoms_arr, cdf, box, wrap, seed):
+    """The lattice points of box as rows, the row each one's sampled jump
+    lands on (-1 off an unwrapped axis) and the interior mask. The grid
+    arrays die here, before the window is built."""
     grid = box_grid(box)
     det, adj = lattice.frame  # lattice_coordinates row by row: det divides adj @ p
-    num = grid @ np.array(adj, dtype=np.int64).T
-    mask = (num % det == 0).all(axis=1)
+    mask = np.ones(len(grid), dtype=bool)
+    for row in np.array(adj, dtype=np.int64):
+        mask &= (grid @ row) % det == 0
     pts = grid[mask]
     if len(pts) == 0:
         raise EmptyWindow("box contains no lattice points")
 
     rng = rng_for(seed, _ROLE_LATTICE)
-    idx = atom_index(jumps.cdf, rng.random(len(pts)))
-    targets = pts + atoms_arr[idx]
+    targets = pts + atoms_arr[atom_index(cdf, rng.random(len(pts)))]
 
     in_box = np.ones(len(pts), dtype=bool)
     interior = np.ones(len(pts), dtype=bool)
@@ -507,11 +522,4 @@ def sample_lattice_cmt(lattice, jumps, box, seed, wrap=None, name="lattice-cmt")
     rowmap[mask] = np.arange(len(pts))
     at = np.ravel_multi_index(tuple((targets - [lo for lo, _ in box]).T),
                               [hi - lo + 1 for lo, hi in box], mode="clip")
-    return build_forest(
-        pts,
-        np.where(in_box, rowmap[at], -1),
-        interior=interior,
-        dimension=d,
-        metadata={"model": name, "seed": int(seed), "box": tuple(tuple(b) for b in box),
-                  "wrap": wrap},
-    )
+    return pts, np.where(in_box, rowmap[at], -1), interior

@@ -20,8 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadDimension, ConfigError, CyclicComponent, EmptyWindow, _check_steps
-from .forest import _freeze, box_grid, build_forest
+from .errors import (BadDimension, ConfigError, CyclicComponent, EmptyWindow, _check_not_bool,
+                     _check_steps)
+from .forest import _check_window, _freeze, box_grid, build_forest
 from .seeds import derive_seed, rng_for
 
 _ROLE_BERNOULLI = 0xD1
@@ -91,6 +92,7 @@ class PointCloud:
 def sample_bernoulli(p, box, seed):
     """Keep each integer point of the box independently with chance p."""
     _check_steps("seed", seed, least=None)
+    _check_not_bool("p", p, "a probability")
     if not 0 <= p <= 1:
         raise ConfigError("retention probability out of range")
     grid = box_grid(box)
@@ -325,6 +327,7 @@ def discrete_strip(p, box, seed):
     the top row are interior; the space axis wraps, so only the time
     boundary truncates."""
     _check_steps("seed", seed, least=None)
+    _check_not_bool("p", p, "a probability")
     if not 0 < p <= 1:
         raise ConfigError("retention probability out of range")
     if len(box) != 2:
@@ -335,39 +338,52 @@ def discrete_strip(p, box, seed):
         raise ConfigError("box space axis must be (0, L-1) with L >= 3")
     if t_hi < t_lo:
         raise EmptyWindow("empty time range")
-    rows = t_hi - t_lo + 1
+    succ, interior = _strip_cells(p, t_hi - t_lo + 1, length, seed)
+    return build_forest(
+        box_grid(box),
+        succ,
+        interior=interior,
+        dimension=2,
+        metadata={"model": "discrete-strip", "seed": int(seed), "p": float(p),
+                  "window": tuple(tuple(b) for b in box)},
+    )
 
+
+def _strip_cells(p, rows, length, seed):
+    """The discrete strip's succ over the rows x length cells, row-major, and
+    the mask of the cells whose scan concluded below the top row. The field
+    arrays die here, before the window is built."""
     rng = rng_for(seed, _ROLE_STRIP_FIELD)
     retained = rng.random((rows, length)) < p
     marks = rng_for(seed, _ROLE_STRIP_TIES).random((rows, length))
 
     near = retained | np.roll(retained, 1, axis=1) | np.roll(retained, -1, axis=1)
     # next_hit[s, x] = smallest row index r >= s with near[r, x], else rows;
-    # the sentinel row s = rows is near everywhere
+    # the sentinel row s = rows is near everywhere and retains nothing
     next_hit = np.where(np.vstack([near, np.ones(length, dtype=bool)]),
                         np.arange(rows + 1)[:, None], rows)
     np.minimum.accumulate(next_hit[::-1], axis=0, out=next_hit[::-1])
+    retained = np.vstack([retained, np.zeros(length, dtype=bool)])
 
-    # the source in row r, column x scans rows r+1 on; the top row finds none
-    hit = next_hit[1:].ravel()
-    found = hit < rows
-    h = hit[found]
-    x = np.arange(length)  # the columns x-1, x, x+1 mod L, sorted, of each x
-    cand = np.sort(np.stack([(x - 1) % length, x, (x + 1) % length], axis=1), axis=1)
-    cand = cand[np.flatnonzero(found) % length]
-    tied = retained[h[:, None], cand]
-    k = (marks.ravel()[found] * tied.sum(axis=1)).astype(np.int64)
-    pick = (np.cumsum(tied, axis=1) > k[:, None]).argmax(axis=1)
-    succ = np.full(rows * length, -1, dtype=np.int64)
-    succ[found] = h * length + cand[np.arange(len(h)), pick]
-    return build_forest(
-        box_grid(box),
-        succ,
-        interior=hit < rows - 1,
-        dimension=2,
-        metadata={"model": "discrete-strip", "seed": int(seed), "p": float(p),
-                  "window": tuple(tuple(b) for b in box)},
-    )
+    # the source in row r, column x scans rows r+1 on; the top row finds none.
+    # Its candidates are the columns x-1, x, x+1 mod L, sorted, of row hit;
+    # the pick is the first whose count of retained candidates so far passes
+    # mark * count (a count is an integer, so it passes the mark's floor iff
+    # it passes the mark). succ is built in hit's place: hit * L + column.
+    hit = next_hit[1:]
+    found, interior = hit < rows, hit < rows - 1
+    cols = np.sort((np.arange(length)[:, None] + [-1, 0, 1]) % length, axis=1).T
+    tied = [retained[hit, c] for c in cols]
+    marks *= sum(t.view(np.uint8) for t in tied)
+    hit *= length
+    seen, open_ = np.zeros((rows, length), dtype=np.uint8), found.copy()
+    for c, t in zip(cols, tied):
+        seen += t
+        pick = open_ & (seen > marks)
+        open_ &= ~pick
+        np.add(hit, c, out=hit, where=pick)
+    hit[~found] = -1
+    return hit.ravel(), interior.ravel()
 
 
 # -- visualization export ----------------------------------------------------------
@@ -377,6 +393,7 @@ def level_csv(cloud, forest):
     """CSV rows point_id,t,x,level_index,component_id for a point-id
     forest; level indices are heights shifted to start at 0 within each
     component, which are the distances to the component's end."""
+    _check_window(forest)
     cyclic = forest.comp[forest.depth < 0]
     if len(cyclic):
         raise CyclicComponent(f"component {cyclic.min()} contains a cycle")

@@ -28,6 +28,7 @@ from .errors import (
     TooLarge,
     Unconditionable,
     UnknownVertex,
+    _check_not_bool,
     _check_steps,
 )
 from .forest import _fmt_vertex, _line_labels
@@ -146,12 +147,23 @@ def _loop_erased_walk(nbrs, start, stop, nxt, words, budget):
 
 
 def _check_vertex(graph, name, v):
-    """UnknownVertex for a v not in graph; ConfigError for a bool, which
-    True == 1 would read as vertex 1."""
-    if isinstance(v, (bool, np.bool_)):
-        raise ConfigError(f"{name} must be a vertex, not the bool {v!r}")
-    if v not in graph.adjacency:
+    """UnknownVertex for a v not in graph, unhashable ones too; ConfigError
+    for a bool, which True == 1 would read as vertex 1."""
+    _check_not_bool(name, v, "a vertex")
+    try:
+        known = v in graph.adjacency
+    except TypeError:  # an unhashable v, such as a list, is absent
+        known = False
+    if not known:
         raise UnknownVertex(repr(v))
+
+
+def _vertex_list(name, vs):
+    """vs as a list, or ConfigError naming an argument that is not iterable."""
+    try:
+        return list(vs)
+    except TypeError:
+        raise ConfigError(f"{name} must be an iterable of vertices, got {vs!r}") from None
 
 
 def lerw(graph, start, stop_set, seed, budget=None):
@@ -163,7 +175,7 @@ def lerw(graph, start, stop_set, seed, budget=None):
     _check_steps("seed", seed, least=None)
     if budget is not None:
         _check_steps("budget", budget)
-    stop = list(stop_set)  # a set would keep one of 1 and True
+    stop = _vertex_list("stop_set", stop_set)  # a set would keep one of 1 and True
     _check_vertex(graph, "start", start)
     for v in stop:
         _check_vertex(graph, "stop_set entry", v)
@@ -230,7 +242,8 @@ def conditional_wilson(graph, path, seed):
     _check_graph("graph", graph)
     _check_steps("seed", seed, least=None)
     _reject_self_loops(graph)
-    for i, v in enumerate(path or ()):  # before the simple test, where True == 1
+    path = _vertex_list("path", path or ())
+    for i, v in enumerate(path):  # before the simple test, where True == 1
         _check_vertex(graph, f"path[{i}]", v)
     if not path or len(set(path)) != len(path):
         raise BadPath("initial path must be nonempty and simple")

@@ -1,5 +1,8 @@
 """Window construction, traversal, components, level sets, heights, dumps."""
 
+import re
+
+import numpy as np
 import pytest
 
 from cmtforest.forest import (
@@ -324,10 +327,14 @@ def test_height_simple_tree():
     assert ha.heights == {0: 0, 1: 1, 2: 1, 3: 2}
 
 
-def test_height_reads_a_bool_id_as_an_index():
+def test_height_refuses_a_bool_id():
+    # True == 1, so height(fw, True) answered for component 1
     fw = build_forest([0, 1, 2, 3, 5], [(1, 0), (3, 2)])
-    assert height(fw, True) == height(fw, 1)
-    assert height(fw, False) == height(fw, 0)
+    for flag in (True, False, np.True_):
+        with pytest.raises(ConfigError, match=f"^component_id must be a component id, "
+                                              f"not the bool {re.escape(repr(flag))}$"):
+            height(fw, flag)
+    assert height(fw, 1).anchor == 2 and height(fw, np.int64(0)).anchor == 0
 
 
 @pytest.mark.parametrize("call, name", [

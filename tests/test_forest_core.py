@@ -12,6 +12,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from cmtforest.forest import (
     EXIT,
     FINITE_CYCLE,
     TRUNCATED,
+    _line_labels,
     build_forest,
     classify_component,
     component_heights,
@@ -34,6 +36,7 @@ from cmtforest.forest import (
 from cmtforest.lattice import even_sublattice, integer_lattice, sample_lattice_cmt, uniform_jumps
 
 SUITE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+LAZY = ("src", "pre", "ptr", "label", "depth")  # derived from the rows on first read
 
 
 # -- oracles: the dict and union-find code the array core replaced -----------------
@@ -132,6 +135,23 @@ def oracle_level_set(forest, v, horizon):
         frontier = nxt
     truncated = any(dist.get(w, horizon) < horizon for w in comp)
     return frozenset(level), truncated
+
+
+def oracle_line_labels(succ):
+    """_line_labels as it was before it stopped early: every one of the
+    n.bit_length() doubling rounds, on fresh arrays."""
+    n = len(succ)
+    rows = np.arange(n, dtype=np.int64)
+    ends = succ < 0
+    nxt = np.where(ends, rows, succ)
+    low = rows
+    dist = (~ends).astype(np.int64)
+    for _ in range(n.bit_length()):
+        low = np.minimum(low, low[nxt])
+        dist = dist + dist[nxt]
+        nxt = nxt[nxt]
+    label = low[nxt]
+    return label, np.where(ends[label], dist, -1)
 
 
 # -- random windows -----------------------------------------------------------------
@@ -235,6 +255,26 @@ def test_core_in_degree_profile_equals_counts(fw):
     assert prof.mean == Fraction(len(fw.jump), len(fw.vertices))
 
 
+# weights of a row's moves: end, self-loop, a jump one to three rows on (which
+# strings long lines), a jump anywhere (which closes longer cycles)
+MOVES = st.tuples(*[st.integers(0, 3)] * 4).filter(any)
+
+
+@SUITE
+@given(st.integers(0, 300), MOVES, st.integers(0, 2**32 - 1))
+def test_line_labels_stopping_early_equal_every_round(n, weights, seed):
+    rng = np.random.default_rng(seed)
+    rows = np.arange(n, dtype=np.int64)
+    move = rng.choice(4, size=n, p=np.array(weights) / sum(weights))
+    on = np.minimum(rows + rng.integers(1, 4, size=n), max(n - 1, 0))
+    anywhere = rng.integers(0, max(n, 1), size=n)
+    succ = np.select([move == 0, move == 1, move == 2], [-1, rows, on], anywhere)
+    label, depth = _line_labels(succ)
+    want = oracle_line_labels(succ)
+    assert label.dtype == depth.dtype == np.int64
+    assert label.tolist() == want[0].tolist() and depth.tolist() == want[1].tolist()
+
+
 # -- invariants ---------------------------------------------------------------------
 
 
@@ -298,11 +338,16 @@ def test_mean_in_degree_is_one_on_every_valid_torus(data):
 
 
 def test_core_built_lazily_by_racing_threads_reads_the_same():
-    # component ids, the component CSR and the vertices that reverse_jump reads
-    # are cached on first read; threads that race to build them on one shared
-    # window must all read what a serial reader reads
-    def read(fw):
-        return ([(c.members, c.label) for c in components(fw)], reverse_jump(fw),
+    # the preimage CSR, labels, depths, component ids, the component CSR and the
+    # vertices that reverse_jump reads are cached on first read; threads that race
+    # to build them on one shared window, each reading the arrays in its own order,
+    # must all read what a serial reader reads, and every array comes out frozen
+    def read(fw, turn=0):
+        names = LAZY[turn:] + LAZY[:turn]
+        arrays = {name: getattr(fw, name) for name in names}
+        assert not any(a.flags.writeable for a in arrays.values())
+        return ({name: a.tolist() for name, a in arrays.items()},
+                [(c.members, c.label) for c in components(fw)], reverse_jump(fw),
                 [level_set(fw, v, 5) for v in sorted(fw.vertices)[:40]])
 
     def window():
@@ -315,8 +360,9 @@ def test_core_built_lazily_by_racing_threads_reads_the_same():
     try:
         for _ in range(5):
             fw = window()
+            assert not vars(fw).keys() & set(LAZY)
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(read, fw) for _ in range(8)]
+                futures = [pool.submit(read, fw, i % len(LAZY)) for i in range(8)]
                 results = [f.result(timeout=60) for f in futures]
             assert all(r == expect for r in results)
     finally:

@@ -9,13 +9,18 @@ import numpy as np
 import pytest
 
 from cmtforest.analysis import (
-    LatticeChainModel, connectivity_decay_probe, count_components_probe, in_degree_profile,
+    LatticeChainModel, cluster_frequency, component_statistic_survey, connectivity_decay_probe,
+    count_components_probe, in_degree_profile, level_set_bijection, nested_level_average,
 )
 from cmtforest.chains import (
     green_function, green_table, kernel_power, meet_and_stick_coupling, path_collision_estimate,
     shift_coupling, tv_consecutive, tv_profile,
 )
-from cmtforest.errors import BadDimension, BadGraph, ConfigError, MalformedJump
+from cmtforest.errors import BadDimension, BadGraph, ConfigError, MalformedJump, UnknownVertex
+from cmtforest.forest import (
+    ancestral_line, build_forest, classify_component, component_heights, components, descendants,
+    dump_forest, height, level_set, reverse_jump,
+)
 from cmtforest.graphs import complete_graph, cycle_graph, path_graph, regular_tree, torus_graph
 from cmtforest.lattice import (
     JumpDistribution,
@@ -31,6 +36,9 @@ from cmtforest.lattice import (
     uniform_jumps,
 )
 from cmtforest.models import SpaceTimeGraph, nguyen_atoms, nguyen_model, renewal_model
+from cmtforest.points import (
+    discrete_strip, howard_model, level_csv, sample_bernoulli, sample_poisson,
+)
 from cmtforest.wusf import conditional_wilson, lerw, spanning_trees, wilson_ust, wired_ball
 
 NGUYEN = uniform_jumps(nguyen_atoms(2))
@@ -193,10 +201,79 @@ CASES.update({
 })
 
 
+# a window reader read its argument's arrays: anything else ended in a bare AttributeError
+WINDOW_READERS = {
+    "ancestral_line": lambda w: ancestral_line(w, 0, 3),
+    "reverse_jump": reverse_jump,
+    "components": components,
+    "classify_component": lambda w: classify_component(w, 0),
+    "descendants": lambda w: descendants(w, 0, 1),
+    "level_set": lambda w: level_set(w, 0, 1),
+    "height": lambda w: height(w, 0),
+    "component_heights": lambda w: component_heights(w, 0),
+    "dump_forest": dump_forest,
+    "component_statistic_survey": lambda w: component_statistic_survey(w, "leaf-fraction", 1),
+    "nested_level_average": lambda w: nested_level_average(w, float, 0, 1),
+    "cluster_frequency": lambda w: cluster_frequency(w, 0, 100, 1),
+    "in_degree_profile": in_degree_profile,
+    "level_set_bijection": lambda w: level_set_bijection(w, 1),
+    "level_csv": lambda w: level_csv(sample_poisson(1.0, [(0, 2), (0, 2)], 1), w),
+}
+for reader, call in WINDOW_READERS.items():
+    for bad in (5, "x", None, {}):
+        CASES[f"{reader}-{type(bad).__name__}"] = (
+            lambda call=call, bad=bad: call(bad),
+            f"forest must be a ForestWindow, got {type(bad).__name__}")
+
+CASES.update({
+    # True == 1, so each read p = 1.0
+    "discrete_strip-p-bool": (lambda: discrete_strip(True, [(0, 3), (0, 3)], 1),
+                              "p must be a probability, not the bool True"),
+    "sample_bernoulli-p-bool": (lambda: sample_bernoulli(True, [(0, 3)], 1),
+                                "p must be a probability, not the bool True"),
+    "sample_bernoulli-p-numpy-bool": (lambda: sample_bernoulli(np.True_, [(0, 3)], 1),
+                                      "p must be a probability, not the bool np.True_"),
+    "howard_model-p-bool": (lambda: howard_model(True, [(0, 3), (0, 3)], 1),
+                            "p must be a probability, not the bool True"),
+    # a dump wrote dim=2 for 2.7 and dim=1 for True, and a str failed only at dump time
+    "build_forest-dimension-float": (lambda: build_forest([0], [], dimension=2.7),
+                                     "dimension must be an integer >= 1, got 2.7"),
+    "build_forest-dimension-bool": (lambda: build_forest([0], [], dimension=True),
+                                    "dimension must be an integer >= 1, got True"),
+    "build_forest-dimension-str": (lambda: build_forest([0], [], dimension="x"),
+                                   "dimension must be an integer >= 1, got 'x'"),
+    "build_forest-dimension-zero": (
+        lambda: build_forest(np.arange(2), np.array([1, -1]), dimension=0),
+        "dimension must be an integer >= 1, got 0"),
+    # each ended in a bare TypeError from iterating the argument
+    "conditional_wilson-path-int": (lambda: conditional_wilson(complete_graph(4), 5, 1),
+                                    "path must be an iterable of vertices, got 5"),
+    "lerw-stop_set-int": (lambda: lerw(complete_graph(4), 0, 5, 1),
+                          "stop_set must be an iterable of vertices, got 5"),
+})
+
+
 @pytest.mark.parametrize("call, message", CASES.values(), ids=list(CASES))
 def test_bad_argument_is_named(call, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lerw(complete_graph(4), [0], {1}, 1),
+    lambda: lerw(complete_graph(4), 0, [[1]], 1),
+    lambda: conditional_wilson(complete_graph(4), [[0]], 1),
+    lambda: wilson_ust(complete_graph(4), [0], 1),
+], ids=["lerw-start", "lerw-stop_set", "conditional_wilson-path", "wilson_ust-root"])
+def test_an_unhashable_walk_vertex_is_unknown(call):
+    # a list vertex ended in a bare TypeError: unhashable type: 'list'
+    with pytest.raises(UnknownVertex, match=r"\[\d\]"):
+        call()
+
+
+def test_a_window_keeps_an_integer_dimension():
+    fw = build_forest([0, 1], [(0, 1)], dimension=np.int64(3))
+    assert type(fw.dimension) is int and dump_forest(fw).startswith("dim=3 ")
 
 
 def test_integer_dimension_below_two_keeps_bad_dimension():

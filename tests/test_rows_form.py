@@ -48,6 +48,7 @@ from cmtforest.lattice import (
     integer_lattice,
     sample_lattice_cmt,
 )
+from cmtforest.models import nguyen_model
 from cmtforest.points import (
     _ROLE_STRIP_FIELD,
     _ROLE_STRIP_TIES,
@@ -388,6 +389,36 @@ def test_howard_distances_are_taken_in_blocks():
         tracemalloc.stop()
     assert peak < 50 * 2**20  # one 5,001 x 5,001 int64 distance array is 191 MiB
     assert fw.succ[:5001].tolist() == list(range(5001, 10002))
+
+
+def _traced_peak(read):
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_strip_window_is_built_and_read_in_bounded_memory():
+    # 200,000 cells; the field arrays, the (found x 3) candidate blocks, the sort
+    # check's gathers and the eager preimage arrays once peaked at 38.7 MiB
+    def read():
+        fw = discrete_strip(0.3, [(0, 399), (0, 499)], 5)
+        in_degree_profile(fw)
+        component_statistic_survey(fw, "leaf-fraction", 1)
+
+    assert _traced_peak(read) < 24 * 2**20  # 18.0 MiB measured
+
+
+def test_a_lattice_window_is_built_and_read_in_bounded_memory():
+    # 51,587 sites of the 4-D Nguyen model once peaked at 17.6 MiB
+    def read():
+        fw = nguyen_model(4, [(-8, 8)] * 3 + [(-20, 0)], 5)
+        in_degree_profile(fw)
+        component_statistic_survey(fw, "leaf-fraction", 1)
+
+    assert _traced_peak(read) < 13 * 2**20  # 9.3 MiB measured
 
 
 # -- the rows form's named errors ------------------------------------------------------

@@ -131,6 +131,17 @@ def test_one_exact_elimination():
     assert "_fourier_motzkin" not in {top for _, top, _ in package_nodes()}
 
 
+def test_a_window_derives_nothing_when_built():
+    # a window's constructor only freezes its rows: labels, depths and preimages are
+    # built on first read, so a reader that asks only for jumps never runs them
+    init = next(node for module, top, node in package_nodes()
+                if module == "forest" and top == "ForestWindow"
+                and isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+              for n in ast.walk(init) if isinstance(n, ast.Call)}
+    assert called and not called & {"_line_labels", "argsort"}
+
+
 def test_one_kernel_power_sweep():
     # every exact kernel power, Green sum and TV distance steps one sweep, which keys
     # each power in its last power's box, so no per-power place values are computed
@@ -152,7 +163,7 @@ def test_atom_draws_have_one_reader():
     assert sorted(callers_of("atom_index")) == [
         ("analysis", "LatticeChainModel"), ("analysis", "one_endedness_probe"),
         ("chains", "_cross_collision_once"), ("chains", "_pair_steps"),
-        ("chains", "meet_and_stick_coupling"), ("lattice", "sample_lattice_cmt"),
+        ("chains", "meet_and_stick_coupling"), ("lattice", "_lattice_rows"),
         ("models", "coalescing_mc")]
     assert sorted(set(callers_of("searchsorted"))) == [
         ("analysis", "level_set_bijection"), ("chains", "_Power"), ("lattice", "atom_index"),

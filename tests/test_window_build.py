@@ -16,6 +16,7 @@ outside the window, and dict and pair input, on int and on tuple vertices.
 
 import pickle
 import re
+from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from types import MappingProxyType
 
@@ -295,14 +296,21 @@ def test_row_map_is_read_only(form):
 
 
 def test_a_pickled_window_keeps_its_arrays_read_only():
-    # a copy's succ and cached comp were writeable, so a write corrupted its later answers
+    # a copy's succ and cached comp were writeable, so a write corrupted its later answers;
+    # the copy builds its derived arrays on first read, here by racing threads
     fw = nguyen_model(2, [(-5, 5), (-5, 0)], 1)
     components(fw)
     back = pickle.loads(pickle.dumps(fw))
-    for name in ("coords", "succ", "is_exit", "is_interior", "src", "pre", "ptr", "label",
-                 "depth"):
-        assert not getattr(back, name).flags.writeable, name
-        assert (getattr(back, name) == getattr(fw, name)).all(), name
+    lazy = ("src", "pre", "ptr", "label", "depth")
+    assert not vars(back).keys() & set(lazy)
+    with ThreadPoolExecutor(max_workers=5) as pool:
+        reads = list(pool.map(lambda i: {n: getattr(back, n) for n in lazy[i:] + lazy[:i]},
+                              range(5)))
+    reads.append({n: getattr(back, n) for n in ("coords", "succ", "is_exit", "is_interior")})
+    for read in reads:
+        for name, a in read.items():
+            assert not a.flags.writeable, name
+            assert (a == getattr(fw, name)).all(), name
     assert [c.members for c in components(back)] == [c.members for c in components(fw)]
     assert not back.comp.flags.writeable
     with pytest.raises(ValueError):
